@@ -52,16 +52,12 @@ class ExperimentSpec:
     kind: str
     params: dict = dc_field(default_factory=dict)
     seed: int | None = None
-    threads: int = 1
-    deterministic: bool = False
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "params": self.params,
             "seed": self.seed,
-            "threads": self.threads,
-            "deterministic": self.deterministic,
         }
 
 
@@ -129,9 +125,7 @@ def _run_covariance_sweep(params: dict, seed: int):
         if family == "so5-global":
             moved = wilson.global_so5_conjugate(lf, liealg.random_so5(rng))
         elif family == "su-local":
-            omegas = np.stack(
-                [liealg.haar_random_sun(n_colors, rng) for _ in range(g.n_events)]
-            )
+            omegas = liealg.haar_random_sun(n_colors, rng, count=g.n_events)
             moved = wilson.local_gauge_links(lf, omegas)
         else:
             offset = tuple(int(o) for o in rng.integers(0, np.asarray(dims)))
@@ -436,8 +430,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     if spec.kind not in _RUNNERS:
         raise SpecError(f"unknown experiment kind '{spec.kind}', expected one of {KINDS}")
-    if spec.threads < 1:
-        raise SpecError(f"field 'threads' must be >= 1, got {spec.threads}")
     if spec.kind in RANDOMIZED_KINDS and spec.seed is None:
         raise SpecError(f"kind '{spec.kind}' is randomized: field 'seed' is required")
     if not isinstance(spec.params, dict):
@@ -618,12 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed for randomized kinds")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (recorded; the engine is sequential)")
-        p.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="force the single threaded, fixed order path",
-        )
     return parser
 
 
@@ -651,14 +637,7 @@ def main(argv=None) -> int:
             seed = int(params.pop("seed"))
         elif "seed" in params:
             params.pop("seed")
-        threads = 1 if args.deterministic else args.threads
-        spec = ExperimentSpec(
-            kind=args.kind,
-            params=params,
-            seed=seed,
-            threads=threads,
-            deterministic=bool(args.deterministic),
-        )
+        spec = ExperimentSpec(kind=args.kind, params=params, seed=seed)
         report = run_experiment(spec)
         write_report(report, args.out, args.format)
     except SpecError as err:

@@ -9,17 +9,27 @@ The graph knows three vertex roles:
 * ACTION: the center of a plaquette, connected to the four transitions of
   its loop.
 
-Edge labels are signed directions +-1..+-4.  Extents and periodicity are
-stored (they are needed to build and to enumerate automorphisms), but no
-vertex carries a position; every query below is answered from adjacency
-alone.  Vertex ids are assigned contiguously: events first, then
-transitions, then actions, each ordered by construction.
+Edge labels are signed directions +-1..+-4.  The graph is periodic along
+all four axes.  Extents are stored (they are needed to build and to
+enumerate automorphisms), but no vertex carries a position; every query
+below is answered from adjacency alone.  Vertex ids are assigned
+contiguously: events first, then transitions, then actions.  Site s owns
+transition 4s + d - 1 (its forward link along d) and action 6s + i (the
+plaquette with first corner s in plane ``PLANES[i]``), both counted from the
+first vertex of their role.
+
+The index tables the batched consumers read (forward sites, plaquettes,
+staples) are derived from `LatticeGraph.neighbor` over all events at once
+and cached on the graph when first used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
+from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,164 +73,91 @@ class PlaquetteRef:
     plane: tuple[int, int]
 
 
+class PlaquetteTable(NamedTuple):
+    """Every plaquette as integer arrays, row k for action vertex A0 + k."""
+
+    corners: np.ndarray      # (A, 4) events c0, c1 = c0+mu, c2 = c1+nu, c3 = c0+nu
+    mu: np.ndarray           # (A,) first plane direction, 1..4
+    nu: np.ndarray           # (A,) second plane direction, mu < nu
+    transitions: np.ndarray  # (A, 4) loop transitions, as offsets into per-transition storage
+
+
+class StapleTable(NamedTuple):
+    """Per (event, direction): six staples of three stored links each.
+
+    Staple link j of staple i through link (e, mu) is the stored link
+    (sites[e, mu-1, i, j], dirs[mu-1, i, j]), daggered where dagger[i, j].
+    Directions and daggers do not depend on the site.
+    """
+
+    sites: np.ndarray   # (E, 4, 6, 3) events
+    dirs: np.ndarray    # (4, 6, 3) stored directions, 0..3
+    dagger: np.ndarray  # (6, 3) bool
+
+
 class LatticeGraph:
-    """Periodic (or open) four dimensional hypercubic graph, adjacency only."""
+    """Periodic four dimensional hypercubic graph, adjacency only."""
 
     def __init__(self, dims, periodic=True):
         dims = tuple(int(d) for d in dims)
         if len(dims) != 4 or any(d < 1 for d in dims):
             raise GraphError(f"dims must be four positive integers, got {dims}")
-        if periodic and any(d < 2 for d in dims):
+        if not periodic:
+            raise GraphError("periodic=False is not supported: graphs are periodic along every axis")
+        if any(d < 2 for d in dims):
             raise GraphError(f"periodic graph needs every extent >= 2, got {dims}")
         self.dims = dims
-        self.periodic = bool(periodic)
         self._build()
 
     # -- construction -------------------------------------------------------
 
-    def _site_index(self, x) -> int:
-        l0, l1, l2, l3 = self.dims
-        return ((x[0] * l1 + x[1]) * l2 + x[2]) * l3 + x[3]
-
-    def _site_coords(self, s: int):
-        l0, l1, l2, l3 = self.dims
-        s, x3 = divmod(s, l3)
-        s, x2 = divmod(s, l2)
-        x0, x1 = divmod(s, l1)
-        return (x0, x1, x2, x3)
-
-    def _shift_site(self, s: int, d: int, sign: int):
-        """Site one step along axis d-1, or None off an open boundary."""
-        x = list(self._site_coords(s))
-        axis = d - 1
-        x[axis] += sign
-        if self.periodic:
-            x[axis] %= self.dims[axis]
-        elif not (0 <= x[axis] < self.dims[axis]):
-            return None
-        return self._site_index(x)
-
     def _build(self):
-        n_sites = int(np.prod(self.dims))
-        self.n_events = n_sites
+        n = int(np.prod(self.dims))
+        self.n_events = n
+        self.n_transitions = 4 * n
+        self.n_actions = 6 * n
+        t0 = n
+        a0 = 5 * n
 
-        # Transition slots (site, d) and action slots (site, plane); open
-        # boundaries drop the slots whose forward steps leave the box.
-        trans_slot = np.full((n_sites, 4), -1, dtype=np.int64)
-        act_slot = np.full((n_sites, 6), -1, dtype=np.int64)
-        n_t = 0
-        for s in range(n_sites):
-            for d in range(1, 5):
-                if self._shift_site(s, d, +1) is not None:
-                    trans_slot[s, d - 1] = n_t
-                    n_t += 1
-        n_a = 0
-        for s in range(n_sites):
-            for i, (mu, nu) in enumerate(PLANES):
-                if (
-                    trans_slot[s, mu - 1] >= 0
-                    and trans_slot[s, nu - 1] >= 0
-                    and self._shift_site(s, mu, +1) is not None
-                    and self._shift_site(s, nu, +1) is not None
-                    and trans_slot[self._shift_site(s, mu, +1), nu - 1] >= 0
-                    and trans_slot[self._shift_site(s, nu, +1), mu - 1] >= 0
-                ):
-                    act_slot[s, i] = n_a
-                    n_a += 1
-        self.n_transitions = n_t
-        self.n_actions = n_a
-        self._trans_slot = trans_slot
-        self._act_slot = act_slot
+        # Site coordinates exist only here, to wire the adjacency.
+        sites = np.arange(n)
+        x = np.unravel_index(sites, self.dims)
 
-        ev_of = lambda s: s
-        tr_of = lambda s, d: self.n_events + trans_slot[s, d - 1]
-        ac_of = lambda s, i: self.n_events + n_t + act_slot[s, i]
+        def shifted(axis, step):
+            y = list(x)
+            y[axis] = y[axis] + step
+            return np.ravel_multi_index(y, self.dims, mode="wrap")
 
-        # Reverse maps for automorphisms and diagnostics.
-        self._trans_site = np.empty(n_t, dtype=np.int64)
-        self._trans_dir = np.empty(n_t, dtype=np.int64)
-        for s in range(n_sites):
-            for d in range(1, 5):
-                t = trans_slot[s, d - 1]
-                if t >= 0:
-                    self._trans_site[t] = s
-                    self._trans_dir[t] = d
-        self._act_site = np.empty(n_a, dtype=np.int64)
-        self._act_plane = np.empty(n_a, dtype=np.int64)
-        for s in range(n_sites):
-            for i in range(6):
-                a = act_slot[s, i]
-                if a >= 0:
-                    self._act_site[a] = s
-                    self._act_plane[a] = i
+        fwd = np.stack([shifted(a, +1) for a in range(4)], axis=1)
+        bwd = np.stack([shifted(a, -1) for a in range(4)], axis=1)
+        axes = np.arange(4)
 
-        nbr = np.full((self.n_events + n_t, 8), -1, dtype=np.int64)
-        for s in range(n_sites):
-            for d in range(1, 5):
-                if trans_slot[s, d - 1] >= 0:
-                    nbr[ev_of(s), _label_col(d)] = tr_of(s, d)
-                back = self._shift_site(s, d, -1)
-                if back is not None and trans_slot[back, d - 1] >= 0:
-                    nbr[ev_of(s), _label_col(-d)] = tr_of(back, d)
-        for s in range(n_sites):
-            for d in range(1, 5):
-                if trans_slot[s, d - 1] < 0:
-                    continue
-                t = tr_of(s, d)
-                nbr[t, _label_col(-d)] = ev_of(s)
-                nbr[t, _label_col(d)] = ev_of(self._shift_site(s, d, +1))
-                for e in range(1, 5):
-                    if e == d:
-                        continue
-                    plane = (min(d, e), max(d, e))
-                    i = _PLANE_INDEX[plane]
-                    if act_slot[s, i] >= 0:
-                        nbr[t, _label_col(e)] = ac_of(s, i)
-                    back = self._shift_site(s, e, -1)
-                    if back is not None and act_slot[back, i] >= 0:
-                        nbr[t, _label_col(-e)] = ac_of(back, i)
+        nbr = np.empty((n + 4 * n, 8), dtype=np.int64)
+        nbr[:n, 0::2] = t0 + 4 * sites[:, None] + axes
+        nbr[:n, 1::2] = t0 + 4 * bwd + axes
+        trans = nbr[n:].reshape(n, 4, 8)  # [site, axis, column]
+        trans[:, axes, 2 * axes] = fwd
+        trans[:, axes, 2 * axes + 1] = sites[:, None]
+        for a, b in permutations(range(4), 2):
+            i = _PLANE_INDEX[(min(a, b) + 1, max(a, b) + 1)]
+            trans[:, a, 2 * b] = a0 + 6 * sites + i
+            trans[:, a, 2 * b + 1] = a0 + 6 * bwd[:, b] + i
         self._nbr = nbr
 
-        # Loop-ordered transitions per action, and full plaquette references.
-        act_trans = np.empty((n_a, 4), dtype=np.int64)
-        plaqs = []
-        for s in range(n_sites):
-            for i, (mu, nu) in enumerate(PLANES):
-                if act_slot[s, i] < 0:
-                    continue
-                c0 = s
-                c1 = self._shift_site(s, mu, +1)
-                c3 = self._shift_site(s, nu, +1)
-                c2 = self._shift_site(c1, nu, +1)
-                a = ac_of(s, i)
-                act_trans[act_slot[s, i]] = (
-                    tr_of(c0, mu),
-                    tr_of(c1, nu),
-                    tr_of(c3, mu),
-                    tr_of(c0, nu),
-                )
-                plaqs.append(
-                    PlaquetteRef(
-                        action=a,
-                        corners=(ev_of(c0), ev_of(c1), ev_of(c2), ev_of(c3)),
-                        links=(
-                            (ev_of(c0), mu),
-                            (ev_of(c1), nu),
-                            (ev_of(c2), -mu),
-                            (ev_of(c3), -nu),
-                        ),
-                        plane=(mu, nu),
-                    )
-                )
-        self._act_trans = act_trans
-        self._plaquettes = tuple(plaqs)
+        # Loop-ordered transitions per action: (s, mu), (s+mu, nu), (s+nu, mu), (s, nu).
+        act = np.empty((n, 6, 4), dtype=np.int64)
+        for i, (mu, nu) in enumerate(PLANES):
+            m, u = mu - 1, nu - 1
+            act[:, i] = np.stack(
+                [4 * sites + m, 4 * fwd[:, m] + u, 4 * fwd[:, u] + m, 4 * sites + u], axis=1
+            )
+        self._act_trans = t0 + act.reshape(6 * n, 4)
 
-        # Bipartition of event vertices (unique up to class swap on a
-        # connected bipartite graph); kept for checkerboard sweep order.
-        parity = np.zeros(n_sites, dtype=np.int8)
-        for s in range(n_sites):
-            parity[s] = sum(self._site_coords(s)) % 2
-        self._event_parity = parity
+        # Coordinate-sum parity per event, for the checkerboard sweep order.  It is
+        # a proper two-coloring (no link joins equal parities) only when every
+        # extent is even: a wrapped link along an odd extent L joins sites
+        # whose coordinate sums differ by L - 1, an even number.
+        self.parity = (sum(x) % 2).astype(np.int8)
 
     # -- basic queries -------------------------------------------------------
 
@@ -237,7 +174,7 @@ class LatticeGraph:
             return Role.TRANSITION
         return Role.ACTION
 
-    def neighbor(self, v: int, label: int) -> int:
+    def neighbor(self, v, label: int):
         """Labeled neighbor of an event or transition vertex.
 
         From an event, label +-d reaches the transition on the forward or
@@ -246,35 +183,47 @@ class LatticeGraph:
         reach its endpoint events and any other label reaches the action
         vertex of the plaquette spanned by the two directions, on the
         positive or negative side.
+
+        ``v`` may also be an integer array; the answer is then the array of
+        neighbors, elementwise, under the same checks.
         """
         col = _label_col(label)
-        if self.role(v) == Role.ACTION:
-            raise GraphError(f"vertex {v} is an action vertex, labels do not apply")
-        w = self._nbr[v, col]
-        if w < 0:
-            raise GraphError(f"vertex {v} has no neighbor with label {label:+d}")
-        return int(w)
+        if not isinstance(v, np.ndarray):
+            if self.role(v) == Role.ACTION:
+                raise GraphError(f"vertex {v} is an action vertex, labels do not apply")
+            return int(self._nbr[v, col])
+        if v.dtype.kind not in "iu":
+            raise GraphError(f"vertex array must hold integers, got dtype {v.dtype}")
+        bad = (v < 0) | (v >= self.n_vertices)
+        if bad.any():
+            raise GraphError(f"vertex {v[bad].flat[0]} out of range")
+        actions = v >= self.n_events + self.n_transitions
+        if actions.any():
+            raise GraphError(
+                f"vertex {v[actions].flat[0]} is an action vertex, labels do not apply"
+            )
+        return self._nbr[v, col]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """All neighbors of v, without labels (actions included)."""
         if self.role(v) == Role.ACTION:
-            return tuple(int(t) for t in self._act_trans[v - self.n_events - self.n_transitions])
-        return tuple(int(w) for w in self._nbr[v] if w >= 0)
+            return self.action_transitions(v)
+        return tuple(self._nbr[v].tolist())
 
     def action_transitions(self, v: int) -> tuple[int, int, int, int]:
         """The four transitions of an action vertex, in loop order."""
         if self.role(v) != Role.ACTION:
             raise GraphError(f"vertex {v} is not an action vertex")
-        return tuple(int(t) for t in self._act_trans[v - self.n_events - self.n_transitions])
+        return tuple(self._act_trans[v - self.n_events - self.n_transitions].tolist())
 
-    def event_neighbor(self, event: int, label: int) -> int:
+    def event_neighbor(self, event, label: int):
         """Next event site along a signed direction (two half steps)."""
         return self.neighbor(self.neighbor(event, label), label)
 
     def transition_direction(self, v: int) -> int:
         if self.role(v) != Role.TRANSITION:
             raise GraphError(f"vertex {v} is not a transition vertex")
-        return int(self._trans_dir[v - self.n_events])
+        return int(v - self.n_events) % 4 + 1
 
     def transition_offset(self, v: int) -> int:
         """Index of a transition vertex into per-transition field storage."""
@@ -285,20 +234,70 @@ class LatticeGraph:
     def event_parity(self, v: int) -> int:
         if self.role(v) != Role.EVENT:
             raise GraphError(f"vertex {v} is not an event vertex")
-        return int(self._event_parity[v])
-
-    def plaquettes(self) -> tuple[PlaquetteRef, ...]:
-        """Every plaquette exactly once, in construction order."""
-        return self._plaquettes
+        return int(self.parity[v])
 
     def links(self):
         """All stored links as (event, direction) pairs, event major."""
-        out = []
-        for s in range(self.n_events):
-            for d in range(1, 5):
-                if self._trans_slot[s, d - 1] >= 0:
-                    out.append((s, d))
-        return out
+        return [(s, d) for s in range(self.n_events) for d in range(1, 5)]
+
+    # -- derived index tables -----------------------------------------------
+
+    @cached_property
+    def forward_sites(self) -> np.ndarray:
+        """(E, 4) array: entry [e, d-1] is the event one step along +d from e."""
+        events = np.arange(self.n_events)
+        return np.stack([self.event_neighbor(events, d) for d in range(1, 5)], axis=1)
+
+    @cached_property
+    def plaquette_table(self) -> PlaquetteTable:
+        fwd = self.forward_sites
+        c0 = np.repeat(np.arange(self.n_events), len(PLANES))
+        mu = np.tile([p[0] for p in PLANES], self.n_events)
+        nu = np.tile([p[1] for p in PLANES], self.n_events)
+        c1 = fwd[c0, mu - 1]
+        c3 = fwd[c0, nu - 1]
+        c2 = fwd[c1, nu - 1]
+        corners = np.stack([c0, c1, c2, c3], axis=1)
+        return PlaquetteTable(corners, mu, nu, self._act_trans - self.n_events)
+
+    @cached_property
+    def staple_table(self) -> StapleTable:
+        """Upper staple (x+mu, nu), (x+nu, mu)^dag, (x, nu)^dag and lower staple
+        (x+mu-nu, nu)^dag, (x-nu, mu)^dag, (x-nu, nu) for each nu != mu in order."""
+        events = np.arange(self.n_events)
+        fwd = self.forward_sites
+        bwd = np.stack([self.event_neighbor(events, -d) for d in range(1, 5)], axis=1)
+        sites = np.empty((self.n_events, 4, 6, 3), dtype=np.int64)
+        dirs = np.empty((4, 6, 3), dtype=np.int64)
+        for mu in range(4):
+            for k, nu in enumerate(d for d in range(4) if d != mu):
+                sites[:, mu, 2 * k] = np.stack([fwd[:, mu], fwd[:, nu], events], axis=1)
+                sites[:, mu, 2 * k + 1] = np.stack(
+                    [bwd[fwd[:, mu], nu], bwd[:, nu], bwd[:, nu]], axis=1
+                )
+                dirs[mu, 2 * k : 2 * k + 2] = (nu, mu, nu)
+        dagger = np.tile([[False, True, True], [True, True, False]], (3, 1))
+        return StapleTable(sites, dirs, dagger)
+
+    def plaquettes(self) -> tuple[PlaquetteRef, ...]:
+        """Every plaquette exactly once, in action order, built on each call.
+
+        These per-plaquette views serve the reference path
+        (`wilson.plaquette_product`); batched code reads `plaquette_table`.
+        """
+        pt = self.plaquette_table
+        a0 = self.n_events + self.n_transitions
+        return tuple(
+            PlaquetteRef(
+                action=a0 + k,
+                corners=tuple(c),
+                links=((c[0], mu), (c[1], nu), (c[2], -mu), (c[3], -nu)),
+                plane=(mu, nu),
+            )
+            for k, (c, mu, nu) in enumerate(
+                zip(pt.corners.tolist(), pt.mu.tolist(), pt.nu.tolist())
+            )
+        )
 
     # -- automorphisms -------------------------------------------------------
 
@@ -309,66 +308,32 @@ class LatticeGraph:
         Labeled adjacency is equivariant: perm[neighbor(v, l)] equals
         neighbor(perm[v], l) for every vertex and label.
         """
-        if not self.periodic:
-            raise GraphError("translation automorphisms need a periodic graph")
         offset = tuple(int(o) for o in offset)
         if len(offset) != 4:
             raise GraphError(f"offset must have four components, got {offset}")
-        l0, l1, l2, l3 = self.dims
-        n_sites = self.n_events
-        s = np.arange(n_sites)
-        x3 = s % l3
-        x2 = (s // l3) % l2
-        x1 = (s // (l3 * l2)) % l1
-        x0 = s // (l3 * l2 * l1)
-        x0 = (x0 + offset[0]) % l0
-        x1 = (x1 + offset[1]) % l1
-        x2 = (x2 + offset[2]) % l2
-        x3 = (x3 + offset[3]) % l3
-        s_new = ((x0 * l1 + x1) * l2 + x2) * l3 + x3
-        perm = np.empty(self.n_vertices, dtype=np.int64)
-        perm[:n_sites] = s_new
-        # Periodic graphs keep every slot, so slot indices are 4s + (d-1)
-        # and 6s + plane; translation just replaces the site factor.
-        t_site = self._trans_site
-        t_dir = self._trans_dir
-        perm[n_sites : n_sites + self.n_transitions] = (
-            n_sites + 4 * s_new[t_site] + (t_dir - 1)
+        x = np.unravel_index(np.arange(self.n_events), self.dims)
+        s_new = np.ravel_multi_index(
+            [xi + o for xi, o in zip(x, offset)], self.dims, mode="wrap"
         )
-        a_site = self._act_site
-        a_plane = self._act_plane
-        perm[n_sites + self.n_transitions :] = (
-            n_sites + self.n_transitions + 6 * s_new[a_site] + a_plane
+        # Slots are 4s + (d-1) and 6s + plane; translation replaces the site.
+        return np.concatenate(
+            [
+                s_new,
+                self.n_events + (4 * s_new[:, None] + np.arange(4)).ravel(),
+                self.n_events + self.n_transitions + (6 * s_new[:, None] + np.arange(6)).ravel(),
+            ]
         )
-        return perm
 
     def compatible(self, other: "LatticeGraph") -> bool:
-        return (
-            isinstance(other, LatticeGraph)
-            and self.dims == other.dims
-            and self.periodic == other.periodic
-        )
+        return isinstance(other, LatticeGraph) and self.dims == other.dims
 
     def __repr__(self):
-        kind = "periodic" if self.periodic else "open"
         return (
-            f"LatticeGraph(dims={self.dims}, {kind}, "
+            f"LatticeGraph(dims={self.dims}, periodic, "
             f"E={self.n_events}, T={self.n_transitions}, A={self.n_actions})"
         )
 
 
 def build_hypercubic(dims, periodic: bool = True) -> LatticeGraph:
-    """Build the four dimensional hypercubic lattice graph."""
+    """Build the four dimensional hypercubic lattice graph (periodic only)."""
     return LatticeGraph(dims, periodic=periodic)
-
-
-def neighbor(g: LatticeGraph, v: int, label: int) -> int:
-    return g.neighbor(v, label)
-
-
-def plaquettes(g: LatticeGraph):
-    return g.plaquettes()
-
-
-def automorphism_shift(g: LatticeGraph, offset) -> np.ndarray:
-    return g.automorphism_shift(offset)

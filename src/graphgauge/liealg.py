@@ -260,20 +260,24 @@ def sun_generators(n: int) -> np.ndarray:
     raise ValueError(f"unsupported group size N={n}, expected 2 or 3")
 
 
-def haar_random_sun(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one Haar-distributed SU(N) matrix, N in {2, 3}.
+def haar_random_sun(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Draw one Haar-distributed SU(N) matrix, N in {2, 3}, or a stack of ``count``.
 
     QR of a complex Ginibre matrix with the R-diagonal phase correction gives
     Haar on U(N); dividing out an N-th root of the determinant lands on SU(N).
+    A stack consumes the generator exactly as ``count`` single draws would,
+    so it holds the same matrices in the same order.
     """
     if n not in (2, 3):
         raise ValueError(f"unsupported group size N={n}, expected 2 or 3")
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    lead = () if count is None else (count,)
+    parts = rng.standard_normal(lead + (2, n, n))
+    z = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
     det = np.linalg.det(q)
-    return q * np.exp(-1j * np.angle(det) / n)
+    return q * np.exp(-1j * (np.angle(det) / n))[..., None, None]
 
 
 def random_sun_near_identity(n: int, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -314,10 +318,10 @@ def link_trace(link: LinkMatrix) -> float:
     return float(np.trace(link.su).real + np.trace(link.so5))
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm distance of u^dag u from the identity."""
-    n = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
+def unitarity_defect(u: np.ndarray):
+    """Max-norm distance of u^dag u from the identity, per matrix of a stack."""
+    u = np.asarray(u)
+    return np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
 
 
 def orthogonality_defect(o: np.ndarray) -> float:

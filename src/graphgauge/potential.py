@@ -344,19 +344,13 @@ def flatness_residual(field: PotentialField, graph: LatticeGraph) -> FlatnessRep
     transports = np.empty((graph.n_transitions, 5, 5))
     for i in range(graph.n_transitions):
         transports[i] = edge_transport(field, e0 + i)
-    eye = np.eye(5)
-    plaqs = graph.plaquettes()
-    residuals = np.empty(len(plaqs))
-    actions = np.empty(len(plaqs), dtype=np.int64)
-    for k, p in enumerate(plaqs):
-        t1, t2, t3, t4 = (graph.action_transitions(p.action)[j] - e0 for j in range(4))
-        loop = transports[t1] @ transports[t2] @ transports[t3].T @ transports[t4].T
-        residuals[k] = np.linalg.norm(loop - eye, 2)
-        actions[k] = p.action
+    t1, t2, t3, t4 = transports[graph.plaquette_table.transitions.T]
+    loops = t1 @ t2 @ np.swapaxes(t3, -1, -2) @ np.swapaxes(t4, -1, -2)
+    residuals = np.linalg.norm(loops - np.eye(5), 2, axis=(-2, -1))
     return FlatnessReport(
-        max_residual=float(residuals.max()) if len(plaqs) else 0.0,
+        max_residual=float(residuals.max()),
         residuals=residuals,
-        actions=actions,
+        actions=e0 + graph.n_transitions + np.arange(graph.n_actions),
     )
 
 
@@ -378,7 +372,7 @@ def save_field(field: PotentialField, path) -> None:
         fh.write("# graphgauge potential field snapshot\n")
         fh.write(
             f"# eps={field.eps!r} dims={','.join(map(str, graph.dims))} "
-            f"periodic={int(graph.periodic)}\n"
+            "periodic=1\n"
         )
         fh.write("# columns: vertex g[16 row-major] h[a=0..3, planes b<c]\n")
         for i in range(graph.n_transitions):
@@ -391,6 +385,7 @@ def save_field(field: PotentialField, path) -> None:
 def load_field(path, graph: LatticeGraph) -> PotentialField:
     """Read a snapshot written by `save_field` back onto a matching graph."""
     eps = None
+    periodic = None
     rows = {}
     with open(path) as fh:
         for line in fh:
@@ -402,6 +397,8 @@ def load_field(path, graph: LatticeGraph) -> PotentialField:
                     for tok in line[1:].split():
                         if tok.startswith("eps="):
                             eps = float(tok[4:])
+                        if tok.startswith("periodic="):
+                            periodic = tok[9:]
                         if tok.startswith("dims="):
                             dims = tuple(int(x) for x in tok[5:].split(","))
                             if dims != graph.dims:
@@ -413,6 +410,8 @@ def load_field(path, graph: LatticeGraph) -> PotentialField:
             rows[int(parts[0])] = [float(x) for x in parts[1:]]
     if eps is None:
         raise ValueError("snapshot is missing the eps header")
+    if periodic != "1":
+        raise ValueError(f"snapshot must be periodic (header periodic=1), got periodic={periodic}")
     if len(rows) != graph.n_transitions:
         raise ValueError(
             f"snapshot covers {len(rows)} transitions, graph has {graph.n_transitions}"

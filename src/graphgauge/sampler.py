@@ -85,76 +85,25 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 # ---------------------------------------------------------------------------
 
 
-def _staple_tables(g: LatticeGraph):
-    """Per (event, direction): six staples of three link slots each.
-
-    Returns (sites, dirs, dagger) arrays of shape (E, 4, 6, 3); entries name
-    the stored link (site, direction-1) and whether its dagger is used.
-    Cached on the graph object.
-    """
-    cached = getattr(g, "_staple_tables", None)
-    if cached is not None:
-        return cached
-    e_n = g.n_events
-    sites = np.empty((e_n, 4, 6, 3), dtype=np.int64)
-    dirs = np.empty((e_n, 4, 6, 3), dtype=np.int64)
-    dag = np.empty((e_n, 4, 6, 3), dtype=bool)
-    for e in range(e_n):
-        for mu in range(1, 5):
-            i = 0
-            x_pmu = g.event_neighbor(e, mu)
-            for nu in range(1, 5):
-                if nu == mu:
-                    continue
-                x_pnu = g.event_neighbor(e, nu)
-                x_mnu = g.event_neighbor(e, -nu)
-                x_pmu_mnu = g.event_neighbor(x_pmu, -nu)
-                sites[e, mu - 1, i] = (x_pmu, x_pnu, e)
-                dirs[e, mu - 1, i] = (nu - 1, mu - 1, nu - 1)
-                dag[e, mu - 1, i] = (False, True, True)
-                i += 1
-                sites[e, mu - 1, i] = (x_pmu_mnu, x_mnu, x_mnu)
-                dirs[e, mu - 1, i] = (nu - 1, mu - 1, nu - 1)
-                dag[e, mu - 1, i] = (True, True, False)
-                i += 1
-    tables = (sites, dirs, dag)
-    g._staple_tables = tables
-    return tables
-
-
 def staple_sum(lf: wilson.LinkField, g: LatticeGraph, event: int, direction: int) -> np.ndarray:
-    """Sum of the six staple products closing plaquettes through one link."""
-    sites, dirs, dag = _staple_tables(g)
+    """Sum of the six staple products closing plaquettes through one link.
+
+    The Metropolis change of the normalized action from replacing link U by
+    U' is -(beta / N) Re tr((U' - U) staple_sum).
+    """
+    sites, dirs, dagger = g.staple_table
     n = lf.n_colors
+    su = lf.su.reshape(-1, n, n)
+    # Row index 4 * site + (direction - 1) of each staple link in ``su``.
+    links = (4 * sites[event, direction - 1] + dirs[direction - 1]).tolist()
     total = np.zeros((n, n), dtype=complex)
-    s_row = sites[event, direction - 1]
-    d_row = dirs[event, direction - 1]
-    f_row = dag[event, direction - 1]
-    for i in range(6):
+    for row, flags in zip(links, dagger.tolist()):
         m = None
-        for j in range(3):
-            u = lf.su[s_row[i, j], d_row[i, j]]
-            if f_row[i, j]:
-                u = u.conj().T
+        for k, flag in zip(row, flags):
+            u = su[k].conj().T if flag else su[k]
             m = u if m is None else m @ u
         total += m
     return total
-
-
-def link_action_delta(
-    lf: wilson.LinkField,
-    g: LatticeGraph,
-    event: int,
-    direction: int,
-    new_u: np.ndarray,
-    beta: float,
-) -> float:
-    """Normalized-action change from replacing one link, via its staples."""
-    staple = staple_sum(lf, g, event, direction)
-    old_u = lf.su[event, direction - 1]
-    return float(
-        -(beta / lf.n_colors) * np.trace((new_u - old_u) @ staple).real
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +111,12 @@ def link_action_delta(
 # ---------------------------------------------------------------------------
 
 
-def _sweep_order(g: LatticeGraph, order: str):
+def _sweep_order(g: LatticeGraph, order: str) -> list:
     if order == "lexicographic":
-        return [e for e in range(g.n_events)]
+        return list(range(g.n_events))
     if order == "checkerboard":
-        evens = [e for e in range(g.n_events) if g.event_parity(e) == 0]
-        odds = [e for e in range(g.n_events) if g.event_parity(e) == 1]
-        return evens + odds
+        # Even-parity events, then odd ones, each in increasing order.
+        return np.argsort(g.parity, kind="stable").tolist()
     raise ValueError(f"unknown sweep order {order!r}")
 
 

@@ -57,6 +57,10 @@ def _check_n(n_colors: int):
         raise LinkFieldError(f"unsupported N={n_colors}, expected one of {SUPPORTED_N}")
 
 
+def _dagger(u: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(u, -1, -2))
+
+
 def identity_links(graph: LatticeGraph, n_colors: int, so5: np.ndarray | None = None) -> LinkField:
     _check_n(n_colors)
     so5 = np.eye(5) if so5 is None else np.asarray(so5, dtype=float)
@@ -88,29 +92,24 @@ def pure_gauge_links(
 ) -> LinkField:
     """Links of the form U(x, d) = W(x) W(x + d)^dag for random site matrices W."""
     lf = identity_links(graph, n_colors, so5)
-    w = np.empty((graph.n_events, n_colors, n_colors), dtype=complex)
-    for e in range(graph.n_events):
-        w[e] = liealg.haar_random_sun(n_colors, rng)
-    for e in range(graph.n_events):
-        for d in range(1, 5):
-            fwd = graph.event_neighbor(e, d)
-            lf.su[e, d - 1] = w[e] @ w[fwd].conj().T
+    w = liealg.haar_random_sun(n_colors, rng, count=graph.n_events)
+    lf.su[...] = w[:, None] @ _dagger(w[graph.forward_sites])
     return lf
 
 
 def validate_links(lf: LinkField, tol: float = 1e-10) -> None:
     """Reject su blocks that are not unitary with unit determinant."""
     n = lf.n_colors
-    for e in range(lf.graph.n_events):
-        for d in range(4):
-            u = lf.su[e, d]
-            defect = liealg.unitarity_defect(u)
-            if defect > tol:
-                raise LinkFieldError(
-                    f"link ({e}, {d + 1}) is not unitary, defect {defect:.3e}"
-                )
-            if abs(np.linalg.det(u) - 1.0) > tol * 10:
-                raise LinkFieldError(f"link ({e}, {d + 1}) determinant is not 1")
+    defects = liealg.unitarity_defect(lf.su)
+    bad_det = np.abs(np.linalg.det(lf.su) - 1.0) > tol * 10
+    bad = np.flatnonzero((defects > tol) | bad_det)
+    if bad.size:
+        e, d = divmod(int(bad[0]), 4)
+        if defects[e, d] > tol:
+            raise LinkFieldError(
+                f"link ({e}, {d + 1}) is not unitary, defect {defects[e, d]:.3e}"
+            )
+        raise LinkFieldError(f"link ({e}, {d + 1}) determinant is not 1")
     if liealg.orthogonality_defect(lf.so5) > tol:
         raise LinkFieldError("so5 block is not orthogonal")
     if n != lf.su.shape[-1]:
@@ -156,16 +155,14 @@ class ActionValue:
 
 def _plaquette_traces(lf: LinkField, graph: LatticeGraph) -> np.ndarray:
     """Re tr of the su block of every plaquette product, batched."""
-    plaqs = graph.plaquettes()
-    c0 = np.fromiter((p.corners[0] for p in plaqs), dtype=np.int64, count=len(plaqs))
-    c1 = np.fromiter((p.corners[1] for p in plaqs), dtype=np.int64, count=len(plaqs))
-    c3 = np.fromiter((p.corners[3] for p in plaqs), dtype=np.int64, count=len(plaqs))
-    mu = np.fromiter((p.plane[0] for p in plaqs), dtype=np.int64, count=len(plaqs)) - 1
-    nu = np.fromiter((p.plane[1] for p in plaqs), dtype=np.int64, count=len(plaqs)) - 1
+    pt = graph.plaquette_table
+    c0, c1, _, c3 = pt.corners.T
+    mu = pt.mu - 1
+    nu = pt.nu - 1
     a = lf.su[c0, mu]
     b = lf.su[c1, nu]
-    c = np.conj(np.swapaxes(lf.su[c3, mu], -1, -2))
-    d = np.conj(np.swapaxes(lf.su[c0, nu], -1, -2))
+    c = _dagger(lf.su[c3, mu])
+    d = _dagger(lf.su[c0, nu])
     loops = a @ b @ c @ d
     return np.einsum("pii->p", loops).real
 
@@ -224,16 +221,11 @@ def local_gauge_links(lf: LinkField, omegas: np.ndarray, tol: float = 1e-10) -> 
     expected = (lf.graph.n_events, lf.n_colors, lf.n_colors)
     if omegas.shape != expected:
         raise LinkFieldError(f"expected site matrices of shape {expected}, got {omegas.shape}")
-    worst = max(liealg.unitarity_defect(omegas[e]) for e in range(lf.graph.n_events))
+    worst = liealg.unitarity_defect(omegas).max()
     if worst > tol:
         raise LinkFieldError(f"gauge matrices are not unitary, defect {worst:.3e}")
-    out = lf.copy()
-    g = lf.graph
-    for e in range(g.n_events):
-        for d in range(1, 5):
-            fwd = g.event_neighbor(e, d)
-            out.su[e, d - 1] = omegas[e] @ lf.su[e, d - 1] @ omegas[fwd].conj().T
-    return out
+    su = omegas[:, None] @ lf.su @ _dagger(omegas[lf.graph.forward_sites])
+    return LinkField(lf.graph, lf.n_colors, su, lf.so5.copy())
 
 
 def global_so5_conjugate(lf: LinkField, o: np.ndarray, tol: float = 1e-10) -> LinkField:
@@ -385,7 +377,7 @@ def save_links(lf: LinkField, path) -> None:
         fh.write("# graphgauge link field snapshot\n")
         fh.write(
             f"# N={lf.n_colors} dims={','.join(map(str, g.dims))} "
-            f"periodic={int(g.periodic)}\n"
+            "periodic=1\n"
         )
         fh.write("# so5: " + " ".join(repr(float(x)) for x in lf.so5.ravel()) + "\n")
         for e, d in g.links():
@@ -400,6 +392,7 @@ def save_links(lf: LinkField, path) -> None:
 def load_links(path, graph: LatticeGraph, tol: float = 1e-10) -> LinkField:
     """Read a snapshot written by `save_links`; blocks are re-validated."""
     n_colors = None
+    periodic = None
     so5 = None
     rows = []
     with open(path) as fh:
@@ -412,6 +405,8 @@ def load_links(path, graph: LatticeGraph, tol: float = 1e-10) -> LinkField:
                     for tok in line[1:].split():
                         if tok.startswith("N="):
                             n_colors = int(tok[2:])
+                        if tok.startswith("periodic="):
+                            periodic = tok[9:]
                         if tok.startswith("dims="):
                             dims = tuple(int(x) for x in tok[5:].split(","))
                             if dims != graph.dims:
@@ -424,6 +419,8 @@ def load_links(path, graph: LatticeGraph, tol: float = 1e-10) -> LinkField:
             rows.append(line.split())
     if n_colors is None or so5 is None:
         raise ValueError("snapshot is missing header data")
+    if periodic != "1":
+        raise ValueError(f"snapshot must be periodic (header periodic=1), got periodic={periodic}")
     lf = identity_links(graph, n_colors, so5)
     seen = set()
     for parts in rows:
@@ -435,7 +432,7 @@ def load_links(path, graph: LatticeGraph, tol: float = 1e-10) -> LinkField:
         im = np.array(vals[1::2]).reshape(n_colors, n_colors)
         lf.su[e, d - 1] = re + 1j * im
         seen.add((e, d))
-    if len(seen) != len(graph.links()):
-        raise ValueError(f"snapshot covers {len(seen)} links, graph has {len(graph.links())}")
+    if len(seen) != graph.n_transitions:
+        raise ValueError(f"snapshot covers {len(seen)} links, graph has {graph.n_transitions}")
     validate_links(lf, tol)
     return lf

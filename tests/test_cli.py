@@ -123,19 +123,6 @@ def test_seed_can_come_from_config(tmp_path):
     assert "seed" not in rep.spec["params"]
 
 
-def test_deterministic_flag_recorded(tmp_path):
-    out = tmp_path / "r.json"
-    rc = _run(
-        ["mc-run", "--seed", "1", "--param", "beta=1.0", "--param", "sweeps=4",
-         "--param", "burn_in=1", "--deterministic", "--threads", "8",
-         "--out", str(out)]
-    )
-    assert rc == 0
-    rep = cli.load_report(str(out))
-    assert rep.spec["deterministic"] is True
-    assert rep.spec["threads"] == 1
-
-
 # ---------------------------------------------------------------------------
 # diagnostics, exit code 2
 # ---------------------------------------------------------------------------
@@ -219,8 +206,6 @@ def test_threshold_violation_reports_to_stderr(capsys, tmp_path):
 def test_run_experiment_validates_spec():
     with pytest.raises(cli.SpecError, match="kind"):
         cli.run_experiment(cli.ExperimentSpec(kind="nope"))
-    with pytest.raises(cli.SpecError, match="threads"):
-        cli.run_experiment(cli.ExperimentSpec(kind="oned-demo", threads=0))
     with pytest.raises(cli.SpecError, match="params"):
         cli.run_experiment(cli.ExperimentSpec(kind="oned-demo", params=[1]))
     with pytest.raises(cli.SpecError, match="seed"):

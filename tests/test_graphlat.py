@@ -98,17 +98,6 @@ def test_neighbor_label_validation(small_graph):
         g.neighbor(a, 1)
 
 
-def test_open_boundary_drops_edges():
-    g = build_hypercubic((3, 3, 3, 3), periodic=False)
-    assert g.n_events == 81
-    # forward links exist only where the step stays inside the box
-    assert g.n_transitions == 4 * 3**3 * 2  # per axis: 2 slabs of 27 sites
-    corner = 0  # site (0,0,0,0)
-    with pytest.raises(GraphError):
-        g.neighbor(corner, -1)
-    assert g.role(g.neighbor(corner, 1)) == Role.TRANSITION
-
-
 def test_transition_endpoints_have_opposite_parity(small_graph):
     g = small_graph
     for v in range(g.n_events, g.n_events + g.n_transitions):
@@ -176,16 +165,16 @@ def test_automorphism_preserves_roles(small_graph):
         assert g.role(int(perm[v])) == g.role(v)
 
 
-def test_automorphism_rejects_open_graph():
-    g = build_hypercubic((2, 2, 2, 2), periodic=False)
-    with pytest.raises(GraphError):
-        g.automorphism_shift((1, 0, 0, 0))
-
-
 def test_compatible(small_graph):
     assert small_graph.compatible(build_hypercubic((2, 2, 2, 2)))
     assert not small_graph.compatible(build_hypercubic((2, 2, 2, 4)))
-    assert not small_graph.compatible(build_hypercubic((2, 2, 2, 2), periodic=False))
+
+
+def test_open_boundaries_rejected():
+    with pytest.raises(GraphError, match="periodic"):
+        build_hypercubic((2, 2, 2, 2), periodic=False)
+    with pytest.raises(GraphError, match="periodic"):
+        LatticeGraph((3, 3, 3, 3), periodic=False)
 
 
 def test_constructor_validation():
@@ -195,3 +184,143 @@ def test_constructor_validation():
         LatticeGraph((2, 2, 2, 0))
     with pytest.raises(GraphError):
         LatticeGraph((1, 2, 2, 2), periodic=True)
+
+
+# ---------------------------------------------------------------------------
+# vectorised tables against a per-site loop construction
+# ---------------------------------------------------------------------------
+
+SHAPES = [(2, 2, 2, 2), (2, 3, 4, 5), (3, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (5, 2, 3, 2)]
+
+
+def _loop_reference(dims):
+    """Adjacency, plaquettes, staples and parity built site by site from coordinates."""
+    n = int(np.prod(dims))
+
+    def coords(s):
+        return list(np.unravel_index(s, dims))
+
+    def shift(s, d, sign):
+        x = coords(s)
+        x[d - 1] = (x[d - 1] + sign) % dims[d - 1]
+        return int(np.ravel_multi_index(x, dims))
+
+    def col(label):
+        return 2 * (abs(label) - 1) + (0 if label > 0 else 1)
+
+    tr = lambda s, d: n + 4 * s + d - 1
+    ac = lambda s, i: 5 * n + 6 * s + i
+    nbr = np.full((5 * n, 8), -1, dtype=np.int64)
+    for s in range(n):
+        for d in range(1, 5):
+            nbr[s, col(d)] = tr(s, d)
+            nbr[s, col(-d)] = tr(shift(s, d, -1), d)
+            t = tr(s, d)
+            nbr[t, col(-d)] = s
+            nbr[t, col(d)] = shift(s, d, +1)
+            for e in range(1, 5):
+                if e != d:
+                    i = graphlat.PLANES.index((min(d, e), max(d, e)))
+                    nbr[t, col(e)] = ac(s, i)
+                    nbr[t, col(-e)] = ac(shift(s, e, -1), i)
+    corners, planes, act_trans = [], [], []
+    for s in range(n):
+        for mu, nu in graphlat.PLANES:
+            c1, c3 = shift(s, mu, +1), shift(s, nu, +1)
+            corners.append((s, c1, shift(c1, nu, +1), c3))
+            planes.append((mu, nu))
+            act_trans.append((tr(s, mu), tr(c1, nu), tr(c3, mu), tr(s, nu)))
+    sites = np.empty((n, 4, 6, 3), dtype=np.int64)
+    dirs = np.empty((n, 4, 6, 3), dtype=np.int64)
+    dag = np.empty((n, 4, 6, 3), dtype=bool)
+    for s in range(n):
+        for mu in range(1, 5):
+            i = 0
+            for nu in range(1, 5):
+                if nu == mu:
+                    continue
+                x_pmu, x_mnu = shift(s, mu, +1), shift(s, nu, -1)
+                sites[s, mu - 1, i] = (x_pmu, shift(s, nu, +1), s)
+                sites[s, mu - 1, i + 1] = (shift(x_pmu, nu, -1), x_mnu, x_mnu)
+                dirs[s, mu - 1, i : i + 2] = (nu - 1, mu - 1, nu - 1)
+                dag[s, mu - 1, i] = (False, True, True)
+                dag[s, mu - 1, i + 1] = (True, True, False)
+                i += 2
+    parity = np.array([sum(coords(s)) % 2 for s in range(n)], dtype=np.int8)
+    return {
+        "nbr": nbr,
+        "corners": np.array(corners),
+        "planes": np.array(planes),
+        "act_trans": np.array(act_trans),
+        "staples": (sites, dirs, dag),
+        "parity": parity,
+    }
+
+
+@pytest.mark.parametrize("dims", SHAPES)
+def test_tables_match_loop_construction(dims):
+    g = build_hypercubic(dims)
+    ref = _loop_reference(dims)
+    assert np.array_equal(g._nbr, ref["nbr"])
+    pt = g.plaquette_table
+    assert np.array_equal(pt.corners, ref["corners"])
+    assert np.array_equal(np.stack([pt.mu, pt.nu], axis=1), ref["planes"])
+    assert np.array_equal(pt.transitions + g.n_events, ref["act_trans"])
+    st = g.staple_table
+    sites, dirs, dag = ref["staples"]
+    assert np.array_equal(st.sites, sites)
+    assert np.array_equal(np.broadcast_to(st.dirs, dirs.shape), dirs)
+    assert np.array_equal(np.broadcast_to(st.dagger, dag.shape), dag)
+    assert np.array_equal(g.parity, ref["parity"])
+    events = np.arange(g.n_events)
+    fwd = np.stack([[g.event_neighbor(int(e), d) for d in range(1, 5)] for e in events])
+    assert np.array_equal(g.forward_sites, fwd)
+
+
+def test_plaquette_views_match_table(small_graph):
+    g = small_graph
+    pt = g.plaquette_table
+    for k, p in enumerate(g.plaquettes()):
+        assert p.action == g.n_events + g.n_transitions + k
+        assert p.corners == tuple(pt.corners[k].tolist())
+        assert p.plane == (pt.mu[k], pt.nu[k])
+        ts = tuple(int(t) + g.n_events for t in pt.transitions[k])
+        assert ts == g.action_transitions(p.action)
+
+
+def test_array_neighbor_matches_scalar():
+    g = build_hypercubic((2, 3, 4, 5))
+    verts = np.arange(g.n_events + g.n_transitions).reshape(-1, 5)
+    for label in graphlat.LABELS:
+        got = g.neighbor(verts, label)
+        assert got.shape == verts.shape
+        want = np.vectorize(lambda v: g.neighbor(int(v), label))(verts)
+        assert np.array_equal(got, want)
+    events = np.arange(g.n_events)
+    for label in graphlat.LABELS:
+        want = [g.event_neighbor(int(e), label) for e in events]
+        assert np.array_equal(g.event_neighbor(events, label), want)
+
+
+def test_array_neighbor_validation(small_graph):
+    g = small_graph
+    action = g.n_events + g.n_transitions
+    with pytest.raises(GraphError, match="action vertex"):
+        g.neighbor(np.array([0, action, 1]), 1)
+    with pytest.raises(GraphError, match="out of range"):
+        g.neighbor(np.array([0, g.n_vertices]), 1)
+    with pytest.raises(GraphError, match="out of range"):
+        g.neighbor(np.array([-1]), 1)
+    with pytest.raises(GraphError):
+        g.neighbor(np.array([0.0]), 1)
+    with pytest.raises(GraphError):
+        g.neighbor(np.array([0]), 5)
+
+
+@pytest.mark.parametrize("dims, same", [((3, 2, 2, 2), 8), ((2, 2, 2, 2), 0), ((4, 4, 4, 4), 0)])
+def test_parity_is_a_two_coloring_only_for_even_extents(dims, same):
+    """Coordinate-sum parity: forward links joining equal parities.  An odd
+    extent L wraps from coordinate L-1 to 0, an even difference."""
+    g = build_hypercubic(dims)
+    equal = g.parity[:, None] == g.parity[g.forward_sites]
+    assert int(equal.sum()) == same

@@ -404,6 +404,18 @@ def test_load_rejects_mismatched_dims(small_graph, mid_graph, rng, tmp_path):
         potential.load_field(path, mid_graph)
 
 
+@pytest.mark.parametrize("header", ["periodic=0", ""])
+def test_load_rejects_non_periodic_header(small_graph, rng, tmp_path, header):
+    field = potential.random_field(small_graph, 0.1, rng)
+    path = tmp_path / "field.txt"
+    potential.save_field(field, path)
+    text = path.read_text()
+    assert " periodic=1\n" in text
+    path.write_text(text.replace(" periodic=1", f" {header}".rstrip()))
+    with pytest.raises(ValueError, match="periodic"):
+        potential.load_field(path, small_graph)
+
+
 def test_load_rejects_truncated_file(small_graph, rng, tmp_path):
     field = potential.random_field(small_graph, 0.1, rng)
     path = tmp_path / "field.txt"

@@ -56,9 +56,9 @@ def test_staple_sum_identity_links(small_graph):
 
 
 def test_link_action_delta_matches_global_recompute(small_graph, rng):
-    # The staple shortcut must agree with the full action difference for
-    # arbitrary single-link replacements.  This exercises every staple
-    # orientation over many random slots.
+    # The staple shortcut used by metropolis_sweep must agree with the full
+    # action difference for arbitrary single-link replacements.  This
+    # exercises every staple orientation over many random slots.
     lf = wilson.random_links(small_graph, 2, rng)
     beta = 2.3
     before = wilson.wilson_action(lf, small_graph, beta).normalized
@@ -66,7 +66,8 @@ def test_link_action_delta_matches_global_recompute(small_graph, rng):
         e = int(rng.integers(0, small_graph.n_events))
         d = int(rng.integers(1, 5))
         new_u = liealg.haar_random_sun(2, rng)
-        fast = sampler.link_action_delta(lf, small_graph, e, d, new_u, beta)
+        staple = sampler.staple_sum(lf, small_graph, e, d)
+        fast = -(beta / 2) * np.trace((new_u - lf.su[e, d - 1]) @ staple).real
         trial = lf.copy()
         trial.su[e, d - 1] = new_u
         slow = wilson.wilson_action(trial, small_graph, beta).normalized - before

@@ -50,6 +50,19 @@ def test_validate_rejects_wrong_determinant(small_graph, rng):
         wilson.validate_links(lf)
 
 
+def test_validate_reports_first_bad_link(small_graph, rng):
+    lf = wilson.random_links(small_graph, 2, rng)
+    lf.su[5, 0] *= 1.5
+    lf.su[3, 2] = 1.0j * lf.su[3, 2]
+    with pytest.raises(wilson.LinkFieldError, match=r"^link \(3, 3\) determinant is not 1$"):
+        wilson.validate_links(lf)
+    lf.su[2, 3] *= 2.0
+    with pytest.raises(
+        wilson.LinkFieldError, match=r"^link \(2, 4\) is not unitary, defect 3\.000e\+00$"
+    ):
+        wilson.validate_links(lf)
+
+
 def test_validate_rejects_nonorthogonal_so5(small_graph, rng):
     lf = wilson.random_links(small_graph, 2, rng)
     lf.so5 = np.eye(5) + 0.02
@@ -265,6 +278,18 @@ def test_load_rejects_missing_header(small_graph, tmp_path):
     path = tmp_path / "links.txt"
     path.write_text("# nothing useful\n")
     with pytest.raises(ValueError, match="header"):
+        wilson.load_links(path, small_graph)
+
+
+@pytest.mark.parametrize("header", ["periodic=0", ""])
+def test_load_rejects_non_periodic_header(small_graph, rng, tmp_path, header):
+    lf = wilson.random_links(small_graph, 2, rng)
+    path = tmp_path / "links.txt"
+    wilson.save_links(lf, path)
+    text = path.read_text()
+    assert " periodic=1\n" in text
+    path.write_text(text.replace(" periodic=1", f" {header}".rstrip()))
+    with pytest.raises(ValueError, match="periodic"):
         wilson.load_links(path, small_graph)
 
 
