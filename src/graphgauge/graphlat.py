@@ -18,9 +18,9 @@ transition 4s + d - 1 (its forward link along d) and action 6s + i (the
 plaquette with first corner s in plane ``PLANES[i]``), both counted from the
 first vertex of their role.
 
-The index tables the batched consumers read (forward sites, plaquettes,
-staples) are derived from `LatticeGraph.neighbor` over all events at once
-and cached on the graph when first used.
+The index tables the batched consumers read (forward and backward sites,
+plaquettes, staples) are derived from `LatticeGraph.neighbor` over all
+events at once and cached on the graph when first used.
 """
 
 from __future__ import annotations
@@ -192,17 +192,20 @@ class LatticeGraph:
             if self.role(v) == Role.ACTION:
                 raise GraphError(f"vertex {v} is an action vertex, labels do not apply")
             return int(self._nbr[v, col])
-        if v.dtype.kind not in "iu":
-            raise GraphError(f"vertex array must hold integers, got dtype {v.dtype}")
-        bad = (v < 0) | (v >= self.n_vertices)
-        if bad.any():
-            raise GraphError(f"vertex {v[bad].flat[0]} out of range")
+        self._check_vertex_array(v)
         actions = v >= self.n_events + self.n_transitions
         if actions.any():
             raise GraphError(
                 f"vertex {v[actions].flat[0]} is an action vertex, labels do not apply"
             )
         return self._nbr[v, col]
+
+    def _check_vertex_array(self, v: np.ndarray) -> None:
+        if v.dtype.kind not in "iu":
+            raise GraphError(f"vertex array must hold integers, got dtype {v.dtype}")
+        bad = (v < 0) | (v >= self.n_vertices)
+        if bad.any():
+            raise GraphError(f"vertex {v[bad].flat[0]} out of range")
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """All neighbors of v, without labels (actions included)."""
@@ -225,11 +228,22 @@ class LatticeGraph:
             raise GraphError(f"vertex {v} is not a transition vertex")
         return int(v - self.n_events) % 4 + 1
 
-    def transition_offset(self, v: int) -> int:
-        """Index of a transition vertex into per-transition field storage."""
-        if self.role(v) != Role.TRANSITION:
-            raise GraphError(f"vertex {v} is not a transition vertex")
-        return v - self.n_events
+    def transition_offset(self, v):
+        """Index of a transition vertex into per-transition field storage.
+
+        ``v`` may also be an integer array; every element must be a
+        transition vertex, and the answer is the array of offsets.
+        """
+        if not isinstance(v, np.ndarray):
+            if self.role(v) != Role.TRANSITION:
+                raise GraphError(f"vertex {v} is not a transition vertex")
+            return v - self.n_events
+        self._check_vertex_array(v)
+        off = v - self.n_events
+        bad = (off < 0) | (off >= self.n_transitions)
+        if bad.any():
+            raise GraphError(f"vertex {v[bad].flat[0]} is not a transition vertex")
+        return off
 
     def event_parity(self, v: int) -> int:
         if self.role(v) != Role.EVENT:
@@ -249,6 +263,12 @@ class LatticeGraph:
         return np.stack([self.event_neighbor(events, d) for d in range(1, 5)], axis=1)
 
     @cached_property
+    def backward_sites(self) -> np.ndarray:
+        """(E, 4) array: entry [e, d-1] is the event one step along -d from e."""
+        events = np.arange(self.n_events)
+        return np.stack([self.event_neighbor(events, -d) for d in range(1, 5)], axis=1)
+
+    @cached_property
     def plaquette_table(self) -> PlaquetteTable:
         fwd = self.forward_sites
         c0 = np.repeat(np.arange(self.n_events), len(PLANES))
@@ -266,7 +286,7 @@ class LatticeGraph:
         (x+mu-nu, nu)^dag, (x-nu, mu)^dag, (x-nu, nu) for each nu != mu in order."""
         events = np.arange(self.n_events)
         fwd = self.forward_sites
-        bwd = np.stack([self.event_neighbor(events, -d) for d in range(1, 5)], axis=1)
+        bwd = self.backward_sites
         sites = np.empty((self.n_events, 4, 6, 3), dtype=np.int64)
         dirs = np.empty((4, 6, 3), dtype=np.int64)
         for mu in range(4):

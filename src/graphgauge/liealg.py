@@ -59,16 +59,6 @@ class GeneratorSet:
     m: np.ndarray
     scale: float
 
-    @property
-    def v_raw(self) -> np.ndarray:
-        """Unit-entry variant of ``v`` (used for coordinate transport)."""
-        return self.v / self.scale
-
-    @property
-    def m_raw(self) -> np.ndarray:
-        """Unit-entry variant of ``m``."""
-        return self.m / self.scale
-
 
 @dataclass
 class LinkMatrix:
@@ -111,39 +101,39 @@ def expm5(a: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    a : ndarray, shape (n, n)
-        Real or complex square matrix.  Finite entries required.
+    a : ndarray, shape (..., n, n)
+        Real or complex square matrix, or a stack of them.  Finite entries
+        required.
 
     Returns
     -------
     ndarray
-        exp(a).  For antisymmetric real input the result is orthogonal to
-        better than 1e-12; against an independent reference the error stays
-        below 1e-13 in max norm for norms up to 10.
+        exp(a), per matrix of a stack.  For antisymmetric real input the
+        result is orthogonal to better than 1e-12; against an independent
+        reference the error stays below 1e-13 in max norm for norms up to 10.
 
     Notes
     -----
-    The argument is halved until its infinity norm drops under 1/2, a
+    Each matrix is halved until its infinity norm drops under 1/2, a
     16-term Taylor series is summed (remainder below 1e-17 at that norm),
-    and the result is squared back up.
+    and the result is squared back up.  A matrix of a stack keeps its own
+    squaring count, so it gets exactly the bits it would get alone.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expm5 expects a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expm5 expects square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("expm5: input has non-finite entries")
-    norm = np.linalg.norm(a, np.inf)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-    b = a / (2.0 ** squarings)
-    result = np.eye(a.shape[0], dtype=b.dtype)
-    term = np.eye(a.shape[0], dtype=b.dtype)
+    norm = np.abs(a).sum(axis=-1).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)).astype(int)
+    b = a / (2.0 ** squarings)[..., None, None]
+    result = np.eye(a.shape[-1], dtype=b.dtype)
+    term = np.eye(a.shape[-1], dtype=b.dtype)
     for k in range(1, 17):
         term = term @ b / k
         result = result + term
-    for _ in range(squarings):
-        result = result @ result
+    for i in range(int(squarings.max(initial=0))):
+        result = np.where((squarings > i)[..., None, None], result @ result, result)
     return result
 
 
@@ -319,12 +309,18 @@ def link_trace(link: LinkMatrix) -> float:
 
 
 def unitarity_defect(u: np.ndarray):
-    """Max-norm distance of u^dag u from the identity, per matrix of a stack."""
+    """Max-norm distance of u^dag u from the identity, per matrix of a stack.
+
+    A non-finite defect (a NaN or inf entry) reads as inf, so every
+    ``defect > tol`` check rejects it.
+    """
     u = np.asarray(u)
-    return np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        gram = np.conj(np.swapaxes(u, -1, -2)) @ u
+    defect = np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    return np.nan_to_num(defect, nan=np.inf, posinf=np.inf)
 
 
-def orthogonality_defect(o: np.ndarray) -> float:
-    """Max-norm distance of o^T o from the identity."""
-    n = o.shape[0]
-    return float(np.max(np.abs(o.T @ o - np.eye(n))))
+def orthogonality_defect(o: np.ndarray):
+    """Max-norm distance of o^T o from the identity, per matrix of a stack."""
+    return unitarity_defect(o)

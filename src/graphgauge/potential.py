@@ -27,8 +27,6 @@ import numpy as np
 from . import liealg
 from .graphlat import GraphError, LatticeGraph, Role
 
-DEFAULT_CURVED_RADIUS = 1.0
-
 MODES = ("poincare", "desitter")
 
 
@@ -117,35 +115,42 @@ def decompose_potential(
 def transport_generators(g_v: np.ndarray, h_v: np.ndarray) -> np.ndarray:
     """Unit-scale transport generators for all four travel axes.
 
+    ``g_v`` (..., 4, 4) and ``h_v`` (..., 4, 4, 4) may carry any leading
+    stack shape, such as one entry per transition.
+
     Returns
     -------
-    ndarray, shape (4, 5, 5)
+    ndarray, shape (..., 4, 5, 5)
         ``out[a]`` is antisymmetric with out[a][b, c] = h[a,b,c]/2,
         out[a][b, 4] = g[a,b], out[a][4, b] = -g[a,b].  Its first order
         action on a label reproduces the coordinate step rule exactly.
     """
     g_v = np.asarray(g_v, dtype=float)
     h_v = np.asarray(h_v, dtype=float)
-    out = np.zeros((4, 5, 5))
-    out[:, :4, :4] = 0.5 * h_v
-    out[:, :4, 4] = g_v
-    out[:, 4, :4] = -g_v
+    out = np.zeros(g_v.shape[:-2] + (4, 5, 5))
+    out[..., :4, :4] = 0.5 * h_v
+    out[..., :4, 4] = g_v
+    out[..., 4, :4] = -g_v
     return out
 
 
 def components_from_transport(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read (g, h) back off unit-scale transport generators."""
+    """Read (g, h) back off unit-scale transport generators, any leading stack shape."""
     a = np.asarray(a, dtype=float)
-    g = a[:, :4, 4].copy()
-    h = 2.0 * a[:, :4, :4].copy()
-    return g, h
+    return a[..., :4, 4].copy(), 2.0 * a[..., :4, :4]
 
 
-def edge_transport(field: PotentialField, v: int) -> np.ndarray:
-    """Orthogonal transport exp(eps * A_d) along transition v's own direction."""
-    axis = field.graph.transition_direction(v) - 1
-    g_v, h_v = field.entry(v)
-    return liealg.expm5(field.eps * transport_generators(g_v, h_v)[axis])
+def edge_transport(field: PotentialField, v) -> np.ndarray:
+    """Orthogonal transport exp(eps * A_d) along transition v's own direction.
+
+    ``v`` may also be an integer array of transition vertices; the answer is
+    then the stack of their transports.
+    """
+    i = field.graph.transition_offset(v)
+    a = transport_generators(field.g[i], field.h[i])
+    # Transition offset 4s + d - 1 travels along axis d - 1.
+    a = np.take_along_axis(a, (np.asarray(i) % 4)[..., None, None, None], axis=-3)[..., 0, :, :]
+    return liealg.expm5(field.eps * a)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +223,7 @@ def relabel_coordinates(labels: np.ndarray, rmap: RelabelMap) -> np.ndarray:
 
 
 def _check_orthogonal(o: np.ndarray, tol: float):
-    defect = liealg.orthogonality_defect(o)
+    defect = liealg.orthogonality_defect(o).max()
     if defect > tol:
         raise OrthogonalityError(defect)
 
@@ -251,49 +256,34 @@ def gauge_transform(
         New field; the input is not modified.
     """
     n_t = field.graph.n_transitions
+    o = np.asarray(o, dtype=float)
+    a = transport_generators(field.g, field.h)
     if mode == "global":
-        o = np.asarray(o, dtype=float)
         if o.shape != (5, 5):
             raise ValueError(f"global mode expects one (5,5) matrix, got {o.shape}")
         _check_orthogonal(o, tol)
-        a = np.stack([transport_generators(field.g[i], field.h[i]) for i in range(n_t)])
-        a = np.einsum("ij,tajk,lk->tail", o, a, o)
-        g_new, h_new = zip(*(components_from_transport(a[i]) for i in range(n_t)))
-        return PotentialField(field.graph, field.eps, np.stack(g_new), np.stack(h_new))
+        g_new, h_new = components_from_transport(np.einsum("ij,tajk,lk->tail", o, a, o))
+        return PotentialField(field.graph, field.eps, g_new, h_new)
     if mode != "local":
         raise ValueError(f"unknown mode {mode!r}, expected 'global' or 'local'")
-
-    o = np.asarray(o, dtype=float)
     if o.shape != (n_t, 5, 5):
         raise ValueError(
             f"local mode expects per-transition matrices ({n_t},5,5), got {o.shape}"
         )
-    worst = max(liealg.orthogonality_defect(o[i]) for i in range(n_t))
-    if worst > tol:
-        raise OrthogonalityError(worst)
+    _check_orthogonal(o, tol)
 
+    # Transition 4s + d - 1 is [s, d - 1] below; its neighbours one site
+    # forward and backward along each axis carry the same direction d.
     graph = field.graph
-    e0 = graph.n_events
-    g_new = np.empty_like(field.g)
-    h_new = np.empty_like(field.h)
-    inv_2eps = 1.0 / (2.0 * field.eps)
-    for i in range(n_t):
-        v = e0 + i
-        d = graph.transition_direction(v)
-        ov = o[i]
-        a_here = transport_generators(field.g[i], field.h[i])
-        a_new = np.empty_like(a_here)
-        base = graph.neighbor(v, -d)
-        for axis in range(4):
-            lab = axis + 1
-            t_fwd = graph.neighbor(base, lab)
-            v_plus = graph.neighbor(graph.neighbor(t_fwd, lab), d)
-            t_bwd = graph.neighbor(base, -lab)
-            v_minus = graph.neighbor(graph.neighbor(t_bwd, -lab), d)
-            deriv = (o[v_plus - e0] - o[v_minus - e0]) * inv_2eps
-            cand = ov @ a_here[axis] @ ov.T - deriv @ ov.T
-            a_new[axis] = 0.5 * (cand - cand.T)
-        g_new[i], h_new[i] = components_from_transport(a_new)
+    o = o.reshape(graph.n_events, 4, 1, 5, 5)
+    d = np.arange(4)[:, None]
+    o_plus = o[graph.forward_sites[:, None, :], d, 0]
+    o_minus = o[graph.backward_sites[:, None, :], d, 0]
+    deriv = (o_plus - o_minus) * (1.0 / (2.0 * field.eps))
+    ot = np.swapaxes(o, -1, -2)
+    cand = o @ a.reshape(graph.n_events, 4, 4, 5, 5) @ ot - deriv @ ot
+    a_new = 0.5 * (cand - np.swapaxes(cand, -1, -2))
+    g_new, h_new = components_from_transport(a_new.reshape(n_t, 4, 5, 5))
     return PotentialField(graph, field.eps, g_new, h_new)
 
 
@@ -341,9 +331,7 @@ def flatness_residual(field: PotentialField, graph: LatticeGraph) -> FlatnessRep
     if field.graph is not graph and not field.graph.compatible(graph):
         raise GraphError("field and graph do not match")
     e0 = graph.n_events
-    transports = np.empty((graph.n_transitions, 5, 5))
-    for i in range(graph.n_transitions):
-        transports[i] = edge_transport(field, e0 + i)
+    transports = edge_transport(field, e0 + np.arange(graph.n_transitions))
     t1, t2, t3, t4 = transports[graph.plaquette_table.transitions.T]
     loops = t1 @ t2 @ np.swapaxes(t3, -1, -2) @ np.swapaxes(t4, -1, -2)
     residuals = np.linalg.norm(loops - np.eye(5), 2, axis=(-2, -1))
@@ -358,7 +346,8 @@ def flatness_residual(field: PotentialField, graph: LatticeGraph) -> FlatnessRep
 # snapshots
 # ---------------------------------------------------------------------------
 
-_H_PAIRS = liealg.PLANE_PAIRS
+# Row and column of each independent torsion plane, in snapshot order.
+_H_B, _H_C = zip(*liealg.PLANE_PAIRS)
 
 
 def save_field(field: PotentialField, path) -> None:
@@ -375,10 +364,10 @@ def save_field(field: PotentialField, path) -> None:
             "periodic=1\n"
         )
         fh.write("# columns: vertex g[16 row-major] h[a=0..3, planes b<c]\n")
-        for i in range(graph.n_transitions):
-            v = graph.n_events + i
-            vals = [float(x) for x in field.g[i].ravel()]
-            vals += [float(field.h[i, a, b, c]) for a in range(4) for (b, c) in _H_PAIRS]
+        rows = np.concatenate(
+            [field.g.reshape(-1, 16), field.h[:, :, _H_B, _H_C].reshape(-1, 24)], axis=1
+        )
+        for v, vals in enumerate(rows.tolist(), start=graph.n_events):
             fh.write(" ".join([str(v)] + [repr(x) for x in vals]) + "\n")
 
 
@@ -424,12 +413,7 @@ def load_field(path, graph: LatticeGraph) -> PotentialField:
             raise ValueError(f"snapshot row {v} has {len(vals)} values, expected 40")
         i = graph.transition_offset(v)
         field.g[i] = np.array(vals[:16]).reshape(4, 4)
-        h = np.zeros((4, 4, 4))
-        k = 16
-        for a in range(4):
-            for b, c in _H_PAIRS:
-                h[a, b, c] = vals[k]
-                h[a, c, b] = -vals[k]
-                k += 1
-        field.h[i] = h
+        h = field.h[i]
+        h[:, _H_B, _H_C] = np.reshape(vals[16:], (4, 6))
+        h[:, _H_C, _H_B] = -h[:, _H_B, _H_C]
     return field

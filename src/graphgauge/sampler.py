@@ -14,7 +14,7 @@ pattern, so a seeded chain is reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -72,12 +72,6 @@ class ObservableSeries:
     acceptance: np.ndarray
     config: ChainConfig
     final_links: "wilson.LinkField | None" = None
-    extras: dict = dc_field(default_factory=dict)
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Independent child generators derived from one master seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 # ---------------------------------------------------------------------------

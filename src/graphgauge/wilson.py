@@ -76,11 +76,11 @@ def random_links(
     rng: np.random.Generator,
     so5: np.ndarray | None = None,
 ) -> LinkField:
-    """Independent Haar SU(N) draws on every stored link."""
+    """Independent Haar SU(N) draws on every stored link, event major."""
     lf = identity_links(graph, n_colors, so5)
-    for e in range(graph.n_events):
-        for d in range(4):
-            lf.su[e, d] = liealg.haar_random_sun(n_colors, rng)
+    lf.su[...] = liealg.haar_random_sun(n_colors, rng, count=graph.n_transitions).reshape(
+        lf.su.shape
+    )
     return lf
 
 

@@ -166,6 +166,14 @@ def test_rotation_must_be_orthogonal():
         baseline.violation_4d_embedded(_aniso_gauss, np.eye(3), 0.2, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rotation_with_non_finite_entry_rejected(bad):
+    rot = _plane_rotation(0.3)
+    rot[2, 3] = bad
+    with pytest.raises(ValueError, match="rotation is not orthogonal, defect inf"):
+        baseline.violation_4d_embedded(_aniso_gauss, rot, 0.2, 1.0)
+
+
 def test_violation_report_row():
     rep = baseline.violation_sigma_1d(_kink, _half_square, 0.1, 0.05, (-4.0, 4.0))
     row = rep.row()

@@ -275,6 +275,8 @@ def test_tables_match_loop_construction(dims):
     events = np.arange(g.n_events)
     fwd = np.stack([[g.event_neighbor(int(e), d) for d in range(1, 5)] for e in events])
     assert np.array_equal(g.forward_sites, fwd)
+    bwd = np.stack([[g.event_neighbor(int(e), -d) for d in range(1, 5)] for e in events])
+    assert np.array_equal(g.backward_sites, bwd)
 
 
 def test_plaquette_views_match_table(small_graph):

@@ -76,6 +76,39 @@ def test_expm5_zero_is_identity():
     assert np.array_equal(liealg.expm5(np.zeros((5, 5))), np.eye(5))
 
 
+def test_expm5_stack_matches_single_matrices_bitwise(rng):
+    """Each matrix of a stack keeps its own squaring count, so a stack gives
+    exactly the bits of per-matrix calls, zero matrices included."""
+    scales = np.concatenate([np.zeros(4), 10.0 ** np.linspace(-3, 1.5, 60)])
+    real = rng.normal(size=(64, 5, 5)) * scales[:, None, None]
+    cplx = (rng.normal(size=(64, 3, 3)) + 1j * rng.normal(size=(64, 3, 3))) * scales[:, None, None]
+    for stack in (real, cplx):
+        norms = np.abs(stack).sum(axis=-1).max(axis=-1)
+        counts = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5))
+        assert len(set(counts.tolist())) >= 3
+        want = np.stack([liealg.expm5(x) for x in stack])
+        assert np.array_equal(liealg.expm5(stack), want)
+        nested = stack.reshape((8, 8) + stack.shape[1:])
+        assert np.array_equal(liealg.expm5(nested), want.reshape(nested.shape))
+
+
+def test_orthogonality_defect_stack_matches_single_matrices(rng):
+    stack = np.stack([liealg.random_so5(rng) for _ in range(10)] + [rng.normal(size=(5, 5))])
+    got = liealg.orthogonality_defect(stack)
+    assert got.shape == (11,)
+    assert np.array_equal(got, [liealg.orthogonality_defect(o) for o in stack])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_defects_of_non_finite_matrices_are_infinite(bad):
+    o = np.eye(5)
+    o[1, 2] = bad
+    assert liealg.orthogonality_defect(o) == np.inf
+    u = np.stack([np.eye(2, dtype=complex)] * 3)
+    u[1, 0, 0] = bad
+    assert np.array_equal(liealg.unitarity_defect(u), [0.0, np.inf, 0.0])
+
+
 def test_expm5_rejects_bad_input():
     with pytest.raises(ValueError):
         liealg.expm5(np.zeros((5, 4)))

@@ -85,3 +85,27 @@ def test_flatness_residuals_pinned():
     assert digest == "8ee1c26e9dc087c42a52fb38ccb9a187001d44f55b95f99bce704c781b2eea81"
     assert rep.max_residual.hex() == "0x1.e94efa8b5998fp-4"
     assert np.array_equal(rep.actions, g.n_events + g.n_transitions + np.arange(g.n_actions))
+
+
+GAUGE_TRANSFORMS = {
+    "global": (
+        "8c811747c7af6086b993b419e44b8dc7227ad74dfce4e26b7897e77bbd56b161",
+        "d4934a9f3e2fa92e6b37f58979e84d0972213ab2f7be36c9e75ff149c372d144",
+    ),
+    "local": (
+        "6879dc160f6393e2d6c66aae5d3f4bcd7cd52734d879686714aa513204279138",
+        "009a7ceadf7386ef1a53fb57ba7c907c934bd6d40cd26f7d9993909332fff7fa",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GAUGE_TRANSFORMS))
+def test_gauge_transform_pinned(mode):
+    g = build_hypercubic((2, 3, 4, 5))
+    rng = np.random.default_rng(41)
+    field = potential.random_field(g, 0.1, rng, scale=0.5)
+    o = liealg.random_so5(rng)
+    if mode == "local":
+        o = np.stack([liealg.random_so5(rng, 0.3) for _ in range(g.n_transitions)])
+    out = potential.gauge_transform(field, o, mode=mode)
+    assert (_digest(out.g), _digest(out.h)) == GAUGE_TRANSFORMS[mode]

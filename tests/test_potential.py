@@ -103,6 +103,25 @@ def test_edge_transport_is_orthogonal(small_graph, rng):
         assert liealg.orthogonality_defect(o) < 1e-12
 
 
+def test_array_edge_transport_matches_scalar_calls():
+    g = graphlat.build_hypercubic((2, 3, 2, 2))
+    field = potential.random_field(g, 0.1, np.random.default_rng(8), scale=0.5)
+    verts = g.n_events + np.arange(g.n_transitions).reshape(-1, 6)[:, ::-1]
+    got = potential.edge_transport(field, verts)
+    assert got.shape == verts.shape + (5, 5)
+    for idx, v in np.ndenumerate(verts):
+        assert np.array_equal(got[idx], potential.edge_transport(field, int(v)))
+
+
+@pytest.mark.parametrize("bad", ["event", "action"])
+def test_array_edge_transport_rejects_other_roles(small_graph, rng, bad):
+    field = potential.random_field(small_graph, 0.1, rng)
+    e0, t0 = small_graph.n_events, small_graph.n_events + small_graph.n_transitions
+    v = {"event": 3, "action": t0 + 2}[bad]
+    with pytest.raises(graphlat.GraphError, match=f"vertex {v} is not a transition vertex"):
+        potential.edge_transport(field, np.array([e0, e0 + 5, v, e0 + 1]))
+
+
 # ---------------------------------------------------------------------------
 # coordinate stepping
 # ---------------------------------------------------------------------------
@@ -270,6 +289,17 @@ def test_gauge_transform_shape_checks(small_graph, rng):
         potential.gauge_transform(field, np.eye(5), mode="sideways")
     with pytest.raises(ValueError, match="per-transition"):
         potential.gauge_transform(field, np.eye(5), mode="local")
+
+
+@pytest.mark.parametrize("mode", ["global", "local"])
+def test_gauge_transform_rejects_nan(small_graph, mode):
+    field = potential.flat_field(small_graph, 0.1)
+    o = np.eye(5)
+    if mode == "local":
+        o = np.broadcast_to(o, (small_graph.n_transitions, 5, 5)).copy()
+    o[..., 3, 1] = np.nan
+    with pytest.raises(potential.OrthogonalityError, match="not orthogonal, max defect inf"):
+        potential.gauge_transform(field, o, mode=mode)
 
 
 def test_constant_local_gauge_matches_global(small_graph, rng):

@@ -34,16 +34,6 @@ def test_config_validation_names_offending_field(kwargs, field):
         cfg.validate()
 
 
-def test_spawn_rngs_independent_and_deterministic():
-    a = sampler.spawn_rngs(42, 3)
-    b = sampler.spawn_rngs(42, 3)
-    assert len(a) == 3
-    draws_a = [g.uniform() for g in a]
-    draws_b = [g.uniform() for g in b]
-    assert draws_a == draws_b
-    assert len(set(draws_a)) == 3
-
-
 # ---------------------------------------------------------------------------
 # staples
 # ---------------------------------------------------------------------------

@@ -70,6 +70,51 @@ def test_validate_rejects_nonorthogonal_so5(small_graph, rng):
         wilson.validate_links(lf)
 
 
+def _with_nan_su(lf, tmp_path):
+    lf.su[3, 1, 0, 0] = np.nan
+    wilson.validate_links(lf)
+
+
+def _with_nan_so5(lf, tmp_path):
+    lf.so5[2, 2] = np.nan
+    wilson.validate_links(lf)
+
+
+def _load_with_nan(lf, tmp_path):
+    lf.su[0, 2, 1, 1] = np.nan
+    wilson.save_links(lf, tmp_path / "links.txt")
+    wilson.load_links(tmp_path / "links.txt", lf.graph)
+
+
+def _gauge_with_nan(lf, tmp_path):
+    rng = np.random.default_rng(4)
+    omegas = liealg.haar_random_sun(lf.n_colors, rng, count=lf.graph.n_events)
+    omegas[6, 0, 1] = np.nan
+    wilson.local_gauge_links(lf, omegas)
+
+
+def _conjugate_with_nan(lf, tmp_path):
+    o = np.eye(5)
+    o[4, 0] = np.nan
+    wilson.global_so5_conjugate(lf, o)
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        (_with_nan_su, r"link \(3, 2\) is not unitary, defect inf"),
+        (_with_nan_so5, "so5 block is not orthogonal"),
+        (_load_with_nan, r"link \(0, 3\) is not unitary"),
+        (_gauge_with_nan, "gauge matrices are not unitary, defect inf"),
+        (_conjugate_with_nan, "conjugating matrix is not orthogonal, defect inf"),
+    ],
+)
+def test_validators_reject_nan(small_graph, rng, tmp_path, action, message):
+    lf = wilson.random_links(small_graph, 2, rng)
+    with pytest.raises(wilson.LinkFieldError, match=message):
+        action(lf, tmp_path)
+
+
 def test_link_accessor_checks_direction(small_graph):
     lf = wilson.identity_links(small_graph, 2)
     with pytest.raises(wilson.LinkFieldError, match="direction"):
