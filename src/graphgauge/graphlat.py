@@ -153,10 +153,11 @@ class LatticeGraph:
             )
         self._act_trans = t0 + act.reshape(6 * n, 4)
 
-        # Coordinate-sum parity per event, for the checkerboard sweep order.  It is
-        # a proper two-coloring (no link joins equal parities) only when every
-        # extent is even: a wrapped link along an odd extent L joins sites
-        # whose coordinate sums differ by L - 1, an even number.
+        # Coordinate-sum parity per event, which groups the checkerboard sweep's
+        # updates.  It is a proper two-coloring (no link joins equal parities)
+        # only when every extent is even: a wrapped link along an odd extent L
+        # joins sites whose coordinate sums differ by L - 1, an even number.
+        # The checkerboard order therefore rejects any odd extent.
         self.parity = (sum(x) % 2).astype(np.int8)
 
     # -- basic queries -------------------------------------------------------

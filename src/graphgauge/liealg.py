@@ -270,17 +270,21 @@ def haar_random_sun(n: int, rng: np.random.Generator, count: int | None = None) 
     return q * np.exp(-1j * (np.angle(det) / n))[..., None, None]
 
 
-def random_sun_near_identity(n: int, scale: float, rng: np.random.Generator) -> np.ndarray:
-    """Random SU(N) element exp(i sum_k theta_k T_k), theta_k uniform in +-scale.
+def random_sun_near_identity(
+    n: int, scale: float, rng: np.random.Generator, count: int | None = None
+) -> np.ndarray:
+    """Random SU(N) element exp(i sum_k theta_k T_k), theta_k uniform in +-scale,
+    or a stack of ``count`` drawn on the random stream of ``count`` single draws.
 
     The draw is symmetric under inversion (theta -> -theta has equal density),
     which is what the Metropolis proposal needs.
     """
     gens = sun_generators(n)
-    theta = rng.uniform(-scale, scale, size=len(gens))
-    herm = np.einsum("k,kij->ij", theta, gens)
+    lead = () if count is None else (count,)
+    theta = rng.uniform(-scale, scale, size=lead + (len(gens),))
+    herm = np.einsum("...k,kij->...ij", theta, gens)
     w, vec = np.linalg.eigh(herm)
-    return (vec * np.exp(1j * w)) @ vec.conj().T
+    return (vec * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2))
 
 
 def random_antisymmetric5(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -411,6 +411,8 @@ def load_field(path, graph: LatticeGraph) -> PotentialField:
             raise ValueError(f"snapshot row {v} is not a transition vertex")
         if len(vals) != 40:
             raise ValueError(f"snapshot row {v} has {len(vals)} values, expected 40")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"snapshot row {v} has non-finite entries")
         i = graph.transition_offset(v)
         field.g[i] = np.array(vals[:16]).reshape(4, 4)
         h = field.h[i]

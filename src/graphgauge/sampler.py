@@ -7,9 +7,9 @@ plaquettes that contain the link, through the usual staple sum; the shared
 so5 block contributes the same constant to every configuration and never
 enters a difference.
 
-Sweeps visit links in a fixed order (event major, direction minor, or a
-two-color checkerboard ordering) and consume randomness in a fixed per-link
-pattern, so a seeded chain is reproducible bit for bit.
+A sweep updates its links group by group (`update_groups`); each group
+draws its proposals and its accept thresholds as one batch, so a seeded
+chain is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ class ChainConfig:
             raise ValueError(
                 f"config field 'order' must be one of {SWEEP_ORDERS}, got {self.order!r}"
             )
+        if self.order == "checkerboard" and any(int(d) % 2 for d in self.dims):
+            raise ValueError(
+                f"config field 'order' checkerboard needs every extent even, got dims {self.dims}"
+            )
 
 
 @dataclass
@@ -75,43 +79,39 @@ class ObservableSeries:
 
 
 # ---------------------------------------------------------------------------
-# staples
+# staples, sweeps and chains
 # ---------------------------------------------------------------------------
 
 
-def staple_sum(lf: wilson.LinkField, g: LatticeGraph, event: int, direction: int) -> np.ndarray:
-    """Sum of the six staple products closing plaquettes through one link.
+def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) -> np.ndarray:
+    """Sum of the six staple products closing plaquettes through link (e, direction),
+    per event of ``events`` (an int, or an int array giving a stack).
 
     The Metropolis change of the normalized action from replacing link U by
     U' is -(beta / N) Re tr((U' - U) staple_sum).
     """
     sites, dirs, dagger = g.staple_table
     n = lf.n_colors
-    su = lf.su.reshape(-1, n, n)
-    # Row index 4 * site + (direction - 1) of each staple link in ``su``.
-    links = (4 * sites[event, direction - 1] + dirs[direction - 1]).tolist()
-    total = np.zeros((n, n), dtype=complex)
-    for row, flags in zip(links, dagger.tolist()):
-        m = None
-        for k, flag in zip(row, flags):
-            u = su[k].conj().T if flag else su[k]
-            m = u if m is None else m @ u
-        total += m
-    return total
+    # Row 4 * site + (direction - 1) of ``su`` holds each staple link.
+    u = lf.su.reshape(-1, n, n)[4 * sites[events, direction - 1] + dirs[direction - 1]]
+    u = np.where(dagger[..., None, None], np.conj(np.swapaxes(u, -1, -2)), u)
+    return (u[..., 0, :, :] @ u[..., 1, :, :] @ u[..., 2, :, :]).sum(axis=-3)
 
 
-# ---------------------------------------------------------------------------
-# sweeps and chains
-# ---------------------------------------------------------------------------
+def update_groups(g: LatticeGraph, order: str) -> list:
+    """The (events, direction) groups one sweep updates, in sweep order.
 
-
-def _sweep_order(g: LatticeGraph, order: str) -> list:
+    ``lexicographic`` updates one link at a time, event major and direction
+    minor.  ``checkerboard`` updates each (parity, direction) class at once:
+    with every extent even, links of one class share no plaquette.
+    """
     if order == "lexicographic":
-        return list(range(g.n_events))
-    if order == "checkerboard":
-        # Even-parity events, then odd ones, each in increasing order.
-        return np.argsort(g.parity, kind="stable").tolist()
-    raise ValueError(f"unknown sweep order {order!r}")
+        return [(np.array([e]), d) for e in range(g.n_events) for d in range(1, 5)]
+    if order != "checkerboard":
+        raise ValueError(f"unknown sweep order {order!r}")
+    if any(x % 2 for x in g.dims):
+        raise ValueError(f"checkerboard order needs every extent even, got {g.dims}")
+    return [(np.flatnonzero(g.parity == p), d) for p in (0, 1) for d in range(1, 5)]
 
 
 def metropolis_sweep(
@@ -128,22 +128,17 @@ def metropolis_sweep(
     """
     out = lf.copy()
     n = lf.n_colors
-    angle = 2.0 * step_scale
     accepted = 0
-    total = 0
-    events = _sweep_order(g, order)
-    for e in events:
-        for d in range(1, 5):
-            x = liealg.random_sun_near_identity(n, angle, rng)
-            old_u = out.su[e, d - 1]
-            new_u = x @ old_u
-            staple = staple_sum(out, g, e, d)
-            d_s = -(beta / n) * np.trace((new_u - old_u) @ staple).real
-            total += 1
-            if rng.uniform() < np.exp(-d_s):
-                out.su[e, d - 1] = new_u
-                accepted += 1
-    return out, accepted / total
+    for events, d in update_groups(g, order):
+        x = liealg.random_sun_near_identity(n, 2.0 * step_scale, rng, count=len(events))
+        old_u = out.su[events, d - 1]
+        new_u = x @ old_u
+        staple = staple_sum(out, g, events, d)
+        d_s = -(beta / n) * np.trace((new_u - old_u) @ staple, axis1=-2, axis2=-1).real
+        accept = rng.uniform(size=len(events)) < np.exp(-d_s)
+        out.su[events[accept], d - 1] = new_u[accept]
+        accepted += int(np.count_nonzero(accept))
+    return out, accepted / (4 * g.n_events)
 
 
 def average_plaquette(lf: wilson.LinkField, g: LatticeGraph) -> float:

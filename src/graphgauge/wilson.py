@@ -101,7 +101,9 @@ def validate_links(lf: LinkField, tol: float = 1e-10) -> None:
     """Reject su blocks that are not unitary with unit determinant."""
     n = lf.n_colors
     defects = liealg.unitarity_defect(lf.su)
-    bad_det = np.abs(np.linalg.det(lf.su) - 1.0) > tol * 10
+    # A non-finite link already shows as an infinite defect; its det is NaN.
+    with np.errstate(invalid="ignore"):
+        bad_det = np.abs(np.linalg.det(lf.su) - 1.0) > tol * 10
     bad = np.flatnonzero((defects > tol) | bad_det)
     if bad.size:
         e, d = divmod(int(bad[0]), 4)

@@ -188,6 +188,15 @@ def test_bad_chain_field_forwarded(capsys):
     assert "'sweeps'" in capsys.readouterr().err
 
 
+def test_checkerboard_with_odd_extent_rejected(capsys):
+    rc = _run(
+        ["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "dims=[3,2,2,2]",
+         "--param", "order=checkerboard"]
+    )
+    assert rc == 2
+    assert "'order'" in capsys.readouterr().err
+
+
 def test_threshold_violation_reports_to_stderr(capsys, tmp_path):
     out = tmp_path / "r.json"
     rc = _run(

@@ -217,6 +217,19 @@ def test_random_sun_near_identity_properties(rng):
         assert np.abs(tiny - np.eye(n)).max() < 1e-7
 
 
+@pytest.mark.parametrize("count", [1, 50])
+def test_near_identity_stack_matches_single_draws(count):
+    for n in (2, 3):
+        rng = np.random.default_rng(3)
+        singles = np.stack([liealg.random_sun_near_identity(n, 0.7, rng) for _ in range(count)])
+        stack_rng = np.random.default_rng(3)
+        stack = liealg.random_sun_near_identity(n, 0.7, stack_rng, count=count)
+        assert stack.shape == (count, n, n)
+        assert np.array_equal(stack, singles)
+        # The stack leaves the generator where the single draws leave it.
+        assert stack_rng.uniform() == rng.uniform()
+
+
 def test_link_trace_matches_dense_embedding(rng):
     u = liealg.haar_random_sun(3, rng)
     o = liealg.random_so5(rng)

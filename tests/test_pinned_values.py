@@ -38,10 +38,12 @@ CHAINS = {
         ["0x1.4000000000000p-1", "0x1.4000000000000p-1", "0x1.2000000000000p-1", "0x1.7000000000000p-1"],
         "1a9f5af8d74bd86456664df1552f428331f77cc359faeb46eaa06dd889ede822",
     ),
+    # Recorded from the grouped sweep, which draws randomness per (parity,
+    # direction) group.
     "checkerboard": (
-        ["0x1.1eab3c474c0bfp-2", "0x1.4187a70a9e868p-2", "0x1.60cc8eb3f2e67p-2", "0x1.781e8dd862798p-2"],
-        ["0x1.4800000000000p-1", "0x1.4000000000000p-1", "0x1.3000000000000p-1", "0x1.2800000000000p-1"],
-        "69294901c2ce4f8d21719f5bca79d0001086db0571fe58f248843889b31e375d",
+        ["0x1.9a17448f980adp-3", "0x1.096391ecf04edp-2", "0x1.4e4a253ddcfd3p-2", "0x1.408ede36209d2p-2"],
+        ["0x1.4800000000000p-1", "0x1.8800000000000p-1", "0x1.5000000000000p-1", "0x1.5000000000000p-1"],
+        "00425ab2af085630d7cf08b67ea135a50d291a0486d046d60f7ea83b45c732ab",
     ),
 }
 

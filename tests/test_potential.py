@@ -474,3 +474,19 @@ def test_load_rejects_event_vertex_row(small_graph, rng, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="transition"):
         potential.load_field(path, small_graph)
+
+
+@pytest.mark.parametrize("block", ["g", "h"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_rejects_non_finite_entries(small_graph, rng, tmp_path, block, bad):
+    field = potential.random_field(small_graph, 0.1, rng)
+    if block == "g":
+        field.g[3, 1, 2] = bad
+    else:
+        field.h[3, 0, 1, 2] = bad
+        field.h[3, 0, 2, 1] = -bad
+    path = tmp_path / "field.txt"
+    potential.save_field(field, path)
+    vertex = small_graph.n_events + 3
+    with pytest.raises(ValueError, match=f"^snapshot row {vertex} has non-finite entries$"):
+        potential.load_field(path, small_graph)

@@ -1,5 +1,7 @@
 """Tests for plaquette products, the block action, and its symmetries."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,17 @@ def test_validators_reject_nan(small_graph, rng, tmp_path, action, message):
     lf = wilson.random_links(small_graph, 2, rng)
     with pytest.raises(wilson.LinkFieldError, match=message):
         action(lf, tmp_path)
+
+
+def test_validate_nan_link_raises_without_warning(small_graph, rng):
+    # The determinant check must not warn on a NaN link: under -W error the
+    # warning, not the LinkFieldError, would reach the caller.
+    lf = wilson.random_links(small_graph, 3, rng)
+    lf.su[5, 0, 2, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wilson.LinkFieldError, match=r"^link \(5, 1\) is not unitary, defect inf$"):
+            wilson.validate_links(lf)
 
 
 def test_link_accessor_checks_direction(small_graph):
