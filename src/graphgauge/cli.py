@@ -77,22 +77,28 @@ def _param(params: dict, name: str, default=None, required: bool = False, cast=N
     if cast is not None:
         try:
             value = cast(value)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise SpecError(f"parameter '{name}' is invalid: {err}") from None
     return value
 
 
-def _float_list(value) -> list:
+def _int(value) -> int:
+    if float(value) != int(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _spacings(value) -> list:
     out = [float(v) for v in value]
-    if not out:
-        raise ValueError("empty list")
+    if not out or not all(0 < v < np.inf for v in out):
+        raise ValueError(f"need a non-empty list of positive finite spacings, got {out}")
     return out
 
 
 def _dims(value) -> tuple:
-    dims = tuple(int(v) for v in value)
-    if len(dims) != 4:
-        raise ValueError(f"need four extents, got {len(dims)}")
+    dims = tuple(_int(v) for v in value)
+    if len(dims) != 4 or any(d < 2 for d in dims):
+        raise ValueError(f"need four extents >= 2, got {dims}")
     return dims
 
 
@@ -103,12 +109,14 @@ def _dims(value) -> tuple:
 
 def _run_covariance_sweep(params: dict, seed: int):
     dims = _param(params, "dims", (2, 2, 2, 2), cast=_dims)
-    n_colors = _param(params, "n_colors", 2, cast=int)
-    n_transforms = _param(params, "n_transforms", 30, cast=int)
+    n_colors = _param(params, "n_colors", 2, cast=_int)
+    n_transforms = _param(params, "n_transforms", 30, cast=_int)
     beta = _param(params, "beta", 2.0, cast=float)
     tol = _param(params, "tol", 1e-12, cast=float)
     if n_transforms < 1:
         raise SpecError(f"parameter 'n_transforms' must be >= 1, got {n_transforms}")
+    if n_colors not in wilson.SUPPORTED_N:
+        raise SpecError(f"parameter 'n_colors' must be one of {wilson.SUPPORTED_N}, got {n_colors}")
 
     rng = np.random.default_rng(seed)
     g = build_hypercubic(dims, periodic=True)
@@ -168,7 +176,7 @@ _PROFILES_1D = {"kink": _kink, "gauss": _gauss}
 
 
 def _run_oned_demo(params: dict, seed):
-    eps_list = _param(params, "eps_list", [0.2, 0.1, 0.05], cast=_float_list)
+    eps_list = _param(params, "eps_list", [0.2, 0.1, 0.05], cast=_spacings)
     delta = _param(params, "delta", 0.3, cast=float)
     window = _param(params, "window", (-6.0, 6.0), cast=lambda w: tuple(map(float, w)))
     profile = _param(params, "profile", "gauss")
@@ -224,7 +232,7 @@ def _run_oned_demo(params: dict, seed):
 
 
 def _run_embedded_violation(params: dict, seed):
-    eps_list = _param(params, "eps_list", [0.2, 0.1], cast=_float_list)
+    eps_list = _param(params, "eps_list", [0.2, 0.1], cast=_spacings)
     angle_deg = _param(params, "angle_deg", 30.0, cast=float)
     box_extent = _param(params, "box_extent", 1.6, cast=float)
     widths = _param(
@@ -297,8 +305,8 @@ def _demo_potential(x, mu: int) -> np.ndarray:
 
 
 def _run_continuum_check(params: dict, seed):
-    eps_list = _param(params, "eps_list", [0.2, 0.1, 0.05], cast=_float_list)
-    n_colors = _param(params, "n_colors", 2, cast=int)
+    eps_list = _param(params, "eps_list", [0.2, 0.1, 0.05], cast=_spacings)
+    n_colors = _param(params, "n_colors", 2, cast=_int)
     box_extent = _param(params, "box_extent", 0.4, cast=float)
     deficit_band = _param(
         params, "deficit_slope_band", (3.8, 4.2), cast=lambda b: tuple(map(float, b))
@@ -308,6 +316,8 @@ def _run_continuum_check(params: dict, seed):
     )
     if n_colors != 2:
         raise SpecError(f"parameter 'n_colors' must be 2 for the built-in field, got {n_colors}")
+    if len(eps_list) < 3:
+        raise SpecError(f"parameter 'eps_list' needs three spacings to fit slopes, got {eps_list}")
 
     rep = wilson.continuum_convergence(
         _demo_potential,
@@ -344,12 +354,12 @@ def _run_mc_run(params: dict, seed: int):
     cfg = sampler.ChainConfig(
         beta=_param(params, "beta", required=True, cast=float),
         dims=_param(params, "dims", (2, 2, 2, 2), cast=_dims),
-        n_colors=_param(params, "n_colors", 2, cast=int),
-        sweeps=_param(params, "sweeps", 100, cast=int),
-        burn_in=_param(params, "burn_in", 20, cast=int),
+        n_colors=_param(params, "n_colors", 2, cast=_int),
+        sweeps=_param(params, "sweeps", 100, cast=_int),
+        burn_in=_param(params, "burn_in", 20, cast=_int),
         step_scale=_param(params, "step_scale", 0.5, cast=float),
         seed=seed,
-        measure_every=_param(params, "measure_every", 1, cast=int),
+        measure_every=_param(params, "measure_every", 1, cast=_int),
         hot_start=bool(_param(params, "hot_start", False)),
         order=_param(params, "order", "lexicographic"),
     )
@@ -383,6 +393,8 @@ def _run_flatness_check(params: dict, seed: int):
     amplitude = _param(params, "amplitude", 0.5, cast=float)
     flat_tol = _param(params, "flat_tol", 5e-3, cast=float)
     min_ratio = _param(params, "min_ratio", 10.0, cast=float)
+    if not 0 < eps < np.inf:
+        raise SpecError(f"parameter 'eps' must be positive and finite, got {eps}")
 
     rng = np.random.default_rng(seed)
     g = build_hypercubic(dims, periodic=True)
@@ -632,11 +644,8 @@ def main(argv=None) -> int:
         for override in args.param:
             key, value = _parse_param_override(override)
             params[key] = value
-        seed = args.seed
-        if seed is None and "seed" in params:
-            seed = int(params.pop("seed"))
-        elif "seed" in params:
-            params.pop("seed")
+        seed = _param(params, "seed", cast=_int) if args.seed is None else args.seed
+        params.pop("seed", None)
         spec = ExperimentSpec(kind=args.kind, params=params, seed=seed)
         report = run_experiment(spec)
         write_report(report, args.out, args.format)

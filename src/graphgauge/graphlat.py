@@ -320,6 +320,74 @@ class LatticeGraph:
             )
         )
 
+    # -- snapshots -----------------------------------------------------------
+
+    def write_snapshot(self, path, kind: str, title: str, header: dict, note: str, rows) -> None:
+        """Write ``# title``, ``# key=value ... dims=... periodic=1``, ``# note``, then
+        per transition in storage order its key columns and the ``repr`` of each
+        float in its row.  Keys are (event, direction) for kind "link" and the
+        vertex id for kind "transition"."""
+        t = np.arange(self.n_transitions)
+        keys = np.stack([t // 4, t % 4 + 1], 1) if kind == "link" else self.n_events + t[:, None]
+        header = {**header, "dims": ",".join(map(str, self.dims)), "periodic": 1}
+        head = " ".join(f"{k}={v}" for k, v in header.items())
+        with open(path, "w") as fh:
+            fh.write(f"# {title}\n# {head}\n# {note}\n")
+            fh.writelines(
+                " ".join([*map(str, k), *map(repr, r)]) + "\n"
+                for k, r in zip(keys.tolist(), np.asarray(rows).tolist())
+            )
+
+    def read_snapshot(self, path, kind: str, key: str) -> tuple[dict, str, np.ndarray]:
+        """Read a `write_snapshot` file: (header strings, note, rows in storage order).
+
+        The header is the comment line starting with ``key=`` and the note the
+        comment after it.  Rejects dims other than the graph's, a header
+        without periodic=1, ragged rows, and rows that name no transition,
+        repeat one or leave one out.
+        """
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        comments = [ln[1:].strip() for ln in lines if ln.startswith("#")]
+        at = next((i for i, c in enumerate(comments) if c.startswith(f"{key}=")), None)
+        if at is None:
+            raise ValueError(f"snapshot is missing the {key} header")
+        header = dict(tok.split("=", 1) for tok in comments[at].split() if "=" in tok)
+        dims = tuple(int(x) for x in header.get("dims", "").split(",") if x)
+        if dims != self.dims:
+            raise ValueError(f"snapshot dims {dims} do not match graph {self.dims}")
+        if (periodic := header.get("periodic")) != "1":
+            raise ValueError(f"snapshot must be periodic (periodic=1), got periodic={periodic}")
+        note = comments[at + 1] if at + 1 < len(comments) else ""
+
+        rows = [ln.split() for ln in lines if not ln.startswith("#")]
+        n_keys, name = (2, "({}, {})".format) if kind == "link" else (1, "{}".format)
+        width = len(rows[0]) if rows else n_keys
+        bad = next((r for r in rows if len(r) != width), None)
+        if bad is not None:
+            raise ValueError(
+                f"snapshot row {name(*bad[:n_keys])} has {len(bad)} columns, expected {width}"
+            )
+        table = np.array(rows, dtype=str).reshape(len(rows), width)
+        keys = table[:, :n_keys].astype(np.int64)
+        # Bounds of each key column, and the storage offset t each row names.
+        n_e, n_t = self.n_events, self.n_transitions
+        if kind == "link":
+            lo, hi, t = (0, 1), (n_e - 1, 4), 4 * keys[:, 0] + keys[:, 1] - 1
+        else:
+            lo, hi, t = n_e, n_e + n_t - 1, keys[:, 0] - n_e
+        ok = ((keys >= lo) & (keys <= hi)).all(axis=1)
+        if not ok.all():
+            raise ValueError(f"snapshot row {name(*keys[np.argmin(ok)])} names no {kind}")
+        repeats = np.setdiff1d(np.arange(len(t)), np.unique(t, return_index=True)[1])
+        if repeats.size:
+            raise ValueError(f"snapshot row {name(*keys[repeats[0]])} repeats a {kind}")
+        if len(t) != n_t:
+            raise ValueError(f"snapshot covers {len(t)} {kind}s, graph has {n_t}")
+        out = np.empty((n_t, width - n_keys))
+        out[t] = table[:, n_keys:].astype(float)
+        return header, note, out
+
     # -- automorphisms -------------------------------------------------------
 
     def automorphism_shift(self, offset) -> np.ndarray:

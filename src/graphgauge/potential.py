@@ -66,8 +66,8 @@ class PotentialField:
 
 def flat_field(graph: LatticeGraph, eps: float) -> PotentialField:
     """Identity metric potential, vanishing torsion, at every transition."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     t = graph.n_transitions
     g = np.broadcast_to(np.eye(4), (t, 4, 4)).copy()
     h = np.zeros((t, 4, 4, 4))
@@ -78,8 +78,8 @@ def random_field(
     graph: LatticeGraph, eps: float, rng: np.random.Generator, scale: float = 1.0
 ) -> PotentialField:
     """Independent uniform entries in +-scale, torsion antisymmetrized."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     t = graph.n_transitions
     g = rng.uniform(-scale, scale, size=(t, 4, 4))
     raw = rng.uniform(-scale, scale, size=(t, 4, 4, 4))
@@ -356,66 +356,24 @@ def save_field(field: PotentialField, path) -> None:
     g is row major; h runs over component a = 0..3, planes (0,1), (0,2),
     (0,3), (1,2), (1,3), (2,3).
     """
-    graph = field.graph
-    with open(path, "w") as fh:
-        fh.write("# graphgauge potential field snapshot\n")
-        fh.write(
-            f"# eps={field.eps!r} dims={','.join(map(str, graph.dims))} "
-            "periodic=1\n"
-        )
-        fh.write("# columns: vertex g[16 row-major] h[a=0..3, planes b<c]\n")
-        rows = np.concatenate(
-            [field.g.reshape(-1, 16), field.h[:, :, _H_B, _H_C].reshape(-1, 24)], axis=1
-        )
-        for v, vals in enumerate(rows.tolist(), start=graph.n_events):
-            fh.write(" ".join([str(v)] + [repr(x) for x in vals]) + "\n")
+    rows = np.concatenate(
+        [field.g.reshape(-1, 16), field.h[:, :, _H_B, _H_C].reshape(-1, 24)], axis=1
+    )
+    title, header = "graphgauge potential field snapshot", {"eps": repr(float(field.eps))}
+    legend = "columns: vertex g[16 row-major] h[a=0..3, planes b<c]"
+    field.graph.write_snapshot(path, "transition", title, header, legend, rows)
 
 
 def load_field(path, graph: LatticeGraph) -> PotentialField:
     """Read a snapshot written by `save_field` back onto a matching graph."""
-    eps = None
-    periodic = None
-    rows = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "eps=" in line:
-                    for tok in line[1:].split():
-                        if tok.startswith("eps="):
-                            eps = float(tok[4:])
-                        if tok.startswith("periodic="):
-                            periodic = tok[9:]
-                        if tok.startswith("dims="):
-                            dims = tuple(int(x) for x in tok[5:].split(","))
-                            if dims != graph.dims:
-                                raise ValueError(
-                                    f"snapshot dims {dims} do not match graph {graph.dims}"
-                                )
-                continue
-            parts = line.split()
-            rows[int(parts[0])] = [float(x) for x in parts[1:]]
-    if eps is None:
-        raise ValueError("snapshot is missing the eps header")
-    if periodic != "1":
-        raise ValueError(f"snapshot must be periodic (header periodic=1), got periodic={periodic}")
-    if len(rows) != graph.n_transitions:
-        raise ValueError(
-            f"snapshot covers {len(rows)} transitions, graph has {graph.n_transitions}"
-        )
-    field = flat_field(graph, eps)
-    for v, vals in rows.items():
-        if graph.role(v) != Role.TRANSITION:
-            raise ValueError(f"snapshot row {v} is not a transition vertex")
-        if len(vals) != 40:
-            raise ValueError(f"snapshot row {v} has {len(vals)} values, expected 40")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"snapshot row {v} has non-finite entries")
-        i = graph.transition_offset(v)
-        field.g[i] = np.array(vals[:16]).reshape(4, 4)
-        h = field.h[i]
-        h[:, _H_B, _H_C] = np.reshape(vals[16:], (4, 6))
-        h[:, _H_C, _H_B] = -h[:, _H_B, _H_C]
+    header, _, rows = graph.read_snapshot(path, "transition", "eps")
+    if rows.shape[1] != 40:
+        raise ValueError(f"snapshot rows have {rows.shape[1]} values, expected 40")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"snapshot row {graph.n_events + bad[0]} has non-finite entries")
+    field = flat_field(graph, float(header["eps"]))
+    field.g[...] = rows[:, :16].reshape(-1, 4, 4)
+    field.h[:, :, _H_B, _H_C] = rows[:, 16:].reshape(-1, 4, 6)
+    field.h[:, :, _H_C, _H_B] = -field.h[:, :, _H_B, _H_C]
     return field

@@ -135,7 +135,7 @@ def metropolis_sweep(
         new_u = x @ old_u
         staple = staple_sum(out, g, events, d)
         d_s = -(beta / n) * np.trace((new_u - old_u) @ staple, axis1=-2, axis2=-1).real
-        accept = rng.uniform(size=len(events)) < np.exp(-d_s)
+        accept = rng.uniform(size=len(events)) < np.exp(np.minimum(-d_s, 0.0))
         out.su[events[accept], d - 1] = new_u[accept]
         accepted += int(np.count_nonzero(accept))
     return out, accepted / (4 * g.n_events)
@@ -221,7 +221,7 @@ def one_plaquette_chain(
         x = liealg.random_sun_near_identity(2, angle, rng)
         new_u = x @ u
         d_s = -(beta / 2.0) * (np.trace(new_u).real - np.trace(u).real)
-        if rng.uniform() < np.exp(-d_s):
+        if rng.uniform() < np.exp(min(-d_s, 0.0)):
             u = new_u
         if step >= burn_in:
             samples[k] = np.trace(u).real / 2.0

@@ -375,66 +375,22 @@ def save_links(lf: LinkField, path) -> None:
     with real and imaginary parts interleaved.
     """
     g = lf.graph
-    with open(path, "w") as fh:
-        fh.write("# graphgauge link field snapshot\n")
-        fh.write(
-            f"# N={lf.n_colors} dims={','.join(map(str, g.dims))} "
-            "periodic=1\n"
-        )
-        fh.write("# so5: " + " ".join(repr(float(x)) for x in lf.so5.ravel()) + "\n")
-        for e, d in g.links():
-            u = lf.su[e, d - 1]
-            vals = []
-            for z in u.ravel():
-                vals.append(repr(float(z.real)))
-                vals.append(repr(float(z.imag)))
-            fh.write(f"{e} {d} " + " ".join(vals) + "\n")
+    so5 = " ".join(map(repr, np.asarray(lf.so5, dtype=float).ravel().tolist()))
+    rows = lf.su.astype(complex, copy=False).reshape(g.n_transitions, -1).view(np.float64)
+    title = "graphgauge link field snapshot"
+    g.write_snapshot(path, "link", title, {"N": lf.n_colors}, f"so5: {so5}", rows)
 
 
 def load_links(path, graph: LatticeGraph, tol: float = 1e-10) -> LinkField:
     """Read a snapshot written by `save_links`; blocks are re-validated."""
-    n_colors = None
-    periodic = None
-    so5 = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "N=" in line:
-                    for tok in line[1:].split():
-                        if tok.startswith("N="):
-                            n_colors = int(tok[2:])
-                        if tok.startswith("periodic="):
-                            periodic = tok[9:]
-                        if tok.startswith("dims="):
-                            dims = tuple(int(x) for x in tok[5:].split(","))
-                            if dims != graph.dims:
-                                raise ValueError(
-                                    f"snapshot dims {dims} do not match graph {graph.dims}"
-                                )
-                elif line.startswith("# so5:"):
-                    so5 = np.array([float(x) for x in line[6:].split()]).reshape(5, 5)
-                continue
-            rows.append(line.split())
-    if n_colors is None or so5 is None:
-        raise ValueError("snapshot is missing header data")
-    if periodic != "1":
-        raise ValueError(f"snapshot must be periodic (header periodic=1), got periodic={periodic}")
-    lf = identity_links(graph, n_colors, so5)
-    seen = set()
-    for parts in rows:
-        e, d = int(parts[0]), int(parts[1])
-        vals = [float(x) for x in parts[2:]]
-        if len(vals) != 2 * n_colors * n_colors:
-            raise ValueError(f"link ({e},{d}) row has wrong length")
-        re = np.array(vals[0::2]).reshape(n_colors, n_colors)
-        im = np.array(vals[1::2]).reshape(n_colors, n_colors)
-        lf.su[e, d - 1] = re + 1j * im
-        seen.add((e, d))
-    if len(seen) != graph.n_transitions:
-        raise ValueError(f"snapshot covers {len(seen)} links, graph has {graph.n_transitions}")
+    header, note, rows = graph.read_snapshot(path, "link", "N")
+    if not note.startswith("so5:"):
+        raise ValueError("snapshot is missing the so5 header line")
+    so5 = np.array(note[4:].split(), dtype=float).reshape(5, 5)
+    lf = identity_links(graph, int(header["N"]), so5)
+    n = lf.n_colors
+    if rows.shape[1] != 2 * n * n:
+        raise ValueError(f"snapshot rows have {rows.shape[1]} values, expected {2 * n * n}")
+    lf.su[...] = rows.view(complex).reshape(lf.su.shape)
     validate_links(lf, tol)
     return lf

@@ -1,6 +1,10 @@
 """Tests for the experiment command line: specs, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +201,31 @@ def test_checkerboard_with_odd_extent_rejected(capsys):
     assert "'order'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["covariance-sweep", "--seed", "1", "--param", "n_colors=4"], "n_colors"),
+        (["covariance-sweep", "--seed", "1", "--param", "dims=[1,2,2,2]"], "dims"),
+        (["flatness-check", "--seed", "1", "--param", "dims=[1,2,2,2]"], "dims"),
+        (["flatness-check", "--seed", "1", "--param", "eps=0"], "eps"),
+        (["flatness-check", "--seed", "1", "--param", "eps=Infinity"], "eps"),
+        (["oned-demo", "--param", "eps_list=[0]"], "eps_list"),
+        (["continuum-check", "--param", "eps_list=[0.2,0.1]"], "eps_list"),
+        (["embedded-violation", "--param", "eps_list=[-0.1]"], "eps_list"),
+        (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "n_colors=2.9"],
+         "n_colors"),
+        (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "sweeps=1e400"],
+         "sweeps"),
+        (["covariance-sweep", "--param", "seed=2.5", "--param", "n_transforms=3"], "seed"),
+    ],
+)
+def test_invalid_values_rejected_at_spec_time(argv, field, capsys, tmp_path):
+    out = tmp_path / "r.json"
+    assert _run(argv + ["--out", str(out)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threshold_violation_reports_to_stderr(capsys, tmp_path):
     out = tmp_path / "r.json"
     rc = _run(
@@ -228,3 +257,17 @@ def test_run_experiment_echoes_spec():
     assert report.summary["status"] == "ok"
     slopes = report.summary["refinement_slope"]
     assert slopes is None or isinstance(slopes, float)
+
+
+def test_module_entry_point_runs_clean(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "graphgauge", "oned-demo"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["summary"]["status"] == "ok"

@@ -111,3 +111,43 @@ def test_gauge_transform_pinned(mode):
         o = np.stack([liealg.random_so5(rng, 0.3) for _ in range(g.n_transitions)])
     out = potential.gauge_transform(field, o, mode=mode)
     assert (_digest(out.g), _digest(out.h)) == GAUGE_TRANSFORMS[mode]
+
+
+# SHA-256 of the `save_links` and `save_field` files, recorded from the
+# per-link and per-row writers that preceded the shared graph-owned format.
+SNAPSHOTS = {
+    (2, 2, 2, 2): (
+        2,
+        "6636d869a8801ec3b73f038de231a769c322e6af9346c55439d68782a307d417",
+        "9579d48ca4bc6e7f407db3afc4012ca5a6ba3a2d7e42e4e56bbdbf5e4d492689",
+    ),
+    (2, 3, 4, 5): (
+        3,
+        "3a2c4741c1bed1ec282cd8dba72c80cc5caa34a7784623fa743b2b56c1cbd1e8",
+        "fd2b1bf09549762750b48575e839b42a3a02d0945fd6bd177aceb23f29be2421",
+    ),
+}
+
+
+@pytest.mark.parametrize("dims", sorted(SNAPSHOTS))
+def test_snapshot_bytes_pinned(dims, tmp_path):
+    n_colors, links_digest, field_digest = SNAPSHOTS[dims]
+    g = build_hypercubic(dims)
+    rng = np.random.default_rng(20241018)
+    lf = wilson.random_links(g, n_colors, rng, so5=liealg.random_so5(rng))
+    field = potential.random_field(g, 0.1, rng)
+    links_path = tmp_path / "links.txt"
+    field_path = tmp_path / "field.txt"
+    wilson.save_links(lf, links_path)
+    potential.save_field(field, field_path)
+    assert hashlib.sha256(links_path.read_bytes()).hexdigest() == links_digest
+    assert hashlib.sha256(field_path.read_bytes()).hexdigest() == field_digest
+
+    back = wilson.load_links(links_path, g)
+    assert back.n_colors == n_colors
+    assert back.su.tobytes() == lf.su.tobytes()
+    assert back.so5.tobytes() == lf.so5.tobytes()
+    loaded = potential.load_field(field_path, g)
+    assert np.float64(loaded.eps).tobytes() == np.float64(field.eps).tobytes()
+    assert loaded.g.tobytes() == field.g.tobytes()
+    assert loaded.h.tobytes() == field.h.tobytes()

@@ -463,6 +463,16 @@ def test_load_rejects_missing_header(small_graph, tmp_path):
         potential.load_field(path, small_graph)
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_load_rejects_non_finite_eps(small_graph, rng, tmp_path, eps):
+    field = potential.random_field(small_graph, 0.1, rng)
+    path = tmp_path / "field.txt"
+    potential.save_field(field, path)
+    path.write_text(path.read_text().replace("eps=0.1 ", f"eps={eps} "))
+    with pytest.raises(ValueError, match=f"^eps must be positive and finite, got {eps}$"):
+        potential.load_field(path, small_graph)
+
+
 def test_load_rejects_event_vertex_row(small_graph, rng, tmp_path):
     field = potential.random_field(small_graph, 0.1, rng)
     path = tmp_path / "field.txt"

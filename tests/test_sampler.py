@@ -143,6 +143,18 @@ def test_zero_coupling_accepts_everything():
     assert abs(series.avg_plaquette.mean()) < 0.08
 
 
+def test_large_beta_hot_start_does_not_overflow():
+    # A hot start at beta = 1000 proposes moves with -dS far above the exp
+    # overflow threshold; the accept weight is clipped at 1 before exp, which
+    # keeps every decision (uniform draws lie in [0, 1)) and raises no
+    # RuntimeWarning under the suite's error filter.
+    cfg = sampler.ChainConfig(
+        beta=1000.0, dims=(2, 2, 2, 2), sweeps=2, burn_in=0, seed=1, hot_start=True
+    )
+    series = sampler.run_chain(cfg)
+    assert np.all(series.acceptance > 0.0)
+
+
 def test_chain_final_links_valid_and_hot_start():
     cfg = sampler.ChainConfig(
         beta=2.0, dims=(2, 2, 2, 2), sweeps=6, burn_in=2, seed=5, hot_start=True

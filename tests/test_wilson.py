@@ -332,6 +332,31 @@ def test_load_rejects_missing_links(small_graph, rng, tmp_path):
         wilson.load_links(path, small_graph)
 
 
+@pytest.mark.parametrize(
+    "line, event, direction, verb",
+    [
+        (-1, 15, 0, "names no link"),
+        (3, -16, 1, "names no link"),
+        (-1, 15, 5, "names no link"),
+        (3, 16, 1, "names no link"),
+        (-1, 15, 3, "repeats a link"),
+    ],
+    ids=["direction-0", "negative-event", "direction-5", "event-past-end", "repeat"],
+)
+def test_load_rejects_rows_naming_no_link(
+    small_graph, rng, tmp_path, line, event, direction, verb
+):
+    # Line 3 is the row of link (0, 1), line -1 the row of link (15, 4).
+    lf = wilson.random_links(small_graph, 2, rng)
+    path = tmp_path / "links.txt"
+    wilson.save_links(lf, path)
+    lines = path.read_text().splitlines()
+    lines[line] = f"{event} {direction} " + lines[line].split(" ", 2)[2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^snapshot row \({event}, {direction}\) {verb}$"):
+        wilson.load_links(path, small_graph)
+
+
 def test_load_rejects_missing_header(small_graph, tmp_path):
     path = tmp_path / "links.txt"
     path.write_text("# nothing useful\n")
