@@ -88,6 +88,12 @@ def _int(value) -> int:
     return int(value)
 
 
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
 def _spacings(value) -> list:
     out = [float(v) for v in value]
     if not out or not all(0 < v < np.inf for v in out):
@@ -360,8 +366,8 @@ def _run_mc_run(params: dict, seed: int):
         step_scale=_param(params, "step_scale", 0.5, cast=float),
         seed=seed,
         measure_every=_param(params, "measure_every", 1, cast=_int),
-        hot_start=bool(_param(params, "hot_start", False)),
-        order=_param(params, "order", "lexicographic"),
+        hot_start=_param(params, "hot_start", False, cast=_bool),
+        order=_param(params, "order", "checkerboard"),
     )
     try:
         cfg.validate()
@@ -369,12 +375,8 @@ def _run_mc_run(params: dict, seed: int):
         raise SpecError(str(err)) from None
     series = sampler.run_chain(cfg)
     records = [
-        {
-            "sweep": int(series.sweep_index[i]),
-            "avg_plaquette": float(series.avg_plaquette[i]),
-            "acceptance": float(series.acceptance[i]),
-        }
-        for i in range(series.sweep_index.shape[0])
+        {"sweep": int(s), "avg_plaquette": float(p), "acceptance": float(a)}
+        for s, p, a in zip(series.sweep_index, series.avg_plaquette, series.acceptance)
     ]
     vals = series.avg_plaquette
     summary = {
@@ -481,11 +483,7 @@ def _report_csv(report: ExperimentReport) -> str:
     buf = io.StringIO()
     buf.write("# spec: " + json.dumps(report.spec, default=str) + "\n")
     buf.write("# summary: " + json.dumps(report.summary, default=str) + "\n")
-    cols: list = []
-    for rec in report.records:
-        for key in rec:
-            if key not in cols:
-                cols.append(key)
+    cols = list(dict.fromkeys(key for rec in report.records for key in rec))
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
     for rec in report.records:
@@ -574,16 +572,10 @@ def load_report(path: str) -> ExperimentReport:
             body.append(line)
     reader = csv.reader(io.StringIO("\n".join(body)))
     rows = [row for row in reader if row]
-    records = []
-    if rows:
-        header = rows[0]
-        for row in rows[1:]:
-            rec = {}
-            for key, cell in zip(header, row):
-                value = _coerce_cell(cell)
-                if value is not None:
-                    rec[key] = value
-            records.append(rec)
+    records = [
+        {k: v for k, cell in zip(rows[0], row) if (v := _coerce_cell(cell)) is not None}
+        for row in rows[1:]
+    ]
     return ExperimentReport(spec=spec, records=records, summary=summary)
 
 

@@ -19,8 +19,9 @@ plaquette with first corner s in plane ``PLANES[i]``), both counted from the
 first vertex of their role.
 
 The index tables the batched consumers read (forward and backward sites,
-plaquettes, staples) are derived from `LatticeGraph.neighbor` over all
-events at once and cached on the graph when first used.
+plaquettes, staples, and a proper event colouring: 2 colours at all-even
+extents, 4 at the odd ones tried) are derived from `LatticeGraph.neighbor`
+over all events at once and cached on the graph when first used.
 """
 
 from __future__ import annotations
@@ -153,13 +154,6 @@ class LatticeGraph:
             )
         self._act_trans = t0 + act.reshape(6 * n, 4)
 
-        # Coordinate-sum parity per event, which groups the checkerboard sweep's
-        # updates.  It is a proper two-coloring (no link joins equal parities)
-        # only when every extent is even: a wrapped link along an odd extent L
-        # joins sites whose coordinate sums differ by L - 1, an even number.
-        # The checkerboard order therefore rejects any odd extent.
-        self.parity = (sum(x) % 2).astype(np.int8)
-
     # -- basic queries -------------------------------------------------------
 
     @property
@@ -246,11 +240,6 @@ class LatticeGraph:
             raise GraphError(f"vertex {v[bad].flat[0]} is not a transition vertex")
         return off
 
-    def event_parity(self, v: int) -> int:
-        if self.role(v) != Role.EVENT:
-            raise GraphError(f"vertex {v} is not an event vertex")
-        return int(self.parity[v])
-
     def links(self):
         """All stored links as (event, direction) pairs, event major."""
         return [(s, d) for s in range(self.n_events) for d in range(1, 5)]
@@ -268,6 +257,16 @@ class LatticeGraph:
         """(E, 4) array: entry [e, d-1] is the event one step along -d from e."""
         events = np.arange(self.n_events)
         return np.stack([self.event_neighbor(events, -d) for d in range(1, 5)], axis=1)
+
+    @cached_property
+    def event_colors(self) -> np.ndarray:
+        """(E,) colours, no two events one step apart sharing one.  Greedy in
+        event order: each event takes the smallest colour no neighbour holds yet,
+        which at all-even extents is the coordinate sum mod 2."""
+        colors = [-1] * self.n_events
+        for e, nbrs in enumerate(np.hstack([self.forward_sites, self.backward_sites]).tolist()):
+            colors[e] = min(set(range(9)) - {colors[m] for m in nbrs})
+        return np.array(colors, dtype=np.int8)
 
     @cached_property
     def plaquette_table(self) -> PlaquetteTable:
@@ -369,7 +368,11 @@ class LatticeGraph:
                 f"snapshot row {name(*bad[:n_keys])} has {len(bad)} columns, expected {width}"
             )
         table = np.array(rows, dtype=str).reshape(len(rows), width)
-        keys = table[:, :n_keys].astype(np.int64)
+        try:
+            keys = table[:, :n_keys].astype(np.int64)
+        except OverflowError:
+            big = next(r for r in rows if any(abs(int(k)) >= 2**63 for k in r[:n_keys]))
+            raise ValueError(f"snapshot row {name(*big[:n_keys])} names no {kind}") from None
         # Bounds of each key column, and the storage offset t each row names.
         n_e, n_t = self.n_events, self.n_transitions
         if kind == "link":

@@ -9,7 +9,9 @@ enters a difference.
 
 A sweep updates its links group by group (`update_groups`); each group
 draws its proposals and its accept thresholds as one batch, so a seeded
-chain is reproducible bit for bit.
+chain is reproducible bit for bit.  The default `checkerboard` order has 8
+groups at all-even extents and 16 at the odd ones tried; `lexicographic`,
+one link per group, is the reference.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class ChainConfig:
     seed: int = 0
     measure_every: int = 1
     hot_start: bool = False
-    order: str = "lexicographic"
+    order: str = "checkerboard"
 
     def validate(self) -> None:
         if not np.isfinite(self.beta) or self.beta < 0:
@@ -62,10 +64,6 @@ class ChainConfig:
         if self.order not in SWEEP_ORDERS:
             raise ValueError(
                 f"config field 'order' must be one of {SWEEP_ORDERS}, got {self.order!r}"
-            )
-        if self.order == "checkerboard" and any(int(d) % 2 for d in self.dims):
-            raise ValueError(
-                f"config field 'order' checkerboard needs every extent even, got dims {self.dims}"
             )
 
 
@@ -102,16 +100,16 @@ def update_groups(g: LatticeGraph, order: str) -> list:
     """The (events, direction) groups one sweep updates, in sweep order.
 
     ``lexicographic`` updates one link at a time, event major and direction
-    minor.  ``checkerboard`` updates each (parity, direction) class at once:
-    with every extent even, links of one class share no plaquette.
+    minor.  ``checkerboard`` updates each (colour, direction) class of
+    `LatticeGraph.event_colors` at once: link (x, mu) shares plaquettes only
+    with other directions and with (x +- nu, mu), whose events neighbour x.
     """
     if order == "lexicographic":
         return [(np.array([e]), d) for e in range(g.n_events) for d in range(1, 5)]
     if order != "checkerboard":
         raise ValueError(f"unknown sweep order {order!r}")
-    if any(x % 2 for x in g.dims):
-        raise ValueError(f"checkerboard order needs every extent even, got {g.dims}")
-    return [(np.flatnonzero(g.parity == p), d) for p in (0, 1) for d in range(1, 5)]
+    colors = g.event_colors
+    return [(np.flatnonzero(colors == c), d) for c in np.unique(colors) for d in range(1, 5)]
 
 
 def metropolis_sweep(
@@ -120,7 +118,7 @@ def metropolis_sweep(
     beta: float,
     step_scale: float,
     rng: np.random.Generator,
-    order: str = "lexicographic",
+    order: str = "checkerboard",
 ) -> tuple[wilson.LinkField, float]:
     """One full sweep over all links.  Returns the new field and acceptance.
 

@@ -192,13 +192,26 @@ def test_bad_chain_field_forwarded(capsys):
     assert "'sweeps'" in capsys.readouterr().err
 
 
-def test_checkerboard_with_odd_extent_rejected(capsys):
+@pytest.mark.parametrize("order", [[], ["--param", "order=checkerboard"]], ids=["default", "named"])
+def test_checkerboard_with_odd_extent_runs(order, tmp_path):
+    out = tmp_path / "r.json"
     rc = _run(
         ["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "dims=[3,2,2,2]",
-         "--param", "order=checkerboard"]
+         "--param", "sweeps=4", "--param", "burn_in=1", "--out", str(out)] + order
     )
-    assert rc == 2
-    assert "'order'" in capsys.readouterr().err
+    assert rc == 0
+    assert cli.load_report(str(out)).summary["n_measurements"] == 3
+
+
+def test_hot_start_takes_json_booleans(tmp_path):
+    first = {}
+    for flag in ("true", "false"):
+        out = tmp_path / f"{flag}.json"
+        argv = ["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "sweeps=2",
+                "--param", "burn_in=0", "--param", f"hot_start={flag}", "--out", str(out)]
+        assert _run(argv) == 0
+        first[flag] = cli.load_report(str(out)).records[0]["avg_plaquette"]
+    assert first["true"] < 0.5 < first["false"]
 
 
 @pytest.mark.parametrize(
@@ -217,6 +230,11 @@ def test_checkerboard_with_odd_extent_rejected(capsys):
         (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "sweeps=1e400"],
          "sweeps"),
         (["covariance-sweep", "--param", "seed=2.5", "--param", "n_transforms=3"], "seed"),
+        (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "hot_start=no"],
+         "hot_start"),
+        (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "hot_start=1"],
+         "hot_start"),
+        (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "order=spiral"], "order"),
     ],
 )
 def test_invalid_values_rejected_at_spec_time(argv, field, capsys, tmp_path):

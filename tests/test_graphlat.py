@@ -104,7 +104,7 @@ def test_transition_endpoints_have_opposite_parity(small_graph):
         d = g.transition_direction(v)
         a = g.neighbor(v, -d)
         b = g.neighbor(v, d)
-        assert g.event_parity(a) != g.event_parity(b)
+        assert g.event_colors[a] != g.event_colors[b]
 
 
 def test_transition_direction_and_offset(small_graph):
@@ -194,7 +194,8 @@ SHAPES = [(2, 2, 2, 2), (2, 3, 4, 5), (3, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), 
 
 
 def _loop_reference(dims):
-    """Adjacency, plaquettes, staples and parity built site by site from coordinates."""
+    """Adjacency, plaquettes, staples, forward sites and coordinate-sum parity
+    built site by site from coordinates."""
     n = int(np.prod(dims))
 
     def coords(s):
@@ -247,6 +248,7 @@ def _loop_reference(dims):
                 dag[s, mu - 1, i + 1] = (True, True, False)
                 i += 2
     parity = np.array([sum(coords(s)) % 2 for s in range(n)], dtype=np.int8)
+    forward = np.array([[shift(s, d, +1) for d in range(1, 5)] for s in range(n)])
     return {
         "nbr": nbr,
         "corners": np.array(corners),
@@ -254,6 +256,7 @@ def _loop_reference(dims):
         "act_trans": np.array(act_trans),
         "staples": (sites, dirs, dag),
         "parity": parity,
+        "forward": forward,
     }
 
 
@@ -271,7 +274,10 @@ def test_tables_match_loop_construction(dims):
     assert np.array_equal(st.sites, sites)
     assert np.array_equal(np.broadcast_to(st.dirs, dirs.shape), dirs)
     assert np.array_equal(np.broadcast_to(st.dagger, dag.shape), dag)
-    assert np.array_equal(g.parity, ref["parity"])
+    # The event colouring is proper, and is the parity when every extent is even.
+    assert not (g.event_colors[:, None] == g.event_colors[ref["forward"]]).any()
+    if not any(d % 2 for d in dims):
+        assert np.array_equal(g.event_colors, ref["parity"])
     events = np.arange(g.n_events)
     fwd = np.stack([[g.event_neighbor(int(e), d) for d in range(1, 5)] for e in events])
     assert np.array_equal(g.forward_sites, fwd)
@@ -322,7 +328,16 @@ def test_array_neighbor_validation(small_graph):
 @pytest.mark.parametrize("dims, same", [((3, 2, 2, 2), 8), ((2, 2, 2, 2), 0), ((4, 4, 4, 4), 0)])
 def test_parity_is_a_two_coloring_only_for_even_extents(dims, same):
     """Coordinate-sum parity: forward links joining equal parities.  An odd
-    extent L wraps from coordinate L-1 to 0, an even difference."""
+    extent L wraps from coordinate L-1 to 0, an even difference.  The graph's
+    event colouring is proper either way: the parity where that is a
+    two-colouring, four colours on the odd shape."""
     g = build_hypercubic(dims)
-    equal = g.parity[:, None] == g.parity[g.forward_sites]
+    parity = sum(np.unravel_index(np.arange(g.n_events), dims)) % 2
+    equal = parity[:, None] == parity[g.forward_sites]
     assert int(equal.sum()) == same
+    colors = g.event_colors
+    assert not (colors[:, None] == colors[g.forward_sites]).any()
+    if same:
+        assert int(colors.max()) + 1 == 4
+    else:
+        assert np.array_equal(colors, parity)

@@ -26,7 +26,8 @@ from graphgauge import graphlat, liealg, sampler, wilson
         ({"beta": 2.0, "step_scale": 1.5}, "step_scale"),
         ({"beta": 2.0, "measure_every": 0}, "measure_every"),
         ({"beta": 2.0, "order": "spiral"}, "order"),
-        ({"beta": 2.0, "dims": (3, 2, 2, 2), "order": "checkerboard"}, "order"),
+        # Odd extents are valid now; the order name is still matched exactly.
+        ({"beta": 2.0, "dims": (3, 2, 2, 2), "order": "Checkerboard"}, "order"),
     ],
 )
 def test_config_validation_names_offending_field(kwargs, field):
@@ -82,7 +83,9 @@ def test_link_action_delta_matches_global_recompute(small_graph, rng):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (4, 4, 4, 4), (2, 4, 6, 2)])
+@pytest.mark.parametrize(
+    "dims", [(2, 2, 2, 2), (4, 4, 4, 4), (2, 4, 6, 2), (3, 2, 2, 2), (3, 3, 5, 2)]
+)
 def test_update_groups_cover_links_once(dims):
     g = graphlat.build_hypercubic(dims)
     links = [(e, d) for e in range(g.n_events) for d in range(1, 5)]
@@ -91,23 +94,32 @@ def test_update_groups_cover_links_once(dims):
     assert all(len(events) == 1 for events, _ in lex)
 
     cb = sampler.update_groups(g, "checkerboard")
-    assert len(cb) == 8
+    n_colors = int(g.event_colors.max()) + 1
+    assert [d for _, d in cb] == [1, 2, 3, 4] * n_colors
     assert sorted((int(e), d) for events, d in cb for e in events) == links
+    if not any(x % 2 for x in dims):
+        # Colour major, so the 8 groups are the (parity, direction) classes in order.
+        parity = sum(np.unravel_index(np.arange(g.n_events), dims)) % 2
+        assert n_colors == 2
+        for k, (events, _) in enumerate(cb):
+            assert np.array_equal(events, np.flatnonzero(parity == k // 4))
     sites, dirs, _ = g.staple_table
     for events, d in cb:
-        assert len(events) == g.n_events // 2
-        assert len(set(g.parity[events].tolist())) == 1
+        assert len(set(g.event_colors[events].tolist())) == 1
         # Rows 4 * site + (d - 1) of the group's links and of all their staples.
         group = set((4 * events + d - 1).tolist())
         staples = set((4 * sites[events, d - 1] + dirs[d - 1]).ravel().tolist())
         assert not group & staples
 
 
-def test_checkerboard_rejects_odd_extent():
+def test_checkerboard_runs_at_odd_extent():
+    cfg = sampler.ChainConfig(beta=2.0, dims=(3, 2, 2, 2), sweeps=4, burn_in=1, seed=2)
+    assert cfg.order == "checkerboard"
+    series = sampler.run_chain(cfg)
+    assert len(series.avg_plaquette) == 3
+    assert np.all(series.acceptance > 0.0)
     g = graphlat.build_hypercubic((3, 2, 2, 2))
     lf = wilson.identity_links(g, 2)
-    with pytest.raises(ValueError, match="even"):
-        sampler.metropolis_sweep(lf, g, 2.0, 0.5, np.random.default_rng(0), "checkerboard")
     with pytest.raises(ValueError, match="spiral"):
         sampler.metropolis_sweep(lf, g, 2.0, 0.5, np.random.default_rng(0), "spiral")
 
@@ -183,13 +195,13 @@ def _batch_se(values, n_batches):
     return float(batches.std(ddof=1) / np.sqrt(n_batches))
 
 
-def test_sweep_orders_agree_on_mean_plaquette():
+def _assert_orders_agree(dims, sweeps, burn_in):
     # Both orders sample the same distribution; fixed seeds, so this is a
     # regression check at 3 sigma with batch-means errors, as in A8.
     series = {
         order: sampler.run_chain(
             sampler.ChainConfig(
-                beta=2.0, dims=(2, 2, 2, 2), sweeps=800, burn_in=200,
+                beta=2.0, dims=dims, sweeps=sweeps, burn_in=burn_in,
                 step_scale=1.0, seed=101, order=order,
             )
         ).avg_plaquette
@@ -198,6 +210,16 @@ def test_sweep_orders_agree_on_mean_plaquette():
     lex, cb = series["lexicographic"], series["checkerboard"]
     comb = float(np.hypot(_batch_se(lex, 20), _batch_se(cb, 20)))
     assert abs(lex.mean() - cb.mean()) < 3.0 * comb
+
+
+def test_sweep_orders_agree_on_mean_plaquette():
+    _assert_orders_agree((2, 2, 2, 2), sweeps=800, burn_in=200)
+
+
+def test_sweep_orders_agree_at_odd_extent():
+    # (3, 2, 2, 2) takes four colours, so 16 groups a sweep.  Fewer sweeps
+    # than above: the lexicographic chain costs about 10 ms a sweep here.
+    _assert_orders_agree((3, 2, 2, 2), sweeps=400, burn_in=100)
 
 
 def test_sweep_does_not_modify_input(small_graph, rng):

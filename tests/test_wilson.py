@@ -340,8 +340,10 @@ def test_load_rejects_missing_links(small_graph, rng, tmp_path):
         (-1, 15, 5, "names no link"),
         (3, 16, 1, "names no link"),
         (-1, 15, 3, "repeats a link"),
+        (3, 99999999999999999999, 1, "names no link"),
     ],
-    ids=["direction-0", "negative-event", "direction-5", "event-past-end", "repeat"],
+    ids=["direction-0", "negative-event", "direction-5", "event-past-end", "repeat",
+         "event-beyond-int64"],
 )
 def test_load_rejects_rows_naming_no_link(
     small_graph, rng, tmp_path, line, event, direction, verb
