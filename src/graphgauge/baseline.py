@@ -150,6 +150,15 @@ def violation_sigma_1d(
 # ---------------------------------------------------------------------------
 
 
+def _sites_per_axis(eps: float, box_extent: float) -> int:
+    """Number m of lattice sites along each axis of the box [-box_extent, box_extent]."""
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not 0 < box_extent < np.inf:
+        raise ValueError(f"box_extent must be positive and finite, got {box_extent}")
+    return int(np.floor(2 * box_extent / eps + 1e-9)) + 1
+
+
 def _embedded_action_4d(
     field_fn: Callable,
     rot: np.ndarray,
@@ -159,29 +168,38 @@ def _embedded_action_4d(
 ) -> float:
     """Scalar action on a cubic lattice with axes rotated by ``rot``.
 
-    Sites sit at rot @ (eps * n) for integer vectors n with every component
-    of eps * n in [-box_extent, box_extent].  The density is the forward
-    difference kinetic term along the four (rotated) axes plus a mass term,
-    weighted by the cell volume eps^4.  Evaluation streams over the first
-    axis to bound memory.
+    Sites sit at rot @ (-box_extent + eps * n) for integer vectors n with
+    every component in [0, m), so that each component of -box_extent + eps * n
+    lies in [-box_extent, box_extent].  The density is the forward difference
+    kinetic term along the four (rotated) axes plus a mass term, weighted by
+    the cell volume eps^4; a non-finite total raises ValueError.
+
+    The forward neighbour of site n along axis mu is site n + e_mu, so the
+    field is evaluated once on the (m+1)^4 index grid 0 <= n_mu <= m and
+    the differences are slices of it.  To bound memory the grid streams
+    along axis 0 in a window of two (m+1)^3 slabs: the next slab holds the
+    mu = 0 neighbours, and the current slab shifted by one along axis mu
+    holds the others.  The density is summed over the m^4 sites only.
     """
-    m = int(np.floor(2 * box_extent / eps + 1e-9)) + 1
-    pos = -box_extent + eps * np.arange(m)
-    x1, x2, x3 = np.meshgrid(pos, pos, pos, indexing="ij")
-    tail = np.stack([x1, x2, x3], axis=-1)
+    m = _sites_per_axis(eps, box_extent)
+    pos = -box_extent + eps * np.arange(m + 1)
+    tail = np.stack(np.meshgrid(pos, pos, pos, indexing="ij"), axis=-1) @ rot[:, 1:].T
+
+    def slab(x0):
+        return np.asarray(field_fn(tail + x0 * rot[:, 0]), dtype=float)
+
     total = 0.0
-    for x0 in pos:
-        pts = np.empty(tail.shape[:-1] + (4,))
-        pts[..., 0] = x0
-        pts[..., 1:] = tail
-        rp = pts @ rot.T
-        phi = np.asarray(field_fn(rp), dtype=float)
-        dens = 0.5 * (mass * mass) * phi * phi
-        for mu in range(4):
-            step = eps * rot[:, mu]
-            phin = np.asarray(field_fn(rp + step), dtype=float)
-            dens = dens + 0.5 * ((phin - phi) / eps) ** 2
-        total += float(np.sum(dens))
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = slab(pos[0])
+        for x0 in pos[1:]:
+            cur, nxt = nxt, slab(x0)
+            phi = cur[:m, :m, :m]
+            dens = 0.5 * (mass * mass) * phi * phi
+            for phin in (nxt[:m, :m, :m], cur[1:, :m, :m], cur[:m, 1:, :m], cur[:m, :m, 1:]):
+                dens = dens + 0.5 * ((phin - phi) / eps) ** 2
+            total += float(np.sum(dens))
+    if not np.isfinite(total):
+        raise ValueError("field evaluation produced non-finite values")
     return eps**4 * total
 
 
@@ -198,7 +216,8 @@ def violation_4d_embedded(
     The identity rotation gives sigma = 0.0 exactly (same computation twice).
     For a smooth anisotropic field the finite-difference stencil picks up a
     rotation-dependent eps^2 error, so |sigma| shrinks quadratically under
-    refinement.
+    refinement.  eps and box_extent must be positive and finite, and a
+    non-finite action raises ValueError.
     """
     rot = np.asarray(rotation, dtype=float)
     if rot.shape != (4, 4):
@@ -210,7 +229,7 @@ def violation_4d_embedded(
     s_aligned = _embedded_action_4d(field_fn, np.eye(4), eps, box_extent, mass)
 
     # Crude tail bound: worst corner density times the boundary-shell volume.
-    m = int(np.floor(2 * box_extent / eps + 1e-9)) + 1
+    m = _sites_per_axis(eps, box_extent)
     corners = np.array(
         [[sx * box_extent for sx in signs] for signs in np.ndindex(2, 2, 2, 2)]
     ) * 2.0 - box_extent

@@ -94,10 +94,24 @@ def _bool(value) -> bool:
     return value
 
 
+def _finite(value) -> float:
+    out = float(value)
+    if not np.isfinite(out):
+        raise ValueError(f"{out} is not finite")
+    return out
+
+
+def _positive(value) -> float:
+    out = _finite(value)
+    if out <= 0:
+        raise ValueError(f"{out} is not positive")
+    return out
+
+
 def _spacings(value) -> list:
-    out = [float(v) for v in value]
-    if not out or not all(0 < v < np.inf for v in out):
-        raise ValueError(f"need a non-empty list of positive finite spacings, got {out}")
+    out = [_positive(v) for v in value]
+    if not out:
+        raise ValueError("need a non-empty list of spacings")
     return out
 
 
@@ -239,14 +253,14 @@ def _run_oned_demo(params: dict, seed):
 
 def _run_embedded_violation(params: dict, seed):
     eps_list = _param(params, "eps_list", [0.2, 0.1], cast=_spacings)
-    angle_deg = _param(params, "angle_deg", 30.0, cast=float)
-    box_extent = _param(params, "box_extent", 1.6, cast=float)
+    angle_deg = _param(params, "angle_deg", 30.0, cast=_finite)
+    box_extent = _param(params, "box_extent", 1.6, cast=_positive)
     widths = _param(
-        params, "widths", (0.25, 0.5, 0.35, 0.42), cast=lambda w: tuple(map(float, w))
+        params, "widths", (0.25, 0.5, 0.35, 0.42), cast=lambda w: tuple(map(_positive, w))
     )
-    mass = _param(params, "mass", 1.0, cast=float)
+    mass = _param(params, "mass", 1.0, cast=_finite)
     min_slope = _param(params, "min_slope", 1.5, cast=float)
-    if len(widths) != 4 or any(w <= 0 for w in widths):
+    if len(widths) != 4:
         raise SpecError(f"parameter 'widths' must be four positive widths, got {widths}")
 
     w = np.asarray(widths)
@@ -391,12 +405,10 @@ def _run_mc_run(params: dict, seed: int):
 
 def _run_flatness_check(params: dict, seed: int):
     dims = _param(params, "dims", (4, 4, 4, 4), cast=_dims)
-    eps = _param(params, "eps", 0.05, cast=float)
+    eps = _param(params, "eps", 0.05, cast=_positive)
     amplitude = _param(params, "amplitude", 0.5, cast=float)
     flat_tol = _param(params, "flat_tol", 5e-3, cast=float)
     min_ratio = _param(params, "min_ratio", 10.0, cast=float)
-    if not 0 < eps < np.inf:
-        raise SpecError(f"parameter 'eps' must be positive and finite, got {eps}")
 
     rng = np.random.default_rng(seed)
     g = build_hypercubic(dims, periodic=True)

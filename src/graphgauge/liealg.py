@@ -282,6 +282,15 @@ def random_sun_near_identity(
     gens = sun_generators(n)
     lead = () if count is None else (count,)
     theta = rng.uniform(-scale, scale, size=lead + (len(gens),))
+    return _exp_i_angles(theta, gens)
+
+
+def _exp_i_angles(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """exp(i sum_k theta_k T_k) for angles ``theta`` of shape (..., len(gens)).
+
+    The exponential goes through ``eigh`` of the Hermitian sum, matrix by
+    matrix, so a stack of angles gives the same matrices as one call each.
+    """
     herm = np.einsum("...k,kij->...ij", theta, gens)
     w, vec = np.linalg.eigh(herm)
     return (vec * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2))

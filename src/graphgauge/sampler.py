@@ -208,20 +208,28 @@ def one_plaquette_chain(
     """Metropolis samples of Re tr U / 2 for the one-plaquette SU(2) model.
 
     Three of the four links are gauge fixed to the identity; the remaining
-    link is updated with the same proposal family as the full sampler.
+    link is updated with the same proposal family as the full sampler.  Each
+    step reads four consecutive uniforms (three proposal angles, then the
+    accept threshold), so all of them are drawn as one block and all
+    proposals are built as one stack; only the product, its trace and the
+    accept test run per step.
     """
     rng = np.random.default_rng(seed)
-    u = np.eye(2, dtype=complex)
+    draws = rng.uniform(size=(n_steps, 4))
     angle = 2.0 * step_scale
-    samples = np.empty(max(0, n_steps - burn_in))
-    k = 0
+    gens = liealg.sun_generators(2)
+    # uniform(-angle, angle) returns -angle + (2 angle) u: the same angles bit for bit.
+    proposals = liealg._exp_i_angles(-angle + (2.0 * angle) * draws[:, :3], gens)
+    thresholds = draws[:, 3]
+    u = np.eye(2, dtype=complex)
+    trace = 2.0
+    traces = np.empty(n_steps)
     for step in range(n_steps):
-        x = liealg.random_sun_near_identity(2, angle, rng)
-        new_u = x @ u
-        d_s = -(beta / 2.0) * (np.trace(new_u).real - np.trace(u).real)
-        if rng.uniform() < np.exp(min(-d_s, 0.0)):
-            u = new_u
-        if step >= burn_in:
-            samples[k] = np.trace(u).real / 2.0
-            k += 1
-    return samples
+        new_u = proposals[step] @ u
+        new_trace = np.trace(new_u).real
+        d_s = -(beta / 2.0) * (new_trace - trace)
+        # d_s <= 0 always accepts, and exp(-d_s) could overflow there.
+        if d_s <= 0.0 or thresholds[step] < np.exp(-d_s):
+            u, trace = new_u, new_trace
+        traces[step] = trace
+    return traces[burn_in:] / 2.0

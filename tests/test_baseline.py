@@ -181,3 +181,68 @@ def test_violation_report_row():
     assert row[1] == 0.1
     assert row[2] == 0.05
     assert row[3] == rep.sigma
+
+
+def _five_point_action(field_fn, rot, eps, box_extent, mass):
+    # The per-site reference the streamed grid replaced: the field is
+    # evaluated at each site and again at each of its four forward neighbours.
+    m = int(np.floor(2 * box_extent / eps + 1e-9)) + 1
+    pos = -box_extent + eps * np.arange(m)
+    x1, x2, x3 = np.meshgrid(pos, pos, pos, indexing="ij")
+    tail = np.stack([x1, x2, x3], axis=-1)
+    total = 0.0
+    for x0 in pos:
+        pts = np.empty(tail.shape[:-1] + (4,))
+        pts[..., 0] = x0
+        pts[..., 1:] = tail
+        rp = pts @ rot.T
+        phi = np.asarray(field_fn(rp), dtype=float)
+        dens = 0.5 * (mass * mass) * phi * phi
+        for mu in range(4):
+            step = eps * rot[:, mu]
+            phin = np.asarray(field_fn(rp + step), dtype=float)
+            dens = dens + 0.5 * ((phin - phi) / eps) ** 2
+        total += float(np.sum(dens))
+    return eps**4 * total
+
+
+@pytest.mark.parametrize("box_extent, m", [(1.0, 11), (0.9, 10)])
+@pytest.mark.parametrize("theta_deg", [0.0, 30.0])
+def test_embedded_action_matches_five_point_reference(box_extent, m, theta_deg):
+    rot = _plane_rotation(np.deg2rad(theta_deg))
+    assert baseline._sites_per_axis(0.2, box_extent) == m
+    fast = baseline._embedded_action_4d(_aniso_gauss, rot, 0.2, box_extent, 0.7)
+    slow = _five_point_action(_aniso_gauss, rot, 0.2, box_extent, 0.7)
+    assert abs(fast - slow) <= 1e-12 * abs(slow)
+
+
+def test_embedded_action_evaluates_each_grid_point_once():
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return _aniso_gauss(x)
+
+    m = baseline._sites_per_axis(0.2, 1.0)
+    baseline._embedded_action_4d(counted, _plane_rotation(0.4), 0.2, 1.0, 1.0)
+    assert all(shape[-1] == 4 for shape in shapes)
+    assert sum(int(np.prod(shape[:-1])) for shape in shapes) <= (m + 1) ** 4
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.1])
+def test_embedded_violation_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        baseline.violation_4d_embedded(_aniso_gauss, np.eye(4), eps, 1.0)
+
+
+@pytest.mark.parametrize("box_extent", [np.nan, np.inf, 0.0, -1.0])
+def test_embedded_violation_rejects_bad_box_extent(box_extent):
+    with pytest.raises(ValueError, match="box_extent must be positive and finite"):
+        baseline.violation_4d_embedded(_aniso_gauss, np.eye(4), 0.2, box_extent)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+def test_embedded_violation_rejects_non_finite_action(value):
+    bad = lambda x: np.full(np.shape(x)[:-1], value)
+    with pytest.raises(ValueError, match="field evaluation produced non-finite values"):
+        baseline.violation_4d_embedded(bad, _plane_rotation(0.3), 0.2, 1.0)

@@ -244,6 +244,28 @@ def test_invalid_values_rejected_at_spec_time(argv, field, capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        ("box_extent=NaN", "box_extent"),
+        ("box_extent=Infinity", "box_extent"),
+        ("box_extent=-1", "box_extent"),
+        ("box_extent=0", "box_extent"),
+        ("angle_deg=NaN", "angle_deg"),
+        ("angle_deg=-Infinity", "angle_deg"),
+        ("mass=NaN", "mass"),
+        ("mass=Infinity", "mass"),
+        ("widths=[0.25,0.5,NaN,0.42]", "widths"),
+        ("widths=[0.25,0.5,0.35,Infinity]", "widths"),
+    ],
+)
+def test_embedded_violation_rejects_non_finite_values(value, field, capsys, tmp_path):
+    out = tmp_path / "r.json"
+    assert _run(["embedded-violation", "--param", value, "--out", str(out)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threshold_violation_reports_to_stderr(capsys, tmp_path):
     out = tmp_path / "r.json"
     rc = _run(

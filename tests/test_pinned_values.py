@@ -61,6 +61,28 @@ def test_chain_pinned(order):
     assert _digest(series.final_links.su) == links
 
 
+# Recorded from the per-step chain, which drew each step's three proposal
+# angles and its accept uniform with separate generator calls.
+ONE_PLAQUETTE_CHAINS = {
+    # (beta, n_steps, step_scale, seed, burn_in): SHA-256 of the <f8 samples
+    (0.0, 3000, 0.25, 8, 0): "845ccad5ae6fc4d9a716c48730a100ff2eaaae080e989308e065b1bbae27e5aa",
+    (0.5, 20000, 0.5, 5, 1000): "6dea720441f72f0f14c0e983cc48fe1f97d6029d68281a19eb891a67a48b8eda",
+    (2.0, 20000, 0.5, 6, 1000): "b874bad3c13124536c755380f19e22eb473fce85f060bef8985c8acb03fe916c",
+    (4.0, 5000, 1.0, 7, 100): "f351744d9d0b9ddc514c2150c7feb205d46385d4681213a30dcbf200b4875d93",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PLAQUETTE_CHAINS))
+def test_one_plaquette_chain_pinned(case):
+    beta, n_steps, step_scale, seed, burn_in = case
+    samples = sampler.one_plaquette_chain(
+        beta, n_steps, step_scale=step_scale, seed=seed, burn_in=burn_in
+    )
+    assert len(samples) == n_steps - burn_in
+    digest = hashlib.sha256(np.ascontiguousarray(samples, dtype="<f8").tobytes()).hexdigest()
+    assert digest == ONE_PLAQUETTE_CHAINS[case]
+
+
 def test_gauge_links_pinned(su3_field):
     g = su3_field.graph
     pure = wilson.pure_gauge_links(g, 2, np.random.default_rng(5))
