@@ -1,17 +1,19 @@
 """Command line front end for the standard experiments.
 
 Every experiment runs from a small declarative spec: a kind, a parameter
-dict, and (for randomized kinds) an explicit seed.  Reports carry the spec
-that produced them, a list of per-measurement records, and a summary with
-the wall time, as JSON or CSV.
+dict, and (for randomized kinds) an explicit seed.  Each kind declares its
+parameters once, with a cast and a default; a spec is resolved against that
+table before the run, and the report echoes the resolved table.  Reports carry
+the spec, a list of per-measurement records, and a summary with the wall
+time, as JSON or CSV.
 
 Exit codes follow the usual convention for checks:
 
 * 0: the experiment ran and every threshold held;
 * 1: the experiment ran but a threshold was violated (the report then
   contains a machine readable failure record per violated check);
-* 2: the spec itself was unusable (unknown kind, missing or invalid
-  parameter); the diagnostic names the offending field.
+* 2: the spec itself was unusable (unknown kind; unknown, missing or
+  invalid parameter); the diagnostic names the offending field.
 """
 
 from __future__ import annotations
@@ -22,25 +24,12 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from . import baseline, liealg, potential, sampler, wilson
 from .graphlat import build_hypercubic
-
-KINDS = (
-    "covariance-sweep",
-    "oned-demo",
-    "embedded-violation",
-    "continuum-check",
-    "mc-run",
-    "flatness-check",
-)
-
-# Kinds whose measurements depend on drawn randomness.  These refuse to run
-# without an explicit seed, so no report is silently irreproducible.
-RANDOMIZED_KINDS = ("covariance-sweep", "mc-run", "flatness-check")
 
 
 class SpecError(ValueError):
@@ -68,18 +57,11 @@ class ExperimentReport:
     summary: dict
 
 
-def _param(params: dict, name: str, default=None, required: bool = False, cast=None):
-    if name not in params:
-        if required:
-            raise SpecError(f"missing required parameter '{name}'")
-        return default
-    value = params[name]
-    if cast is not None:
-        try:
-            value = cast(value)
-        except (TypeError, ValueError, OverflowError) as err:
-            raise SpecError(f"parameter '{name}' is invalid: {err}") from None
-    return value
+def _cast(name: str, cast, value):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise SpecError(f"parameter '{name}' is invalid: {err}") from None
 
 
 def _int(value) -> int:
@@ -108,18 +90,46 @@ def _positive(value) -> float:
     return out
 
 
-def _spacings(value) -> list:
-    out = [_positive(v) for v in value]
-    if not out:
-        raise ValueError("need a non-empty list of spacings")
+def _count(value, least: int = 1) -> int:
+    out = _int(value)
+    if out < least:
+        raise ValueError(f"{out} is not >= {least}")
     return out
 
 
-def _dims(value) -> tuple:
-    dims = tuple(_int(v) for v in value)
+def _colors(value) -> int:
+    out = _int(value)
+    if out not in wilson.SUPPORTED_N:
+        raise ValueError(f"need one of {wilson.SUPPORTED_N}, got {out}")
+    return out
+
+
+def _positives(value, least: int = 1, exact: bool = False) -> list:
+    out = [_positive(v) for v in value]
+    if len(out) < least or (exact and len(out) > least):
+        raise ValueError(f"need {'' if exact else 'at least '}{least} values, got {out}")
+    return out
+
+
+def _interval(value) -> list:
+    out = [_finite(v) for v in value]
+    if len(out) != 2 or not out[0] < out[1]:
+        raise ValueError(f"need two increasing values, got {out}")
+    return out
+
+
+def _dims(value) -> list:
+    dims = [_int(v) for v in value]
     if len(dims) != 4 or any(d < 2 for d in dims):
         raise ValueError(f"need four extents >= 2, got {dims}")
     return dims
+
+
+def _refinement_slope(eps_list: list, sig: np.ndarray):
+    """Log-log slope of |sigma| against the spacing; None when it cannot be fit."""
+    if len(eps_list) >= 2 and np.all(sig > 0):
+        return float(np.polyfit(np.log(eps_list), np.log(sig), 1)[0])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +138,8 @@ def _dims(value) -> tuple:
 
 
 def _run_covariance_sweep(params: dict, seed: int):
-    dims = _param(params, "dims", (2, 2, 2, 2), cast=_dims)
-    n_colors = _param(params, "n_colors", 2, cast=_int)
-    n_transforms = _param(params, "n_transforms", 30, cast=_int)
-    beta = _param(params, "beta", 2.0, cast=float)
-    tol = _param(params, "tol", 1e-12, cast=float)
-    if n_transforms < 1:
-        raise SpecError(f"parameter 'n_transforms' must be >= 1, got {n_transforms}")
-    if n_colors not in wilson.SUPPORTED_N:
-        raise SpecError(f"parameter 'n_colors' must be one of {wilson.SUPPORTED_N}, got {n_colors}")
-
+    dims, n_colors, beta, tol = params["dims"], params["n_colors"], params["beta"], params["tol"]
+    n_transforms = params["n_transforms"]
     rng = np.random.default_rng(seed)
     g = build_hypercubic(dims, periodic=True)
     lf = wilson.random_links(g, n_colors, rng)
@@ -195,16 +197,15 @@ def _gauss(x):
 _PROFILES_1D = {"kink": _kink, "gauss": _gauss}
 
 
+def _profile(value) -> str:
+    if value not in tuple(_PROFILES_1D):
+        raise ValueError(f"need one of {sorted(_PROFILES_1D)}, got {value!r}")
+    return value
+
+
 def _run_oned_demo(params: dict, seed):
-    eps_list = _param(params, "eps_list", [0.2, 0.1, 0.05], cast=_spacings)
-    delta = _param(params, "delta", 0.3, cast=float)
-    window = _param(params, "window", (-6.0, 6.0), cast=lambda w: tuple(map(float, w)))
-    profile = _param(params, "profile", "gauss")
-    if profile not in _PROFILES_1D:
-        raise SpecError(
-            f"parameter 'profile' must be one of {sorted(_PROFILES_1D)}, got {profile!r}"
-        )
-    f = _PROFILES_1D[profile]
+    eps_list, delta, window = params["eps_list"], params["delta"], params["window"]
+    f = _PROFILES_1D[params["profile"]]
 
     def density(v):
         return 0.5 * v * v
@@ -236,13 +237,10 @@ def _run_oned_demo(params: dict, seed):
             }
         )
     sig = np.abs(np.asarray(sigmas))
-    slope = None
-    if len(eps_list) >= 2 and np.all(sig > 0):
-        slope = float(np.polyfit(np.log(eps_list), np.log(sig), 1)[0])
     summary = {
-        "profile": profile,
+        "profile": params["profile"],
         "max_abs_sigma": float(sig.max()),
-        "refinement_slope": slope,
+        "refinement_slope": _refinement_slope(eps_list, sig),
         "bit_identical_all": bit_ok,
     }
     failures = []
@@ -252,18 +250,8 @@ def _run_oned_demo(params: dict, seed):
 
 
 def _run_embedded_violation(params: dict, seed):
-    eps_list = _param(params, "eps_list", [0.2, 0.1], cast=_spacings)
-    angle_deg = _param(params, "angle_deg", 30.0, cast=_finite)
-    box_extent = _param(params, "box_extent", 1.6, cast=_positive)
-    widths = _param(
-        params, "widths", (0.25, 0.5, 0.35, 0.42), cast=lambda w: tuple(map(_positive, w))
-    )
-    mass = _param(params, "mass", 1.0, cast=_finite)
-    min_slope = _param(params, "min_slope", 1.5, cast=float)
-    if len(widths) != 4:
-        raise SpecError(f"parameter 'widths' must be four positive widths, got {widths}")
-
-    w = np.asarray(widths)
+    eps_list, angle_deg, min_slope = params["eps_list"], params["angle_deg"], params["min_slope"]
+    box_extent, mass, w = params["box_extent"], params["mass"], np.asarray(params["widths"])
 
     def field_fn(x):
         return np.exp(-0.5 * np.sum((x / w) ** 2, axis=-1))
@@ -291,9 +279,7 @@ def _run_embedded_violation(params: dict, seed):
             }
         )
     sig = np.abs(np.asarray(sigmas))
-    slope = None
-    if len(eps_list) >= 2 and np.all(sig > 0):
-        slope = float(np.polyfit(np.log(eps_list), np.log(sig), 1)[0])
+    slope = _refinement_slope(eps_list, sig)
     summary = {
         "angle_deg": angle_deg,
         "max_abs_sigma": float(sig.max()),
@@ -325,26 +311,13 @@ def _demo_potential(x, mu: int) -> np.ndarray:
 
 
 def _run_continuum_check(params: dict, seed):
-    eps_list = _param(params, "eps_list", [0.2, 0.1, 0.05], cast=_spacings)
-    n_colors = _param(params, "n_colors", 2, cast=_int)
-    box_extent = _param(params, "box_extent", 0.4, cast=float)
-    deficit_band = _param(
-        params, "deficit_slope_band", (3.8, 4.2), cast=lambda b: tuple(map(float, b))
-    )
-    remainder_band = _param(
-        params, "remainder_slope_band", (5.5, 6.5), cast=lambda b: tuple(map(float, b))
-    )
-    if n_colors != 2:
-        raise SpecError(f"parameter 'n_colors' must be 2 for the built-in field, got {n_colors}")
-    if len(eps_list) < 3:
-        raise SpecError(f"parameter 'eps_list' needs three spacings to fit slopes, got {eps_list}")
-
+    deficit_band = params["deficit_slope_band"]
+    remainder_band = params["remainder_slope_band"]
     rep = wilson.continuum_convergence(
         _demo_potential,
-        eps_list,
-        n_colors=n_colors,
+        params["eps_list"],
         plane=(0, 1),
-        box_extent=box_extent,
+        box_extent=params["box_extent"],
         base_point=np.array([0.3, 0.2, 0.4, 0.1]),
     )
     records = [
@@ -359,8 +332,8 @@ def _run_continuum_check(params: dict, seed):
     summary = {
         "deficit_slope": rep.deficit_slope,
         "remainder_slope": rep.remainder_slope,
-        "deficit_slope_band": list(deficit_band),
-        "remainder_slope_band": list(remainder_band),
+        "deficit_slope_band": deficit_band,
+        "remainder_slope_band": remainder_band,
     }
     failures = []
     if not deficit_band[0] <= rep.deficit_slope <= deficit_band[1]:
@@ -371,18 +344,7 @@ def _run_continuum_check(params: dict, seed):
 
 
 def _run_mc_run(params: dict, seed: int):
-    cfg = sampler.ChainConfig(
-        beta=_param(params, "beta", required=True, cast=float),
-        dims=_param(params, "dims", (2, 2, 2, 2), cast=_dims),
-        n_colors=_param(params, "n_colors", 2, cast=_int),
-        sweeps=_param(params, "sweeps", 100, cast=_int),
-        burn_in=_param(params, "burn_in", 20, cast=_int),
-        step_scale=_param(params, "step_scale", 0.5, cast=float),
-        seed=seed,
-        measure_every=_param(params, "measure_every", 1, cast=_int),
-        hot_start=_param(params, "hot_start", False, cast=_bool),
-        order=_param(params, "order", "checkerboard"),
-    )
+    cfg = sampler.ChainConfig(seed=seed, **params)
     try:
         cfg.validate()
     except ValueError as err:
@@ -404,17 +366,12 @@ def _run_mc_run(params: dict, seed: int):
 
 
 def _run_flatness_check(params: dict, seed: int):
-    dims = _param(params, "dims", (4, 4, 4, 4), cast=_dims)
-    eps = _param(params, "eps", 0.05, cast=_positive)
-    amplitude = _param(params, "amplitude", 0.5, cast=float)
-    flat_tol = _param(params, "flat_tol", 5e-3, cast=float)
-    min_ratio = _param(params, "min_ratio", 10.0, cast=float)
-
+    eps, flat_tol, min_ratio = params["eps"], params["flat_tol"], params["min_ratio"]
     rng = np.random.default_rng(seed)
-    g = build_hypercubic(dims, periodic=True)
+    g = build_hypercubic(params["dims"], periodic=True)
     flat = potential.flat_field(g, eps)
     rep_flat = potential.flatness_residual(flat, g)
-    noisy = potential.random_field(g, eps, rng, scale=amplitude)
+    noisy = potential.random_field(g, eps, rng, scale=params["amplitude"])
     rep_noisy = potential.flatness_residual(noisy, g)
     ratio = rep_noisy.max_residual / rep_flat.max_residual
 
@@ -438,14 +395,52 @@ def _run_flatness_check(params: dict, seed: int):
     return records, summary, failures
 
 
-_RUNNERS = {
-    "covariance-sweep": _run_covariance_sweep,
-    "oned-demo": _run_oned_demo,
-    "embedded-violation": _run_embedded_violation,
-    "continuum-check": _run_continuum_check,
-    "mc-run": _run_mc_run,
-    "flatness-check": _run_flatness_check,
+# kind -> (runner, needs_seed, {name: (cast, default)}); a default of None marks a
+# required parameter.  Kinds that draw randomness need a seed to be reproducible.
+_EXPERIMENTS = {
+    "covariance-sweep": (_run_covariance_sweep, True, {
+        "dims": (_dims, [2, 2, 2, 2]), "n_colors": (_colors, 2), "n_transforms": (_count, 30),
+        "beta": (_finite, 2.0), "tol": (_finite, 1e-12),
+    }),
+    "oned-demo": (_run_oned_demo, False, {
+        "eps_list": (_positives, [0.2, 0.1, 0.05]), "delta": (_finite, 0.3),
+        "window": (_interval, [-6.0, 6.0]), "profile": (_profile, "gauss"),
+    }),
+    "embedded-violation": (_run_embedded_violation, False, {
+        "eps_list": (_positives, [0.2, 0.1]), "angle_deg": (_finite, 30.0),
+        "box_extent": (_positive, 1.6), "mass": (_finite, 1.0), "min_slope": (_finite, 1.5),
+        "widths": (lambda v: _positives(v, 4, exact=True), [0.25, 0.5, 0.35, 0.42]),
+    }),
+    "continuum-check": (_run_continuum_check, False, {
+        "eps_list": (lambda v: _positives(v, 3), [0.2, 0.1, 0.05]), "box_extent": (_positive, 0.4),
+        "deficit_slope_band": (_interval, [3.8, 4.2]),
+        "remainder_slope_band": (_interval, [5.5, 6.5]),
+    }),
+    "mc-run": (_run_mc_run, True, {
+        "beta": (_finite, None), "dims": (_dims, [2, 2, 2, 2]), "n_colors": (_colors, 2),
+        "sweeps": (_int, 100), "burn_in": (_int, 20), "step_scale": (_finite, 0.5),
+        "measure_every": (_int, 1), "hot_start": (_bool, False), "order": (str, "checkerboard"),
+    }),
+    "flatness-check": (_run_flatness_check, True, {
+        "dims": (_dims, [4, 4, 4, 4]), "eps": (_positive, 0.05), "amplitude": (_finite, 0.5),
+        "flat_tol": (_finite, 5e-3), "min_ratio": (_finite, 10.0),
+    }),
 }
+KINDS = tuple(_EXPERIMENTS)
+
+
+def _resolve(kind: str, params: dict) -> dict:
+    """The kind's full parameter table: every value cast, defaults included."""
+    table = _EXPERIMENTS[kind][2]
+    for name in params:
+        if name not in table:
+            raise SpecError(f"parameter '{name}' is invalid: {kind} takes only {list(table)}")
+    resolved = {}
+    for name, (cast, default) in table.items():
+        if name not in params and default is None:
+            raise SpecError(f"parameter '{name}' is invalid: {kind} requires it")
+        resolved[name] = _cast(name, cast, params.get(name, default))
+    return resolved
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -454,15 +449,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     Threshold violations do not raise; they are recorded as failure records
     and flagged in ``summary['status']``.  Spec problems raise SpecError.
     """
-    if spec.kind not in _RUNNERS:
+    if spec.kind not in _EXPERIMENTS:
         raise SpecError(f"unknown experiment kind '{spec.kind}', expected one of {KINDS}")
-    if spec.kind in RANDOMIZED_KINDS and spec.seed is None:
+    runner, needs_seed, _ = _EXPERIMENTS[spec.kind]
+    if needs_seed and spec.seed is None:
         raise SpecError(f"kind '{spec.kind}' is randomized: field 'seed' is required")
     if not isinstance(spec.params, dict):
         raise SpecError(f"field 'params' must be a table, got {type(spec.params).__name__}")
+    seed = None if spec.seed is None else _cast("seed", lambda v: _count(v, least=0), spec.seed)
+    spec = replace(spec, params=_resolve(spec.kind, spec.params), seed=seed)
 
     start = time.perf_counter()
-    records, summary, failures = _RUNNERS[spec.kind](spec.params, spec.seed)
+    records, summary, failures = runner(spec.params, spec.seed)
     elapsed = time.perf_counter() - start
 
     records = list(records)
@@ -472,7 +470,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
                 "record_type": "failure",
                 "check": name,
                 "value": float(value) if np.isscalar(value) else value,
-                "threshold": list(threshold) if isinstance(threshold, tuple) else threshold,
+                "threshold": threshold,
             }
         )
     summary = dict(summary)
@@ -613,8 +611,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the standard lattice experiments and write a report.",
     )
     sub = parser.add_subparsers(dest="kind", required=True, metavar="KIND")
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run the {kind} experiment")
+    for kind, (_, _, table) in _EXPERIMENTS.items():
+        epilog = "parameters (NAME=DEFAULT):" + "".join(
+            f"\n  {name}" + (" (required)" if default is None else f"={json.dumps(default)}")
+            for name, (_, default) in table.items()
+        )
+        p = sub.add_parser(kind, help=f"run the {kind} experiment", epilog=epilog,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", help="JSON file with the parameter table")
         p.add_argument(
             "--param",
@@ -648,8 +651,8 @@ def main(argv=None) -> int:
         for override in args.param:
             key, value = _parse_param_override(override)
             params[key] = value
-        seed = _param(params, "seed", cast=_int) if args.seed is None else args.seed
-        params.pop("seed", None)
+        config_seed = params.pop("seed", None)
+        seed = config_seed if args.seed is None else args.seed
         spec = ExperimentSpec(kind=args.kind, params=params, seed=seed)
         report = run_experiment(spec)
         write_report(report, args.out, args.format)

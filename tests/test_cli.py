@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -266,6 +267,86 @@ def test_embedded_violation_rejects_non_finite_values(value, field, capsys, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        # A NaN threshold would switch its gate off (x < NaN is False).
+        (["flatness-check", "--seed", "1", "--param", "min_ratio=NaN"], "min_ratio"),
+        (["covariance-sweep", "--seed", "1", "--param", "n_transforms=3", "--param", "tol=NaN"],
+         "tol"),
+        (["embedded-violation", "--param", "eps_list=[0.2,0.1]", "--param", "box_extent=1.0",
+          "--param", "min_slope=NaN"], "min_slope"),
+        # Malformed values that would otherwise crash or run silently.
+        (["oned-demo", "--param", "delta=NaN"], "delta"),
+        (["oned-demo", "--param", "window=[1]"], "window"),
+        (["oned-demo", "--param", "window=[6,-6]"], "window"),
+        (["oned-demo", "--param", "profile=[1]"], "profile"),
+        (["continuum-check", "--param", "deficit_slope_band=[1]"], "deficit_slope_band"),
+        (["continuum-check", "--param", "box_extent=NaN"], "box_extent"),
+        (["continuum-check", "--param", "box_extent=-1"], "box_extent"),
+        (["flatness-check", "--seed", "1", "--param", "amplitude=NaN"], "amplitude"),
+        (["flatness-check", "--seed", "-1"], "seed"),
+        (["mc-run", "--param", "seed=-3", "--param", "beta=2.0"], "seed"),
+        (["covariance-sweep", "--seed", "1", "--param", "n_transforms=3", "--param", "beta=NaN"],
+         "beta"),
+        # Names the kind does not read.
+        (["covariance-sweep", "--seed", "1", "--param", "bogus=1"], "bogus"),
+        (["oned-demo", "--param", "bogus=1"], "bogus"),
+        (["embedded-violation", "--param", "bogus=1"], "bogus"),
+        (["continuum-check", "--param", "bogus=1"], "bogus"),
+        (["continuum-check", "--param", "n_colors=2"], "n_colors"),
+        (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "sweeps=3",
+          "--param", "bogus=1"], "bogus"),
+        (["flatness-check", "--seed", "1", "--param", "bogus=1"], "bogus"),
+    ],
+)
+def test_unusable_params_rejected_at_spec_time(argv, field, capsys, tmp_path):
+    out = tmp_path / "r.json"
+    assert _run(argv + ["--out", str(out)]) == 2
+    assert f"parameter '{field}' is invalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_floats_echoed_as_resolved_ints(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["covariance-sweep", "--seed", "1", "--param", "n_transforms=3e0",
+            "--param", "dims=[2.0,2,2,2]", "--out", str(out)]
+    assert _run(argv) == 0
+    params = cli.load_report(str(out)).spec["params"]
+    assert params["n_transforms"] == 3 and type(params["n_transforms"]) is int
+    assert params["dims"] == [2, 2, 2, 2]
+    assert all(type(d) is int for d in params["dims"])
+
+
+def _shown(default) -> str:
+    return " (required)" if default is None else "=" + json.dumps(default)
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_help_lists_parameter_table(kind, capsys):
+    with pytest.raises(SystemExit) as info:
+        _run([kind, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    table = cli._EXPERIMENTS[kind][2]
+    for name, (_, default) in table.items():
+        assert f"\n  {name}{_shown(default)}\n" in out
+    assert ("\n  beta (required)\n" in out) == (kind == "mc-run")
+
+
+def test_readme_parameter_table_matches_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \| `(\w+)` \| (`[^`]*`|required) \|", readme, re.M)
+    documented = {(kind, name): default.strip("`") for kind, name, default in rows}
+    declared = {
+        (kind, name): "required" if default is None else json.dumps(default)
+        for kind, (_, _, table) in cli._EXPERIMENTS.items()
+        for name, (_, default) in table.items()
+    }
+    assert len(rows) == len(documented)
+    assert documented == declared
+
+
 def test_threshold_violation_reports_to_stderr(capsys, tmp_path):
     out = tmp_path / "r.json"
     rc = _run(
@@ -293,7 +374,16 @@ def test_run_experiment_validates_spec():
 def test_run_experiment_echoes_spec():
     spec = cli.ExperimentSpec(kind="oned-demo", params={"delta": 0.1}, seed=None)
     report = cli.run_experiment(spec)
-    assert report.spec == spec.to_dict()
+    assert report.spec == {
+        "kind": "oned-demo",
+        "params": {
+            "eps_list": [0.2, 0.1, 0.05],
+            "delta": 0.1,
+            "window": [-6.0, 6.0],
+            "profile": "gauss",
+        },
+        "seed": None,
+    }
     assert report.summary["status"] == "ok"
     slopes = report.summary["refinement_slope"]
     assert slopes is None or isinstance(slopes, float)
