@@ -209,7 +209,6 @@ def violation_4d_embedded(
     eps: float,
     box_extent: float,
     mass: float = 1.0,
-    reference: float | None = None,
 ) -> ViolationReport:
     """sigma = S(rotated lattice) - S(axis-aligned lattice) for a scalar field.
 
@@ -223,7 +222,7 @@ def violation_4d_embedded(
     if rot.shape != (4, 4):
         raise ValueError(f"rotation must be 4x4, got {rot.shape}")
     defect = liealg.orthogonality_defect(rot)
-    if defect > 1e-10:
+    if defect > liealg.DEFECT_TOL:
         raise ValueError(f"rotation is not orthogonal, defect {defect:.3e}")
     s_rot = _embedded_action_4d(field_fn, rot, eps, box_extent, mass)
     s_aligned = _embedded_action_4d(field_fn, np.eye(4), eps, box_extent, mass)
@@ -248,7 +247,7 @@ def violation_4d_embedded(
         eps=eps,
         offset=angle,
         sigma=s_rot - s_aligned,
-        reference=s_aligned if reference is None else reference,
+        reference=s_aligned,
         truncation_estimate=eps**4 * n_boundary * dens_c,
         extras={"rotated": s_rot, "aligned": s_aligned, "sites_per_axis": m},
     )

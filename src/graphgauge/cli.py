@@ -64,8 +64,9 @@ def _cast(name: str, cast, value):
         raise SpecError(f"parameter '{name}' is invalid: {err}") from None
 
 
+# float() and int() would also take true, false and "0.05" as numbers.
 def _int(value) -> int:
-    if float(value) != int(value):
+    if isinstance(value, (bool, str)) or float(value) != int(value):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
@@ -77,6 +78,8 @@ def _bool(value) -> bool:
 
 
 def _finite(value) -> float:
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{value!r} is not a number")
     out = float(value)
     if not np.isfinite(out):
         raise ValueError(f"{out} is not finite")
@@ -316,7 +319,6 @@ def _run_continuum_check(params: dict, seed):
     rep = wilson.continuum_convergence(
         _demo_potential,
         params["eps_list"],
-        plane=(0, 1),
         box_extent=params["box_extent"],
         base_point=np.array([0.3, 0.2, 0.4, 0.1]),
     )

@@ -99,12 +99,10 @@ class StapleTable(NamedTuple):
 class LatticeGraph:
     """Periodic four dimensional hypercubic graph, adjacency only."""
 
-    def __init__(self, dims, periodic=True):
+    def __init__(self, dims):
         dims = tuple(int(d) for d in dims)
         if len(dims) != 4 or any(d < 1 for d in dims):
             raise GraphError(f"dims must be four positive integers, got {dims}")
-        if not periodic:
-            raise GraphError("periodic=False is not supported: graphs are periodic along every axis")
         if any(d < 2 for d in dims):
             raise GraphError(f"periodic graph needs every extent >= 2, got {dims}")
         self.dims = dims
@@ -428,4 +426,6 @@ class LatticeGraph:
 
 def build_hypercubic(dims, periodic: bool = True) -> LatticeGraph:
     """Build the four dimensional hypercubic lattice graph (periodic only)."""
-    return LatticeGraph(dims, periodic=periodic)
+    if not periodic:
+        raise GraphError("periodic=False is not supported: graphs are periodic along every axis")
+    return LatticeGraph(dims)

@@ -165,9 +165,7 @@ def assemble_components(g: np.ndarray, h: np.ndarray, gens: GeneratorSet) -> np.
     )
 
 
-def project_components(
-    a: np.ndarray, gens: GeneratorSet, residual_tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
+def project_components(a: np.ndarray, gens: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
     """Project four 5x5 matrices onto the generator basis.
 
     Parameters
@@ -175,9 +173,6 @@ def project_components(
     a : ndarray, shape (4, 5, 5)
         Antisymmetric matrices to decompose.
     gens : GeneratorSet
-    residual_tol : float
-        Reconstruction residual above which the input is rejected as lying
-        outside the antisymmetric span.
 
     Returns
     -------
@@ -189,7 +184,7 @@ def project_components(
     Raises
     ------
     GeneratorSpanError
-        If reassembling (g, h) misses the input by more than residual_tol
+        If reassembling (g, h) misses the input by more than 1e-9
         in max norm (symmetric content, nonzero trace, and so on).
     """
     a = np.asarray(a, dtype=float)
@@ -204,7 +199,7 @@ def project_components(
         h[:, b, c] = coeff
         h[:, c, b] = -coeff
     residual = float(np.max(np.abs(a - assemble_components(g, h, gens))))
-    if residual > residual_tol:
+    if residual > 1e-9:
         raise GeneratorSpanError(residual)
     return g, h
 
@@ -288,10 +283,13 @@ def random_sun_near_identity(
 def _exp_i_angles(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """exp(i sum_k theta_k T_k) for angles ``theta`` of shape (..., len(gens)).
 
-    The exponential goes through ``eigh`` of the Hermitian sum, matrix by
-    matrix, so a stack of angles gives the same matrices as one call each.
+    A stack of angles gives the same matrices as one call each.
     """
-    herm = np.einsum("...k,kij->...ij", theta, gens)
+    return _exp_i_hermitian(np.einsum("...k,kij->...ij", theta, gens))
+
+
+def _exp_i_hermitian(herm: np.ndarray) -> np.ndarray:
+    """exp(i herm) for Hermitian matrices, through ``eigh`` matrix by matrix."""
     w, vec = np.linalg.eigh(herm)
     return (vec * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2))
 
@@ -319,6 +317,11 @@ def link_trace(link: LinkMatrix) -> float:
     up to the real part taken on the complex block.
     """
     return float(np.trace(link.su).real + np.trace(link.so5))
+
+
+# Largest unitarity or orthogonality defect a link, gauge or frame matrix may
+# carry; the determinant of an SU(N) link may miss 1 by ten times as much.
+DEFECT_TOL = 1e-10
 
 
 def unitarity_defect(u: np.ndarray):

@@ -106,10 +106,7 @@ def decompose_potential(
     a: np.ndarray, gens: liealg.GeneratorSet
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of `assemble_potential`; rejects out-of-span input."""
-    g, h = liealg.project_components(a, gens)
-    # Projection fills plane pairs antisymmetrically already; enforce exactly.
-    h = 0.5 * (h - np.swapaxes(h, 1, 2))
-    return g, h
+    return liealg.project_components(a, gens)
 
 
 def transport_generators(g_v: np.ndarray, h_v: np.ndarray) -> np.ndarray:
@@ -222,9 +219,9 @@ def relabel_coordinates(labels: np.ndarray, rmap: RelabelMap) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_orthogonal(o: np.ndarray, tol: float):
+def _check_orthogonal(o: np.ndarray):
     defect = liealg.orthogonality_defect(o).max()
-    if defect > tol:
+    if defect > liealg.DEFECT_TOL:
         raise OrthogonalityError(defect)
 
 
@@ -232,7 +229,6 @@ def gauge_transform(
     field: PotentialField,
     o: np.ndarray,
     mode: str = "global",
-    tol: float = 1e-10,
 ) -> PotentialField:
     """Gauge transform the potential field by orthogonal matrices.
 
@@ -261,7 +257,7 @@ def gauge_transform(
     if mode == "global":
         if o.shape != (5, 5):
             raise ValueError(f"global mode expects one (5,5) matrix, got {o.shape}")
-        _check_orthogonal(o, tol)
+        _check_orthogonal(o)
         g_new, h_new = components_from_transport(np.einsum("ij,tajk,lk->tail", o, a, o))
         return PotentialField(field.graph, field.eps, g_new, h_new)
     if mode != "local":
@@ -270,7 +266,7 @@ def gauge_transform(
         raise ValueError(
             f"local mode expects per-transition matrices ({n_t},5,5), got {o.shape}"
         )
-    _check_orthogonal(o, tol)
+    _check_orthogonal(o)
 
     # Transition 4s + d - 1 is [s, d - 1] below; its neighbours one site
     # forward and backward along each axis carry the same direction d.

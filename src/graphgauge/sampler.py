@@ -88,6 +88,7 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
     The Metropolis change of the normalized action from replacing link U by
     U' is -(beta / N) Re tr((U' - U) staple_sum).
     """
+    wilson._check_graph(lf, g)
     sites, dirs, dagger = g.staple_table
     n = lf.n_colors
     # Row 4 * site + (direction - 1) of ``su`` holds each staple link.
@@ -124,6 +125,7 @@ def metropolis_sweep(
 
     The input field is not modified.  beta = 0 accepts every proposal.
     """
+    wilson._check_graph(lf, g)
     out = lf.copy()
     n = lf.n_colors
     accepted = 0
@@ -141,6 +143,7 @@ def metropolis_sweep(
 
 def average_plaquette(lf: wilson.LinkField, g: LatticeGraph) -> float:
     """Mean over plaquettes of Re tr(su loop) / N."""
+    wilson._check_graph(lf, g)
     traces = wilson._plaquette_traces(lf, g)
     return float(np.mean(traces)) / lf.n_colors
 
@@ -175,15 +178,13 @@ def run_chain(cfg: ChainConfig) -> ObservableSeries:
 # ---------------------------------------------------------------------------
 
 
-def single_plaquette_exact(beta: float, n_colors: int = 2) -> float:
-    """<Re tr U / N> of the one-plaquette model by direct group integration.
+def single_plaquette_exact(beta: float) -> float:
+    """<Re tr U / 2> of the one-plaquette SU(2) model by direct group integration.
 
-    For SU(2) the class function reduces the group integral to the circle:
+    The class function reduces the group integral to the circle:
     weight exp(beta cos t) against the Haar factor sin^2 t on [0, pi].
     Absolute accuracy is driven well below 1e-8 by the quadrature settings.
     """
-    if n_colors != 2:
-        raise ValueError("one-plaquette reference is implemented for N=2 only")
     if beta < 0 or not np.isfinite(beta):
         raise ValueError(f"beta must be a finite value >= 0, got {beta}")
 

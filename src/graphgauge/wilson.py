@@ -84,22 +84,19 @@ def random_links(
     return lf
 
 
-def pure_gauge_links(
-    graph: LatticeGraph,
-    n_colors: int,
-    rng: np.random.Generator,
-    so5: np.ndarray | None = None,
-) -> LinkField:
-    """Links of the form U(x, d) = W(x) W(x + d)^dag for random site matrices W."""
-    lf = identity_links(graph, n_colors, so5)
+def pure_gauge_links(graph: LatticeGraph, n_colors: int, rng: np.random.Generator) -> LinkField:
+    """Links of the form U(x, d) = W(x) W(x + d)^dag for random site matrices W,
+    with the identity so5 block."""
+    lf = identity_links(graph, n_colors)
     w = liealg.haar_random_sun(n_colors, rng, count=graph.n_events)
     lf.su[...] = w[:, None] @ _dagger(w[graph.forward_sites])
     return lf
 
 
-def validate_links(lf: LinkField, tol: float = 1e-10) -> None:
+def validate_links(lf: LinkField) -> None:
     """Reject su blocks that are not unitary with unit determinant."""
     n = lf.n_colors
+    tol = liealg.DEFECT_TOL
     defects = liealg.unitarity_defect(lf.su)
     # A non-finite link already shows as an infinite defect; its det is NaN.
     with np.errstate(invalid="ignore"):
@@ -175,6 +172,13 @@ def _canonical_sum(values: np.ndarray) -> float:
     return float(np.sum(np.sort(values)))
 
 
+def _check_graph(lf: LinkField, graph: LatticeGraph) -> None:
+    if lf.graph is not graph and not lf.graph.compatible(graph):
+        raise GraphError("link field was built on a different graph")
+    if lf.su.shape[0] != graph.n_events:
+        raise LinkFieldError("link field does not cover the graph's links")
+
+
 def wilson_action(lf: LinkField, graph: LatticeGraph, beta: float) -> ActionValue:
     """Total plaquette action of the link field.
 
@@ -192,10 +196,7 @@ def wilson_action(lf: LinkField, graph: LatticeGraph, beta: float) -> ActionValu
         raw_trace_sum = sum_p [Re tr su_p + tr so5_p] and
         normalized = beta * sum_p (1 - Re tr su_p / N), from one traversal.
     """
-    if lf.graph is not graph and not lf.graph.compatible(graph):
-        raise GraphError("link field was built on a different graph")
-    if lf.su.shape[0] != graph.n_events:
-        raise LinkFieldError("link field does not cover the graph's links")
+    _check_graph(lf, graph)
     traces = _plaquette_traces(lf, graph)
     n_p = traces.shape[0]
     so5_loop = lf.so5 @ lf.so5 @ lf.so5.T @ lf.so5.T
@@ -217,24 +218,24 @@ def wilson_action(lf: LinkField, graph: LatticeGraph, beta: float) -> ActionValu
 # ---------------------------------------------------------------------------
 
 
-def local_gauge_links(lf: LinkField, omegas: np.ndarray, tol: float = 1e-10) -> LinkField:
+def local_gauge_links(lf: LinkField, omegas: np.ndarray) -> LinkField:
     """Site-local gauge rotation U'(x, d) = W(x) U(x, d) W(x + d)^dag."""
     omegas = np.asarray(omegas, dtype=complex)
     expected = (lf.graph.n_events, lf.n_colors, lf.n_colors)
     if omegas.shape != expected:
         raise LinkFieldError(f"expected site matrices of shape {expected}, got {omegas.shape}")
     worst = liealg.unitarity_defect(omegas).max()
-    if worst > tol:
+    if worst > liealg.DEFECT_TOL:
         raise LinkFieldError(f"gauge matrices are not unitary, defect {worst:.3e}")
     su = omegas[:, None] @ lf.su @ _dagger(omegas[lf.graph.forward_sites])
     return LinkField(lf.graph, lf.n_colors, su, lf.so5.copy())
 
 
-def global_so5_conjugate(lf: LinkField, o: np.ndarray, tol: float = 1e-10) -> LinkField:
+def global_so5_conjugate(lf: LinkField, o: np.ndarray) -> LinkField:
     """Conjugate the shared so5 block by one orthogonal matrix."""
     o = np.asarray(o, dtype=float)
     defect = liealg.orthogonality_defect(o)
-    if defect > tol:
+    if defect > liealg.DEFECT_TOL:
         raise LinkFieldError(f"conjugating matrix is not orthogonal, defect {defect:.3e}")
     out = lf.copy()
     out.so5 = o @ lf.so5 @ o.T
@@ -256,24 +257,16 @@ class ConvergenceReport:
     remainder_slope: float
 
 
-def _expi(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for Hermitian h, via the eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 def finite_difference_field_strength(
     potential_fn: Callable[[np.ndarray, int], np.ndarray],
     x: np.ndarray,
     plane: tuple[int, int],
-    step: float = 1e-6,
 ) -> np.ndarray:
-    """F_{mu nu}(x) = d_mu A_nu - d_nu A_mu + i [A_mu, A_nu], derivatives central."""
+    """F_{mu nu}(x) = d_mu A_nu - d_nu A_mu + i [A_mu, A_nu], central derivatives
+    with step 1e-6."""
     mu, nu = plane
-    e_mu = np.zeros(4)
-    e_mu[mu] = 1.0
-    e_nu = np.zeros(4)
-    e_nu[nu] = 1.0
+    step = 1e-6
+    e_mu, e_nu = np.eye(4)[[mu, nu]]
     d_mu_a_nu = (potential_fn(x + step * e_mu, nu) - potential_fn(x - step * e_mu, nu)) / (
         2 * step
     )
@@ -288,20 +281,19 @@ def finite_difference_field_strength(
 def continuum_convergence(
     potential_fn: Callable[[np.ndarray, int], np.ndarray],
     eps_list: Sequence[float],
-    n_colors: int = 2,
-    plane: tuple[int, int] = (0, 1),
     box_extent: float = 0.2,
     base_point: np.ndarray | None = None,
     field_strength_fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ConvergenceReport:
     """Deficit of midpoint-sampled plaquettes against the leading field term.
 
-    For each spacing, the box ``[0, box_extent]^2`` in the chosen plane is
+    For each spacing, the box ``[0, box_extent]^2`` in the (0, 1) plane is
     tiled with eps-sized plaquettes anchored at ``base_point``.  Links are
     U = exp(i eps A(midpoint)); the per-plaquette deficit is
-    N - Re tr(loop) and the prediction is (eps^4 / 2) tr(F^2) with F at the
-    plaquette center, from ``field_strength_fn`` if given and otherwise from
-    central finite differences of the potential.
+    N - Re tr(loop), with N read off the link matrices, and the prediction is
+    (eps^4 / 2) tr(F^2) with F at the plaquette center, from
+    ``field_strength_fn`` if given and otherwise from central finite
+    differences of the potential.
 
     The remainder (deficit minus prediction, box mean) scales as eps^6 for
     generic smooth potentials.  Configurations whose loop exponent has no
@@ -310,13 +302,10 @@ def continuum_convergence(
     """
     if len(eps_list) < 3:
         raise ValueError("need at least three spacings to fit slopes")
-    _check_n(n_colors)
     base = np.zeros(4) if base_point is None else np.asarray(base_point, dtype=float)
-    mu, nu = plane
-    e_mu = np.zeros(4)
-    e_mu[mu] = 1.0
-    e_nu = np.zeros(4)
-    e_nu[nu] = 1.0
+    mu, nu = 0, 1
+    e_mu, e_nu = np.eye(4)[:2]
+    expi = liealg._exp_i_hermitian
 
     deficits = []
     predictions = []
@@ -327,17 +316,17 @@ def continuum_convergence(
         for j in range(n_side):
             for k in range(n_side):
                 anchor = base + eps * j * e_mu + eps * k * e_nu
-                u1 = _expi(eps * potential_fn(anchor + 0.5 * eps * e_mu, mu))
-                u2 = _expi(eps * potential_fn(anchor + eps * e_mu + 0.5 * eps * e_nu, nu))
-                u3 = _expi(eps * potential_fn(anchor + 0.5 * eps * e_mu + eps * e_nu, mu))
-                u4 = _expi(eps * potential_fn(anchor + 0.5 * eps * e_nu, nu))
+                u1 = expi(eps * potential_fn(anchor + 0.5 * eps * e_mu, mu))
+                u2 = expi(eps * potential_fn(anchor + eps * e_mu + 0.5 * eps * e_nu, nu))
+                u3 = expi(eps * potential_fn(anchor + 0.5 * eps * e_mu + eps * e_nu, mu))
+                u4 = expi(eps * potential_fn(anchor + 0.5 * eps * e_nu, nu))
                 loop = u1 @ u2 @ u3.conj().T @ u4.conj().T
-                defs.append(n_colors - float(np.trace(loop).real))
+                defs.append(loop.shape[-1] - float(np.trace(loop).real))
                 center = anchor + 0.5 * eps * (e_mu + e_nu)
                 if field_strength_fn is not None:
                     f = field_strength_fn(center)
                 else:
-                    f = finite_difference_field_strength(potential_fn, center, plane)
+                    f = finite_difference_field_strength(potential_fn, center, (mu, nu))
                 preds.append(0.5 * eps**4 * float(np.trace(f @ f).real))
         deficits.append(float(np.mean(defs)))
         predictions.append(float(np.mean(preds)))
@@ -381,7 +370,7 @@ def save_links(lf: LinkField, path) -> None:
     g.write_snapshot(path, "link", title, {"N": lf.n_colors}, f"so5: {so5}", rows)
 
 
-def load_links(path, graph: LatticeGraph, tol: float = 1e-10) -> LinkField:
+def load_links(path, graph: LatticeGraph) -> LinkField:
     """Read a snapshot written by `save_links`; blocks are re-validated."""
     header, note, rows = graph.read_snapshot(path, "link", "N")
     if not note.startswith("so5:"):
@@ -392,5 +381,5 @@ def load_links(path, graph: LatticeGraph, tol: float = 1e-10) -> LinkField:
     if rows.shape[1] != 2 * n * n:
         raise ValueError(f"snapshot rows have {rows.shape[1]} values, expected {2 * n * n}")
     lf.su[...] = rows.view(complex).reshape(lf.su.shape)
-    validate_links(lf, tol)
+    validate_links(lf)
     return lf

@@ -298,6 +298,11 @@ def test_embedded_violation_rejects_non_finite_values(value, field, capsys, tmp_
         (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "sweeps=3",
           "--param", "bogus=1"], "bogus"),
         (["flatness-check", "--seed", "1", "--param", "bogus=1"], "bogus"),
+        # JSON booleans and strings are not numbers, though float() takes them.
+        (["covariance-sweep", "--seed", "1", "--param", "n_transforms=true"], "n_transforms"),
+        (["covariance-sweep", "--seed", "1", "--param", 'n_transforms="3"'], "n_transforms"),
+        (["mc-run", "--seed", "1", "--param", "beta=true", "--param", "sweeps=3"], "beta"),
+        (["flatness-check", "--seed", "1", "--param", 'eps="0.05"'], "eps"),
     ],
 )
 def test_unusable_params_rejected_at_spec_time(argv, field, capsys, tmp_path):

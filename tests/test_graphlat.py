@@ -173,8 +173,6 @@ def test_compatible(small_graph):
 def test_open_boundaries_rejected():
     with pytest.raises(GraphError, match="periodic"):
         build_hypercubic((2, 2, 2, 2), periodic=False)
-    with pytest.raises(GraphError, match="periodic"):
-        LatticeGraph((3, 3, 3, 3), periodic=False)
 
 
 def test_constructor_validation():
@@ -183,7 +181,7 @@ def test_constructor_validation():
     with pytest.raises(GraphError):
         LatticeGraph((2, 2, 2, 0))
     with pytest.raises(GraphError):
-        LatticeGraph((1, 2, 2, 2), periodic=True)
+        LatticeGraph((1, 2, 2, 2))
 
 
 # ---------------------------------------------------------------------------

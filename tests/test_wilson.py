@@ -278,6 +278,22 @@ def test_continuum_deficit_constant_field_strength():
     assert 5.5 <= report.remainder_slope <= 6.5
 
 
+def test_continuum_deficit_su3_reads_n_from_links():
+    # T1, T2 span an su(2) inside su(3): F = i [T1, T2] = -T3 and tr F^2 = 1/2,
+    # so the prediction is eps^4 / 4, as for SU(2); a deficit taken against
+    # N = 2 would read about -1 instead.
+    t = liealg.sun_generators(3)
+
+    def pot(x, mu):
+        return t[mu] if mu < 2 else np.zeros((3, 3), dtype=complex)
+
+    report = wilson.continuum_convergence(
+        pot, eps_list=[0.2, 0.1, 0.05], field_strength_fn=lambda x: -t[2]
+    )
+    assert abs(report.deficit[-1] / report.predicted[-1] - 1.0) <= 0.05
+    assert 3.8 <= report.deficit_slope <= 4.2
+
+
 def test_continuum_deficit_uses_finite_differences_by_default():
     direct = wilson.continuum_convergence(
         _constant_noncommuting, eps_list=[0.2, 0.1, 0.05]
