@@ -297,20 +297,16 @@ def _run_embedded_violation(params: dict, seed):
     return records, summary, failures
 
 
-_PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
 def _demo_potential(x, mu: int) -> np.ndarray:
     """Smooth su(2)-valued vector potential with noncommuting components."""
+    t1, t2, t3 = liealg.sun_generators(2)
     if mu == 0:
-        return 0.4 * np.sin(x[1]) * _PAULI_1 / 2 + 0.3 * np.cos(x[2]) * _PAULI_2 / 2
+        return 0.4 * np.sin(x[1]) * t1 + 0.3 * np.cos(x[2]) * t2
     if mu == 1:
-        return 0.5 * np.sin(x[0] + x[2]) * _PAULI_3 / 2 + 0.2 * np.cos(x[1]) * _PAULI_1 / 2
+        return 0.5 * np.sin(x[0] + x[2]) * t3 + 0.2 * np.cos(x[1]) * t1
     if mu == 2:
-        return 0.3 * np.sin(x[3]) * _PAULI_2 / 2
-    return 0.25 * np.cos(x[0]) * _PAULI_3 / 2
+        return 0.3 * np.sin(x[3]) * t2
+    return 0.25 * np.cos(x[0]) * t3
 
 
 def _run_continuum_check(params: dict, seed):
@@ -360,9 +356,9 @@ def _run_mc_run(params: dict, seed: int):
     summary = {
         "beta": cfg.beta,
         "n_measurements": int(vals.shape[0]),
-        "mean_plaquette": float(np.mean(vals)) if vals.size else float("nan"),
-        "std_plaquette": float(np.std(vals)) if vals.size else float("nan"),
-        "mean_acceptance": float(np.mean(series.acceptance)) if vals.size else float("nan"),
+        "mean_plaquette": float(np.mean(vals)),
+        "std_plaquette": float(np.std(vals)),
+        "mean_acceptance": float(np.mean(series.acceptance)),
     }
     return records, summary, []
 

@@ -18,10 +18,21 @@ transition 4s + d - 1 (its forward link along d) and action 6s + i (the
 plaquette with first corner s in plane ``PLANES[i]``), both counted from the
 first vertex of their role.
 
-The index tables the batched consumers read (forward and backward sites,
-plaquettes, staples, and a proper event colouring: 2 colours at all-even
-extents, 4 at the odd ones tried) are derived from `LatticeGraph.neighbor`
-over all events at once and cached on the graph when first used.
+Every index table is derived from `LatticeGraph.neighbor` over all events
+at once and cached on the graph when first used:
+
+* `forward_sites` and `backward_sites`: the event one step along +-d, two
+  labeled half steps from each event;
+* `plaquette_table`: per action, the storage offsets of its four loop
+  transitions, read off `forward_sites`; `plaquette_loops` composes any
+  per-transition matrices around these loops;
+* `staple_table`: per stored link, the storage offsets of its six staples,
+  read off both site tables;
+* `event_colors`: a proper event colouring (2 colours at all-even extents,
+  4 at the odd ones tried), greedy over both site tables.
+
+A storage offset is a transition counted from the first one (4s + d - 1 for
+link (s, d)): the row of per-transition data, such as link matrices.
 """
 
 from __future__ import annotations
@@ -53,8 +64,13 @@ PLANES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 _PLANE_INDEX = {p: i for i, p in enumerate(PLANES)}
 
 
+def _integer(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _label_col(label: int) -> int:
-    if not isinstance(label, (int, np.integer)) or label == 0 or abs(label) > 4:
+    if not _integer(label) or label == 0 or abs(label) > 4:
         raise GraphError(f"invalid edge label {label!r}, expected +-1..+-4")
     return 2 * (abs(label) - 1) + (0 if label > 0 else 1)
 
@@ -74,38 +90,28 @@ class PlaquetteRef:
     plane: tuple[int, int]
 
 
-class PlaquetteTable(NamedTuple):
-    """Every plaquette as integer arrays, row k for action vertex A0 + k."""
-
-    corners: np.ndarray      # (A, 4) events c0, c1 = c0+mu, c2 = c1+nu, c3 = c0+nu
-    mu: np.ndarray           # (A,) first plane direction, 1..4
-    nu: np.ndarray           # (A,) second plane direction, mu < nu
-    transitions: np.ndarray  # (A, 4) loop transitions, as offsets into per-transition storage
-
-
 class StapleTable(NamedTuple):
     """Per (event, direction): six staples of three stored links each.
 
-    Staple link j of staple i through link (e, mu) is the stored link
-    (sites[e, mu-1, i, j], dirs[mu-1, i, j]), daggered where dagger[i, j].
-    Directions and daggers do not depend on the site.
+    Staple link j of staple i through link (e, mu) is the link at storage
+    offset offsets[e, mu-1, i, j], daggered where dagger[i, j]; the dagger
+    pattern does not depend on the link.
     """
 
-    sites: np.ndarray   # (E, 4, 6, 3) events
-    dirs: np.ndarray    # (4, 6, 3) stored directions, 0..3
-    dagger: np.ndarray  # (6, 3) bool
+    offsets: np.ndarray  # (E, 4, 6, 3) storage offsets
+    dagger: np.ndarray   # (6, 3) bool
 
 
 class LatticeGraph:
     """Periodic four dimensional hypercubic graph, adjacency only."""
 
     def __init__(self, dims):
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != 4 or any(d < 1 for d in dims):
-            raise GraphError(f"dims must be four positive integers, got {dims}")
-        if any(d < 2 for d in dims):
-            raise GraphError(f"periodic graph needs every extent >= 2, got {dims}")
-        self.dims = dims
+        dims = tuple(dims)
+        if len(dims) != 4 or not all(_integer(d) for d in dims):
+            raise GraphError(f"dims must be four integers, got {dims}")
+        if min(dims) < 2:
+            raise GraphError(f"periodic graph needs every extent >= 2, got dims={dims}")
+        self.dims = tuple(int(d) for d in dims)
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -143,29 +149,30 @@ class LatticeGraph:
             trans[:, a, 2 * b + 1] = a0 + 6 * bwd[:, b] + i
         self._nbr = nbr
 
-        # Loop-ordered transitions per action: (s, mu), (s+mu, nu), (s+nu, mu), (s, nu).
-        act = np.empty((n, 6, 4), dtype=np.int64)
-        for i, (mu, nu) in enumerate(PLANES):
-            m, u = mu - 1, nu - 1
-            act[:, i] = np.stack(
-                [4 * sites + m, 4 * fwd[:, m] + u, 4 * fwd[:, u] + m, 4 * sites + u], axis=1
-            )
-        self._act_trans = t0 + act.reshape(6 * n, 4)
-
     # -- basic queries -------------------------------------------------------
 
     @property
     def n_vertices(self) -> int:
         return self.n_events + self.n_transitions + self.n_actions
 
+    def _vertices(self, v, roles, message: str) -> np.ndarray:
+        """Role of each vertex of ``v`` (an int or an integer array), after checking
+        that each is in range and holds one of ``roles``; the error for one that
+        does not reads "vertex {v} {message}"."""
+        v = np.asarray(v)
+        if v.dtype.kind not in "iu":
+            raise GraphError(f"vertex ids must be integers, got dtype {v.dtype}")
+        bad = (v < 0) | (v >= self.n_vertices)
+        if bad.any():
+            raise GraphError(f"vertex {v[bad].flat[0]} out of range")
+        role = (v >= self.n_events) + (v >= self.n_events + self.n_transitions).astype(int)
+        bad = ~np.array([r in roles for r in Role])[role]
+        if bad.any():
+            raise GraphError(f"vertex {v[bad].flat[0]} {message}")
+        return role
+
     def role(self, v: int) -> Role:
-        if not 0 <= v < self.n_vertices:
-            raise GraphError(f"vertex {v} out of range")
-        if v < self.n_events:
-            return Role.EVENT
-        if v < self.n_events + self.n_transitions:
-            return Role.TRANSITION
-        return Role.ACTION
+        return Role(int(self._vertices(v, tuple(Role), "")))
 
     def neighbor(self, v, label: int):
         """Labeled neighbor of an event or transition vertex.
@@ -181,24 +188,8 @@ class LatticeGraph:
         neighbors, elementwise, under the same checks.
         """
         col = _label_col(label)
-        if not isinstance(v, np.ndarray):
-            if self.role(v) == Role.ACTION:
-                raise GraphError(f"vertex {v} is an action vertex, labels do not apply")
-            return int(self._nbr[v, col])
-        self._check_vertex_array(v)
-        actions = v >= self.n_events + self.n_transitions
-        if actions.any():
-            raise GraphError(
-                f"vertex {v[actions].flat[0]} is an action vertex, labels do not apply"
-            )
-        return self._nbr[v, col]
-
-    def _check_vertex_array(self, v: np.ndarray) -> None:
-        if v.dtype.kind not in "iu":
-            raise GraphError(f"vertex array must hold integers, got dtype {v.dtype}")
-        bad = (v < 0) | (v >= self.n_vertices)
-        if bad.any():
-            raise GraphError(f"vertex {v[bad].flat[0]} out of range")
+        self._vertices(v, (Role.EVENT, Role.TRANSITION), "is an action vertex, labels do not apply")
+        return self._nbr[v, col] if isinstance(v, np.ndarray) else int(self._nbr[v, col])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """All neighbors of v, without labels (actions included)."""
@@ -208,35 +199,23 @@ class LatticeGraph:
 
     def action_transitions(self, v: int) -> tuple[int, int, int, int]:
         """The four transitions of an action vertex, in loop order."""
-        if self.role(v) != Role.ACTION:
-            raise GraphError(f"vertex {v} is not an action vertex")
-        return tuple(self._act_trans[v - self.n_events - self.n_transitions].tolist())
+        self._vertices(v, (Role.ACTION,), "is not an action vertex")
+        legs = self.plaquette_table[v - self.n_events - self.n_transitions]
+        return tuple((self.n_events + legs).tolist())
 
     def event_neighbor(self, event, label: int):
         """Next event site along a signed direction (two half steps)."""
         return self.neighbor(self.neighbor(event, label), label)
 
-    def transition_direction(self, v: int) -> int:
-        if self.role(v) != Role.TRANSITION:
-            raise GraphError(f"vertex {v} is not a transition vertex")
-        return int(v - self.n_events) % 4 + 1
+    def transition_direction(self, v):
+        """Direction 1..4 of a transition vertex, or of each in an integer array."""
+        self._vertices(v, (Role.TRANSITION,), "is not a transition vertex")
+        return (v - self.n_events) % 4 + 1
 
     def transition_offset(self, v):
-        """Index of a transition vertex into per-transition field storage.
-
-        ``v`` may also be an integer array; every element must be a
-        transition vertex, and the answer is the array of offsets.
-        """
-        if not isinstance(v, np.ndarray):
-            if self.role(v) != Role.TRANSITION:
-                raise GraphError(f"vertex {v} is not a transition vertex")
-            return v - self.n_events
-        self._check_vertex_array(v)
-        off = v - self.n_events
-        bad = (off < 0) | (off >= self.n_transitions)
-        if bad.any():
-            raise GraphError(f"vertex {v[bad].flat[0]} is not a transition vertex")
-        return off
+        """Storage offset of a transition vertex, or of each in an integer array."""
+        self._vertices(v, (Role.TRANSITION,), "is not a transition vertex")
+        return v - self.n_events
 
     def links(self):
         """All stored links as (event, direction) pairs, event major."""
@@ -267,35 +246,43 @@ class LatticeGraph:
         return np.array(colors, dtype=np.int8)
 
     @cached_property
-    def plaquette_table(self) -> PlaquetteTable:
+    def plaquette_table(self) -> np.ndarray:
+        """(A, 4) storage offsets of each action's loop legs, row k for action A0 + k:
+        links (x, mu), (x+mu, nu), (x+nu, mu), (x, nu) of corner x and plane (mu, nu)."""
         fwd = self.forward_sites
-        c0 = np.repeat(np.arange(self.n_events), len(PLANES))
-        mu = np.tile([p[0] for p in PLANES], self.n_events)
-        nu = np.tile([p[1] for p in PLANES], self.n_events)
-        c1 = fwd[c0, mu - 1]
-        c3 = fwd[c0, nu - 1]
-        c2 = fwd[c1, nu - 1]
-        corners = np.stack([c0, c1, c2, c3], axis=1)
-        return PlaquetteTable(corners, mu, nu, self._act_trans - self.n_events)
+        x = 4 * np.arange(self.n_events)[:, None]
+        mu, nu = np.array(PLANES).T - 1
+        legs = [x + mu, 4 * fwd[:, mu] + nu, 4 * fwd[:, nu] + mu, x + nu]
+        return np.stack(legs, axis=-1).reshape(self.n_actions, 4)
+
+    def plaquette_loops(self, values: np.ndarray) -> np.ndarray:
+        """Loop product l0 l1 l2^dag l3^dag of every plaquette, in action order.
+
+        ``values`` holds one matrix per transition, at its storage offset; l0..l3
+        are the values at the plaquette's `plaquette_table` legs, and each
+        reversed leg is daggered as it is gathered.
+        """
+        l0, l1, l2, l3 = self.plaquette_table.T
+        loops = values[l0] @ values[l1]
+        loops = loops @ values[l2].conj().swapaxes(-1, -2)
+        return loops @ values[l3].conj().swapaxes(-1, -2)
 
     @cached_property
     def staple_table(self) -> StapleTable:
         """Upper staple (x+mu, nu), (x+nu, mu)^dag, (x, nu)^dag and lower staple
         (x+mu-nu, nu)^dag, (x-nu, mu)^dag, (x-nu, nu) for each nu != mu in order."""
-        events = np.arange(self.n_events)
+        x = np.arange(self.n_events)
         fwd = self.forward_sites
         bwd = self.backward_sites
-        sites = np.empty((self.n_events, 4, 6, 3), dtype=np.int64)
-        dirs = np.empty((4, 6, 3), dtype=np.int64)
+        offsets = np.empty((self.n_events, 4, 6, 3), dtype=np.int64)
         for mu in range(4):
             for k, nu in enumerate(d for d in range(4) if d != mu):
-                sites[:, mu, 2 * k] = np.stack([fwd[:, mu], fwd[:, nu], events], axis=1)
-                sites[:, mu, 2 * k + 1] = np.stack(
-                    [bwd[fwd[:, mu], nu], bwd[:, nu], bwd[:, nu]], axis=1
-                )
-                dirs[mu, 2 * k : 2 * k + 2] = (nu, mu, nu)
+                dirs = (nu, mu, nu)
+                offsets[:, mu, 2 * k] = 4 * np.stack([fwd[:, mu], fwd[:, nu], x], 1) + dirs
+                lower = [bwd[fwd[:, mu], nu], bwd[:, nu], bwd[:, nu]]
+                offsets[:, mu, 2 * k + 1] = 4 * np.stack(lower, 1) + dirs
         dagger = np.tile([[False, True, True], [True, True, False]], (3, 1))
-        return StapleTable(sites, dirs, dagger)
+        return StapleTable(offsets, dagger)
 
     def plaquettes(self) -> tuple[PlaquetteRef, ...]:
         """Every plaquette exactly once, in action order, built on each call.
@@ -303,17 +290,15 @@ class LatticeGraph:
         These per-plaquette views serve the reference path
         (`wilson.plaquette_product`); batched code reads `plaquette_table`.
         """
-        pt = self.plaquette_table
+        legs = self.plaquette_table
+        c0, c1, c3 = legs[:, :3].T // 4
+        mu, nu = legs[:, :2].T % 4 + 1
+        c2 = self.forward_sites[c1, nu - 1]
         a0 = self.n_events + self.n_transitions
         return tuple(
-            PlaquetteRef(
-                action=a0 + k,
-                corners=tuple(c),
-                links=((c[0], mu), (c[1], nu), (c[2], -mu), (c[3], -nu)),
-                plane=(mu, nu),
-            )
-            for k, (c, mu, nu) in enumerate(
-                zip(pt.corners.tolist(), pt.mu.tolist(), pt.nu.tolist())
+            PlaquetteRef(a0 + k, (a, b, c, d), ((a, m), (b, n), (c, -m), (d, -n)), (m, n))
+            for k, (a, b, c, d, m, n) in enumerate(
+                zip(*(t.tolist() for t in (c0, c1, c2, c3, mu, nu)))
             )
         )
 

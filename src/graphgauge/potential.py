@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg
-from .graphlat import GraphError, LatticeGraph, Role
+from .graphlat import GraphError, LatticeGraph
 
 MODES = ("poincare", "desitter")
 
@@ -96,8 +96,6 @@ def assemble_potential(
     field: PotentialField, v: int, gens: liealg.GeneratorSet
 ) -> np.ndarray:
     """Algebra-scale potential matrices A[a] at transition vertex v."""
-    if field.graph.role(v) != Role.TRANSITION:
-        raise GraphError(f"vertex {v} is not a transition vertex")
     g, h = field.entry(v)
     return liealg.assemble_components(g, h, gens)
 
@@ -145,8 +143,8 @@ def edge_transport(field: PotentialField, v) -> np.ndarray:
     """
     i = field.graph.transition_offset(v)
     a = transport_generators(field.g[i], field.h[i])
-    # Transition offset 4s + d - 1 travels along axis d - 1.
-    a = np.take_along_axis(a, (np.asarray(i) % 4)[..., None, None, None], axis=-3)[..., 0, :, :]
+    axis = np.asarray(field.graph.transition_direction(v)) - 1
+    a = np.take_along_axis(a, axis[..., None, None, None], axis=-3)[..., 0, :, :]
     return liealg.expm5(field.eps * a)
 
 
@@ -328,8 +326,7 @@ def flatness_residual(field: PotentialField, graph: LatticeGraph) -> FlatnessRep
         raise GraphError("field and graph do not match")
     e0 = graph.n_events
     transports = edge_transport(field, e0 + np.arange(graph.n_transitions))
-    t1, t2, t3, t4 = transports[graph.plaquette_table.transitions.T]
-    loops = t1 @ t2 @ np.swapaxes(t3, -1, -2) @ np.swapaxes(t4, -1, -2)
+    loops = graph.plaquette_loops(transports)
     residuals = np.linalg.norm(loops - np.eye(5), 2, axis=(-2, -1))
     return FlatnessReport(
         max_residual=float(residuals.max()),

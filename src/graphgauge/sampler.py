@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate
 
 from . import liealg, wilson
-from .graphlat import LatticeGraph, build_hypercubic
+from .graphlat import LatticeGraph, _integer, build_hypercubic
 
 SWEEP_ORDERS = ("lexicographic", "checkerboard")
 
@@ -41,30 +41,25 @@ class ChainConfig:
     order: str = "checkerboard"
 
     def validate(self) -> None:
-        if not np.isfinite(self.beta) or self.beta < 0:
-            raise ValueError(f"config field 'beta' must be a finite value >= 0, got {self.beta}")
-        if self.n_colors not in wilson.SUPPORTED_N:
-            raise ValueError(f"config field 'n_colors' must be 2 or 3, got {self.n_colors}")
-        if len(tuple(self.dims)) != 4 or any(int(d) < 2 for d in self.dims):
-            raise ValueError(f"config field 'dims' must be four extents >= 2, got {self.dims}")
-        if self.sweeps <= 0:
-            raise ValueError(f"config field 'sweeps' must be positive, got {self.sweeps}")
-        if not 0 <= self.burn_in < self.sweeps:
-            raise ValueError(
-                f"config field 'burn_in' must lie in [0, sweeps), got {self.burn_in}"
-            )
-        if not 0 < self.step_scale <= 1:
-            raise ValueError(
-                f"config field 'step_scale' must lie in (0, 1], got {self.step_scale}"
-            )
-        if self.measure_every < 1:
-            raise ValueError(
-                f"config field 'measure_every' must be >= 1, got {self.measure_every}"
-            )
-        if self.order not in SWEEP_ORDERS:
-            raise ValueError(
-                f"config field 'order' must be one of {SWEEP_ORDERS}, got {self.order!r}"
-            )
+        """Raise a ValueError naming the first field the chain cannot honour.  Counts,
+        extents and n_colors must be integers, and the schedule must measure a sweep."""
+        n, s, b, m = self.n_colors, self.sweeps, self.burn_in, self.measure_every
+        dims = tuple(self.dims)
+        for field, ok, want in (
+            ("beta", np.isfinite(self.beta) and self.beta >= 0, "a finite value >= 0"),
+            ("n_colors", _integer(n) and n in wilson.SUPPORTED_N, "2 or 3"),
+            ("dims", len(dims) == 4 and all(_integer(d) and d >= 2 for d in dims),
+             "four integer extents >= 2"),
+            ("sweeps", _integer(s) and s > 0, "a positive integer"),
+            ("burn_in", _integer(b) and 0 <= b < s, "an integer in [0, sweeps)"),
+            ("step_scale", 0 < self.step_scale <= 1, "a value in (0, 1]"),
+            ("measure_every", _integer(m) and 1 <= m <= s - b,
+             "an integer in [1, sweeps - burn_in]"),
+            ("order", self.order in SWEEP_ORDERS, f"one of {SWEEP_ORDERS}"),
+        ):
+            if not ok:
+                value = getattr(self, field)
+                raise ValueError(f"parameter '{field}' is invalid: need {want}, got {value!r}")
 
 
 @dataclass
@@ -89,10 +84,9 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
     U' is -(beta / N) Re tr((U' - U) staple_sum).
     """
     wilson._check_graph(lf, g)
-    sites, dirs, dagger = g.staple_table
+    offsets, dagger = g.staple_table
     n = lf.n_colors
-    # Row 4 * site + (direction - 1) of ``su`` holds each staple link.
-    u = lf.su.reshape(-1, n, n)[4 * sites[events, direction - 1] + dirs[direction - 1]]
+    u = lf.su.reshape(-1, n, n)[offsets[events, direction - 1]]
     u = np.where(dagger[..., None, None], np.conj(np.swapaxes(u, -1, -2)), u)
     return (u[..., 0, :, :] @ u[..., 1, :, :] @ u[..., 2, :, :]).sum(axis=-3)
 
@@ -138,7 +132,7 @@ def metropolis_sweep(
         accept = rng.uniform(size=len(events)) < np.exp(np.minimum(-d_s, 0.0))
         out.su[events[accept], d - 1] = new_u[accept]
         accepted += int(np.count_nonzero(accept))
-    return out, accepted / (4 * g.n_events)
+    return out, accepted / g.n_transitions
 
 
 def average_plaquette(lf: wilson.LinkField, g: LatticeGraph) -> float:

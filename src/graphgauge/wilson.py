@@ -154,15 +154,7 @@ class ActionValue:
 
 def _plaquette_traces(lf: LinkField, graph: LatticeGraph) -> np.ndarray:
     """Re tr of the su block of every plaquette product, batched."""
-    pt = graph.plaquette_table
-    c0, c1, _, c3 = pt.corners.T
-    mu = pt.mu - 1
-    nu = pt.nu - 1
-    a = lf.su[c0, mu]
-    b = lf.su[c1, nu]
-    c = _dagger(lf.su[c3, mu])
-    d = _dagger(lf.su[c0, nu])
-    loops = a @ b @ c @ d
+    loops = graph.plaquette_loops(lf.su.reshape(-1, lf.n_colors, lf.n_colors))
     return np.einsum("pii->p", loops).real
 
 

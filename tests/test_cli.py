@@ -303,6 +303,12 @@ def test_embedded_violation_rejects_non_finite_values(value, field, capsys, tmp_
         (["covariance-sweep", "--seed", "1", "--param", 'n_transforms="3"'], "n_transforms"),
         (["mc-run", "--seed", "1", "--param", "beta=true", "--param", "sweeps=3"], "beta"),
         (["flatness-check", "--seed", "1", "--param", 'eps="0.05"'], "eps"),
+        # A schedule that measures no sweep, and counts that are not integers.
+        (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "sweeps=10",
+          "--param", "burn_in=5", "--param", "measure_every=10"], "measure_every"),
+        (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "measure_every=1.5"],
+         "measure_every"),
+        (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "sweeps=4.5"], "sweeps"),
     ],
 )
 def test_unusable_params_rejected_at_spec_time(argv, field, capsys, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphgauge import graphlat
+from graphgauge import graphlat, liealg, sampler, wilson
 from graphgauge.graphlat import GraphError, LatticeGraph, Role, build_hypercubic
 
 
@@ -182,6 +182,32 @@ def test_constructor_validation():
         LatticeGraph((2, 2, 2, 0))
     with pytest.raises(GraphError):
         LatticeGraph((1, 2, 2, 2))
+    # Extents are integers: nothing is truncated or parsed.
+    for dims in [(2.7, 2, 2, 2), (2, 2, 2, True), ("3", 2, 2, 2)]:
+        with pytest.raises(GraphError, match="dims"):
+            LatticeGraph(dims)
+    assert LatticeGraph(np.array([2, 3, 2, 2])).dims == (2, 3, 2, 2)
+
+
+def test_vertex_queries_check_ints_and_arrays_alike(small_graph):
+    g = small_graph
+    event, trans, action = 0, g.n_events, g.n_events + g.n_transitions
+    queries = [g.role, g.transition_offset, g.transition_direction, g.action_transitions,
+               lambda v: g.neighbor(v, 1)]
+    for query in queries:
+        for v in (g.n_vertices, np.array([0, -1]), 1.0, True, np.array([0.0])):
+            with pytest.raises(GraphError, match="out of range|integers"):
+                query(v)
+    for v in (action, np.array([trans, action])):
+        with pytest.raises(GraphError, match=f"vertex {action} is an action vertex"):
+            g.neighbor(v, 1)
+    for v in (event, np.array([trans, event])):
+        for query in (g.transition_offset, g.transition_direction):
+            with pytest.raises(GraphError, match=f"vertex {event} is not a transition"):
+                query(v)
+    with pytest.raises(GraphError, match=f"vertex {trans} is not an action"):
+        g.action_transitions(trans)
+    assert g.transition_direction(np.arange(trans, trans + 8)).tolist() == [1, 2, 3, 4] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +289,13 @@ def test_tables_match_loop_construction(dims):
     g = build_hypercubic(dims)
     ref = _loop_reference(dims)
     assert np.array_equal(g._nbr, ref["nbr"])
-    pt = g.plaquette_table
-    assert np.array_equal(pt.corners, ref["corners"])
-    assert np.array_equal(np.stack([pt.mu, pt.nu], axis=1), ref["planes"])
-    assert np.array_equal(pt.transitions + g.n_events, ref["act_trans"])
+    views = g.plaquettes()
+    assert np.array_equal([p.corners for p in views], ref["corners"])
+    assert np.array_equal([p.plane for p in views], ref["planes"])
+    assert np.array_equal(g.plaquette_table + g.n_events, ref["act_trans"])
     st = g.staple_table
     sites, dirs, dag = ref["staples"]
-    assert np.array_equal(st.sites, sites)
-    assert np.array_equal(np.broadcast_to(st.dirs, dirs.shape), dirs)
+    assert np.array_equal(st.offsets, 4 * sites + dirs)
     assert np.array_equal(np.broadcast_to(st.dagger, dag.shape), dag)
     # The event colouring is proper, and is the parity when every extent is even.
     assert not (g.event_colors[:, None] == g.event_colors[ref["forward"]]).any()
@@ -285,13 +310,49 @@ def test_tables_match_loop_construction(dims):
 
 def test_plaquette_views_match_table(small_graph):
     g = small_graph
-    pt = g.plaquette_table
+    table = g.plaquette_table
     for k, p in enumerate(g.plaquettes()):
         assert p.action == g.n_events + g.n_transitions + k
-        assert p.corners == tuple(pt.corners[k].tolist())
-        assert p.plane == (pt.mu[k], pt.nu[k])
-        ts = tuple(int(t) + g.n_events for t in pt.transitions[k])
+        # Legs (c0, mu), (c1, nu), (c3, mu), (c0, nu), as storage offsets.
+        (c0, c1, _, c3), (mu, nu) = p.corners, p.plane
+        steps = ((c0, mu), (c1, nu), (c3, mu), (c0, nu))
+        assert [g.transition_offset(g.neighbor(c, d)) for c, d in steps] == table[k].tolist()
+        ts = tuple(int(t) + g.n_events for t in table[k])
         assert ts == g.action_transitions(p.action)
+
+
+@pytest.mark.parametrize(
+    "consumer, tables, labels",
+    [
+        ("wilson_action", ["forward_sites", "plaquette_table"], [1, 2, 3, 4]),
+        ("staple_sum", ["forward_sites", "backward_sites", "staple_table"], graphlat.LABELS),
+        ("local_gauge_links", ["forward_sites"], [1, 2, 3, 4]),
+    ],
+)
+def test_index_tables_are_derived_from_adjacency(consumer, tables, labels, monkeypatch, rng):
+    """On a fresh graph, each batched consumer builds the tables it reads through
+    `LatticeGraph.neighbor`, one call per half step over all events at once.  The
+    benchmark's coverage lists expect ``neighbor`` to fire for this reason."""
+    calls = []
+    neighbor = LatticeGraph.neighbor
+
+    def counted(self, v, label):
+        calls.append((label, np.size(v)))
+        return neighbor(self, v, label)
+
+    monkeypatch.setattr(LatticeGraph, "neighbor", counted)
+    g = build_hypercubic((2, 3, 4, 5))
+    lf = wilson.random_links(g, 2, rng)
+    omegas = liealg.haar_random_sun(2, rng, count=g.n_events)
+    assert not calls and not any(t in vars(g) for t in tables)
+    run = {
+        "wilson_action": lambda: wilson.wilson_action(lf, g, 1.0),
+        "staple_sum": lambda: sampler.staple_sum(lf, g, 0, 1),
+        "local_gauge_links": lambda: wilson.local_gauge_links(lf, omegas),
+    }
+    run[consumer]()
+    assert all(t in vars(g) for t in tables)
+    assert sorted(calls) == sorted((label, g.n_events) for label in labels for _ in range(2))
 
 
 def test_array_neighbor_matches_scalar():

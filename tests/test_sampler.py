@@ -28,6 +28,13 @@ from graphgauge import graphlat, liealg, sampler, wilson
         ({"beta": 2.0, "order": "spiral"}, "order"),
         # Odd extents are valid now; the order name is still matched exactly.
         ({"beta": 2.0, "dims": (3, 2, 2, 2), "order": "Checkerboard"}, "order"),
+        # A schedule that measures no sweep, and counts that are not integers.
+        ({"beta": 2.0, "sweeps": 10, "burn_in": 5, "measure_every": 10}, "measure_every"),
+        ({"beta": 2.0, "measure_every": 1.5}, "measure_every"),
+        ({"beta": 2.0, "sweeps": 4.5, "burn_in": 1}, "sweeps"),
+        ({"beta": 2.0, "burn_in": 1.0}, "burn_in"),
+        ({"beta": 2.0, "n_colors": 2.0}, "n_colors"),
+        ({"beta": 2.0, "dims": (2.5, 2, 2, 2)}, "dims"),
     ],
 )
 def test_config_validation_names_offending_field(kwargs, field):
@@ -103,12 +110,12 @@ def test_update_groups_cover_links_once(dims):
         assert n_colors == 2
         for k, (events, _) in enumerate(cb):
             assert np.array_equal(events, np.flatnonzero(parity == k // 4))
-    sites, dirs, _ = g.staple_table
+    offsets, _ = g.staple_table
     for events, d in cb:
         assert len(set(g.event_colors[events].tolist())) == 1
-        # Rows 4 * site + (d - 1) of the group's links and of all their staples.
-        group = set((4 * events + d - 1).tolist())
-        staples = set((4 * sites[events, d - 1] + dirs[d - 1]).ravel().tolist())
+        # Storage offsets of the group's links and of all their staples.
+        group = set(g.transition_offset(g.neighbor(events, d)).tolist())
+        staples = set(offsets[events, d - 1].ravel().tolist())
         assert not group & staples
 
 

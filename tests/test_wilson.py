@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graphgauge import graphlat, liealg, wilson
+from graphgauge import graphlat, liealg, potential, wilson
 
 _PAULI1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -163,6 +163,31 @@ def test_plaquette_product_matches_corner_walk(small_graph, rng):
         np.testing.assert_allclose(got.su, want, atol=1e-13)
         want_o = lf.so5 @ lf.so5 @ lf.so5.T @ lf.so5.T
         np.testing.assert_allclose(got.so5, want_o, atol=1e-13)
+
+
+def _reference_loops(g, values):
+    """`plaquette_product` per plaquette, with ``values`` as the stored blocks."""
+    n = values.shape[-1]
+    lf = wilson.LinkField(g, n, values.reshape(g.n_events, 4, n, n), np.eye(5))
+    return np.stack([wilson.plaquette_product(lf, p).su for p in g.plaquettes()])
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4, 5), (3, 3, 5, 2)])
+def test_plaquette_loops_match_plaquette_product(dims, rng):
+    """The batched loops against the corner walk, plaquette by plaquette, at
+    extents > 2, where x + mu and x - mu differ: a leg gathered from the wrong
+    side, or a dagger on the wrong leg, shows here."""
+    g = graphlat.build_hypercubic(dims)
+    for n in (2, 3):
+        su = wilson.random_links(g, n, rng).su.reshape(-1, n, n)
+        np.testing.assert_allclose(g.plaquette_loops(su), _reference_loops(g, su), atol=1e-13)
+    # Real SO(5) transports, one per transition, as the flatness residual composes them.
+    field = potential.random_field(g, 0.1, rng)
+    transports = potential.edge_transport(field, g.n_events + np.arange(g.n_transitions))
+    want = _reference_loops(g, transports)
+    np.testing.assert_allclose(g.plaquette_loops(transports), want, atol=1e-13)
+    residuals = np.linalg.norm(want - np.eye(5), 2, axis=(-2, -1))
+    np.testing.assert_allclose(potential.flatness_residual(field, g).residuals, residuals, atol=1e-13)
 
 
 def test_so5_loop_trace_matches_dense_product(small_graph, rng):
