@@ -29,23 +29,11 @@ from . import liealg
 class ViolationReport:
     """One measured violation: sigma plus the numbers needed to judge it."""
 
-    experiment: str
     eps: float
-    offset: float            # sample-offset delta (1d) or rotation angle (4d)
     sigma: float
     reference: float
     truncation_estimate: float
     extras: dict = field(default_factory=dict)
-
-    def row(self) -> tuple:
-        return (
-            self.experiment,
-            self.eps,
-            self.offset,
-            self.sigma,
-            self.reference,
-            self.truncation_estimate,
-        )
 
 
 @dataclass
@@ -135,9 +123,7 @@ def violation_sigma_1d(
         + np.abs(density(np.asarray(f(np.asarray(hi)))))
     )
     return ViolationReport(
-        experiment="oned-shift",
         eps=eps,
-        offset=delta,
         sigma=s_shifted - s_aligned,
         reference=reference,
         truncation_estimate=eps * edge,
@@ -240,12 +226,9 @@ def violation_4d_embedded(
         grad_c += 0.5 * ((np.asarray(field_fn(corners + step), dtype=float) - phi_c) / eps) ** 2
     dens_c = float(np.max(grad_c + 0.5 * mass * mass * phi_c * phi_c))
     n_boundary = m**4 - max(m - 2, 0) ** 4
-    angle = float(np.arctan2(rot[1, 0], rot[0, 0]))
 
     return ViolationReport(
-        experiment="embedded-rotation",
         eps=eps,
-        offset=angle,
         sigma=s_rot - s_aligned,
         reference=s_aligned,
         truncation_estimate=eps**4 * n_boundary * dens_c,

@@ -24,7 +24,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -41,13 +41,6 @@ class ExperimentSpec:
     kind: str
     params: dict = dc_field(default_factory=dict)
     seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -102,8 +95,8 @@ def _count(value, least: int = 1) -> int:
 
 def _colors(value) -> int:
     out = _int(value)
-    if out not in wilson.SUPPORTED_N:
-        raise ValueError(f"need one of {wilson.SUPPORTED_N}, got {out}")
+    if out not in liealg.SUPPORTED_N:
+        raise ValueError(f"need one of {liealg.SUPPORTED_N}, got {out}")
     return out
 
 
@@ -474,7 +467,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     summary = dict(summary)
     summary["status"] = "violation" if failures else "ok"
     summary["wall_time_s"] = elapsed
-    return ExperimentReport(spec=spec.to_dict(), records=records, summary=summary)
+    return ExperimentReport(spec=asdict(spec), records=records, summary=summary)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ absorbs the sign of ``tr(X Y)``, which is negative definite on antisymmetric
 matrices; orthonormality statements below are always in terms of
 ``trace_pair``.
 
-The gauge side uses complex SU(N) blocks, N in {2, 3}.  A full link value is
-the block pair (su, so5); its trace is Re tr(su) + tr(so5).
+The gauge side uses complex SU(N) blocks, N in ``SUPPORTED_N``.
 """
 
 from __future__ import annotations
@@ -25,6 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 GEN_SCALE = 1.0 / np.sqrt(2.0)
+
+# Group sizes N of the SU(N) blocks: the ones with a generator basis below.
+SUPPORTED_N = (2, 3)
 
 # Basis index order for the six independent planes among the first four axes.
 PLANE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -47,25 +49,14 @@ class GeneratorSet:
     Attributes
     ----------
     v : ndarray, shape (4, 5, 5)
-        Axis-4 mixing generators, ``v[b]`` has +scale at (b, 4), -scale at (4, b).
+        Axis-4 mixing generators, ``v[b]`` has +s at (b, 4), -s at (4, b), s = GEN_SCALE.
     m : ndarray, shape (4, 4, 5, 5)
         Plane generators stored for all ordered pairs, ``m[c, b] = -m[b, c]``
         and ``m[b, b] = 0``.
-    scale : float
-        Entry magnitude, ``1/sqrt(2)`` for the orthonormal set.
     """
 
     v: np.ndarray
     m: np.ndarray
-    scale: float
-
-
-@dataclass
-class LinkMatrix:
-    """One link value: complex SU(N) block plus real orthogonal 5x5 block."""
-
-    su: np.ndarray
-    so5: np.ndarray
 
 
 def trace_pair(x: np.ndarray, y: np.ndarray) -> float:
@@ -93,7 +84,7 @@ def make_generators() -> GeneratorSet:
         m[b, c, b, c] = s
         m[b, c, c, b] = -s
         m[c, b] = -m[b, c]
-    return GeneratorSet(v=v, m=m, scale=s)
+    return GeneratorSet(v=v, m=m)
 
 
 def expm5(a: np.ndarray) -> np.ndarray:
@@ -236,25 +227,26 @@ _GELLMANN = np.array(
 )
 
 
+def _check_n(n: int) -> None:
+    if n not in SUPPORTED_N:
+        raise ValueError(f"unsupported group size N={n}, expected one of {SUPPORTED_N}")
+
+
 def sun_generators(n: int) -> np.ndarray:
     """Hermitian traceless basis of su(N): Pauli/2 for N=2, Gell-Mann/2 for N=3."""
-    if n == 2:
-        return _PAULI / 2.0
-    if n == 3:
-        return _GELLMANN / 2.0
-    raise ValueError(f"unsupported group size N={n}, expected 2 or 3")
+    _check_n(n)
+    return (_PAULI if n == 2 else _GELLMANN) / 2.0
 
 
 def haar_random_sun(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """Draw one Haar-distributed SU(N) matrix, N in {2, 3}, or a stack of ``count``.
+    """Draw one Haar-distributed SU(N) matrix, or a stack of ``count``.
 
     QR of a complex Ginibre matrix with the R-diagonal phase correction gives
     Haar on U(N); dividing out an N-th root of the determinant lands on SU(N).
     A stack consumes the generator exactly as ``count`` single draws would,
     so it holds the same matrices in the same order.
     """
-    if n not in (2, 3):
-        raise ValueError(f"unsupported group size N={n}, expected 2 or 3")
+    _check_n(n)
     lead = () if count is None else (count,)
     parts = rng.standard_normal(lead + (2, n, n))
     z = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
@@ -303,20 +295,6 @@ def random_antisymmetric5(rng: np.random.Generator, scale: float = 1.0) -> np.nd
 def random_so5(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Random SO(5) element, the exponential of a random antisymmetric matrix."""
     return expm5(random_antisymmetric5(rng, scale))
-
-
-# ---------------------------------------------------------------------------
-# link values
-# ---------------------------------------------------------------------------
-
-
-def link_trace(link: LinkMatrix) -> float:
-    """Trace of the block pair: Re tr(su) + tr(so5).
-
-    Equals the trace of the dense (N+5) x (N+5) block-diagonal embedding,
-    up to the real part taken on the complex block.
-    """
-    return float(np.trace(link.su).real + np.trace(link.so5))
 
 
 # Largest unitarity or orthogonality defect a link, gauge or frame matrix may

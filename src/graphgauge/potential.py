@@ -88,23 +88,8 @@ def random_field(
 
 
 # ---------------------------------------------------------------------------
-# assembly and projection
+# transports
 # ---------------------------------------------------------------------------
-
-
-def assemble_potential(
-    field: PotentialField, v: int, gens: liealg.GeneratorSet
-) -> np.ndarray:
-    """Algebra-scale potential matrices A[a] at transition vertex v."""
-    g, h = field.entry(v)
-    return liealg.assemble_components(g, h, gens)
-
-
-def decompose_potential(
-    a: np.ndarray, gens: liealg.GeneratorSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of `assemble_potential`; rejects out-of-span input."""
-    return liealg.project_components(a, gens)
 
 
 def transport_generators(g_v: np.ndarray, h_v: np.ndarray) -> np.ndarray:
@@ -281,18 +266,14 @@ def gauge_transform(
     return PotentialField(graph, field.eps, g_new, h_new)
 
 
-def lorentz_transform_metric(g_mat: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Frame change of the metric potential: G'_ab = sum_cd L_ca L_db G_cd."""
-    g_mat = np.asarray(g_mat, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if g_mat.shape != (4, 4) or lam.shape != (4, 4):
-        raise ValueError("lorentz_transform_metric expects (4,4) matrices")
-    return lam.T @ g_mat @ lam
-
-
 def lorentz_transform_field(field: PotentialField, lam: np.ndarray) -> PotentialField:
-    """Apply `lorentz_transform_metric` at every transition; torsion untouched."""
+    """Frame change G' = L^T G L of the metric potential at every transition,
+    G'_ab = sum_cd L_ca L_db G_cd, for a finite (4, 4) ``lam``; torsion untouched."""
     lam = np.asarray(lam, dtype=float)
+    if lam.shape != (4, 4):
+        raise ValueError(f"lam must be a (4, 4) matrix, got shape {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("lam has non-finite entries")
     g_new = np.einsum("ca,tcd,db->tab", lam, field.g, lam)
     return PotentialField(field.graph, field.eps, g_new, field.h.copy())
 

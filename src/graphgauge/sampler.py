@@ -47,7 +47,8 @@ class ChainConfig:
         dims = tuple(self.dims)
         for field, ok, want in (
             ("beta", np.isfinite(self.beta) and self.beta >= 0, "a finite value >= 0"),
-            ("n_colors", _integer(n) and n in wilson.SUPPORTED_N, "2 or 3"),
+            ("n_colors", _integer(n) and n in liealg.SUPPORTED_N,
+             f"one of {liealg.SUPPORTED_N}"),
             ("dims", len(dims) == 4 and all(_integer(d) and d >= 2 for d in dims),
              "four integer extents >= 2"),
             ("sweeps", _integer(s) and s > 0, "a positive integer"),
@@ -67,7 +68,6 @@ class ObservableSeries:
     sweep_index: np.ndarray
     avg_plaquette: np.ndarray
     acceptance: np.ndarray
-    config: ChainConfig
     final_links: "wilson.LinkField | None" = None
 
 
@@ -162,7 +162,6 @@ def run_chain(cfg: ChainConfig) -> ObservableSeries:
         sweep_index=np.asarray(idx, dtype=np.int64),
         avg_plaquette=np.asarray(vals),
         acceptance=np.asarray(accs),
-        config=cfg,
         final_links=lf,
     )
 

@@ -27,8 +27,6 @@ import numpy as np
 from . import liealg
 from .graphlat import GraphError, LatticeGraph, PlaquetteRef
 
-SUPPORTED_N = (2, 3)
-
 
 class LinkFieldError(ValueError):
     pass
@@ -43,18 +41,13 @@ class LinkField:
     su: np.ndarray          # (n_events, 4, N, N) complex
     so5: np.ndarray         # (5, 5) real orthogonal
 
-    def link(self, event: int, direction: int) -> liealg.LinkMatrix:
-        if not 1 <= direction <= 4:
-            raise LinkFieldError(f"direction must be 1..4, got {direction}")
-        return liealg.LinkMatrix(su=self.su[event, direction - 1], so5=self.so5)
-
     def copy(self) -> "LinkField":
         return LinkField(self.graph, self.n_colors, self.su.copy(), self.so5.copy())
 
 
 def _check_n(n_colors: int):
-    if n_colors not in SUPPORTED_N:
-        raise LinkFieldError(f"unsupported N={n_colors}, expected one of {SUPPORTED_N}")
+    if n_colors not in liealg.SUPPORTED_N:
+        raise LinkFieldError(f"unsupported N={n_colors}, expected one of {liealg.SUPPORTED_N}")
 
 
 def _dagger(u: np.ndarray) -> np.ndarray:
@@ -87,10 +80,8 @@ def random_links(
 def pure_gauge_links(graph: LatticeGraph, n_colors: int, rng: np.random.Generator) -> LinkField:
     """Links of the form U(x, d) = W(x) W(x + d)^dag for random site matrices W,
     with the identity so5 block."""
-    lf = identity_links(graph, n_colors)
     w = liealg.haar_random_sun(n_colors, rng, count=graph.n_events)
-    lf.su[...] = w[:, None] @ _dagger(w[graph.forward_sites])
-    return lf
+    return local_gauge_links(identity_links(graph, n_colors), w)
 
 
 def validate_links(lf: LinkField) -> None:
@@ -120,8 +111,9 @@ def validate_links(lf: LinkField) -> None:
 # ---------------------------------------------------------------------------
 
 
-def plaquette_product(lf: LinkField, p: PlaquetteRef) -> liealg.LinkMatrix:
-    """Ordered product of the four links around plaquette p.
+def plaquette_product(lf: LinkField, p: PlaquetteRef) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered product of the four links around plaquette p, as the block
+    pair ``(su, so5)``.
 
     Steps with positive direction use the stored matrix, steps with negative
     direction use the dagger of the link stored at the step's destination.
@@ -140,14 +132,13 @@ def plaquette_product(lf: LinkField, p: PlaquetteRef) -> liealg.LinkMatrix:
             o = lf.so5.T
         su = m if su is None else su @ m
         so5 = o if so5 is None else so5 @ o
-    return liealg.LinkMatrix(su=su, so5=so5)
+    return su, so5
 
 
 @dataclass
 class ActionValue:
     raw_trace_sum: float
     normalized: float
-    beta: float
     n_plaquettes: int
     so5_loop_trace: float
 
@@ -199,7 +190,6 @@ def wilson_action(lf: LinkField, graph: LatticeGraph, beta: float) -> ActionValu
     return ActionValue(
         raw_trace_sum=raw,
         normalized=normalized,
-        beta=beta,
         n_plaquettes=n_p,
         so5_loop_trace=so5_trace,
     )

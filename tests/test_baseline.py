@@ -174,15 +174,6 @@ def test_rotation_with_non_finite_entry_rejected(bad):
         baseline.violation_4d_embedded(_aniso_gauss, rot, 0.2, 1.0)
 
 
-def test_violation_report_row():
-    rep = baseline.violation_sigma_1d(_kink, _half_square, 0.1, 0.05, (-4.0, 4.0))
-    row = rep.row()
-    assert row[0] == "oned-shift"
-    assert row[1] == 0.1
-    assert row[2] == 0.05
-    assert row[3] == rep.sigma
-
-
 def _five_point_action(field_fn, rot, eps, box_extent, mass):
     # The per-site reference the streamed grid replaced: the field is
     # evaluated at each site and again at each of its four forward neighbours.

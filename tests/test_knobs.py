@@ -3,7 +3,8 @@
 A parameter that keeps its default at every call site in the package, the
 tests and the benchmark is a knob nothing turns: it either does nothing or
 hides a value the function should own.  This test walks the sources with
-``ast`` and names each such parameter.
+``ast`` and names each such parameter, counting the field defaults of a
+``@dataclass`` as the positional ``__init__`` parameters it generates.
 """
 
 from __future__ import annotations
@@ -32,16 +33,31 @@ def _defaulted(fn: ast.FunctionDef, skip_first: bool):
     return out
 
 
+def _dataclass_fields(cls: ast.ClassDef):
+    """(name, positional index) of each defaulted field if ``cls`` is a dataclass,
+    whose generated ``__init__`` takes the fields positionally in declaration order."""
+    decorators = [getattr(getattr(d, "func", d), "id", None) for d in cls.decorator_list]
+    if "dataclass" not in decorators:
+        return []
+    fields = [
+        s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+    ]
+    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+
+
 def public_knobs() -> dict:
     """{(module, call name, parameter): positional index} for every public default."""
     knobs = {}
     for path, tree in _trees(PACKAGE):
-        scopes = [(None, tree.body)] + [
-            (node.name, node.body)
+        classes = [
+            node
             for node in tree.body
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
         ]
-        for cls, body in scopes:
+        for cls in classes:
+            for name, index in _dataclass_fields(cls):
+                knobs[(path.stem, cls.name, name)] = index
+        for cls, body in [(None, tree.body)] + [(c.name, c.body) for c in classes]:
             for fn in body:
                 if not isinstance(fn, ast.FunctionDef):
                     continue

@@ -192,6 +192,16 @@ def test_haar_random_sun_is_special_unitary(rng):
             assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
 
+def test_unsupported_group_size_rejected(rng):
+    for draw in (
+        lambda: liealg.sun_generators(4),
+        lambda: liealg.haar_random_sun(4, rng),
+        lambda: liealg.random_sun_near_identity(4, 0.1, rng),
+    ):
+        with pytest.raises(ValueError, match="N=4"):
+            draw()
+
+
 def test_haar_trace_moments(rng):
     """First and second moments of tr U under Haar measure.
 
@@ -228,16 +238,6 @@ def test_near_identity_stack_matches_single_draws(count):
         assert np.array_equal(stack, singles)
         # The stack leaves the generator where the single draws leave it.
         assert stack_rng.uniform() == rng.uniform()
-
-
-def test_link_trace_matches_dense_embedding(rng):
-    u = liealg.haar_random_sun(3, rng)
-    o = liealg.random_so5(rng)
-    link = liealg.LinkMatrix(su=u, so5=o)
-    dense = np.zeros((8, 8), dtype=complex)
-    dense[:3, :3] = u
-    dense[3:, 3:] = o
-    assert abs(liealg.link_trace(link) - np.trace(dense).real) < 1e-12
 
 
 def test_random_so5_is_special_orthogonal(rng):

@@ -67,17 +67,17 @@ def test_copy_is_independent(small_graph, rng):
 def test_assemble_decompose_round_trip(small_graph, gens, rng):
     field = potential.random_field(small_graph, 0.1, rng)
     for v in range(small_graph.n_events, small_graph.n_events + 10):
-        a = potential.assemble_potential(field, v, gens)
-        g_back, h_back = potential.decompose_potential(a, gens)
+        a = liealg.assemble_components(*field.entry(v), gens)
+        g_back, h_back = liealg.project_components(a, gens)
         i = small_graph.transition_offset(v)
         np.testing.assert_allclose(g_back, field.g[i], atol=1e-12)
         np.testing.assert_allclose(h_back, field.h[i], atol=1e-12)
 
 
-def test_assemble_rejects_event_vertex(small_graph, gens, rng):
+def test_assemble_rejects_event_vertex(small_graph, rng):
     field = potential.random_field(small_graph, 0.1, rng)
     with pytest.raises(graphlat.GraphError):
-        potential.assemble_potential(field, 0, gens)
+        field.entry(0)
 
 
 def test_transport_generator_layout(rng):
@@ -354,13 +354,13 @@ def test_smooth_local_gauge_keeps_field_flat(mid_graph):
 # ---------------------------------------------------------------------------
 
 
-def test_lorentz_transform_metric(rng):
-    g_mat = rng.normal(size=(4, 4))
-    lam = rng.normal(size=(4, 4))
-    out = potential.lorentz_transform_metric(g_mat, lam)
-    np.testing.assert_allclose(out, lam.T @ g_mat @ lam, atol=1e-14)
-    with pytest.raises(ValueError):
-        potential.lorentz_transform_metric(np.eye(3), lam)
+@pytest.mark.parametrize(
+    "lam", [np.ones((4, 3)), np.full((4, 4), np.nan), np.eye(3)], ids=["4x3", "nan", "3x3"]
+)
+def test_lorentz_transform_rejects_bad_frame(small_graph, lam):
+    field = potential.flat_field(small_graph, 0.1)
+    with pytest.raises(ValueError, match="^lam "):
+        potential.lorentz_transform_field(field, lam)
 
 
 def test_lorentz_transform_field(small_graph, rng):
