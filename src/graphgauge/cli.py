@@ -107,6 +107,13 @@ def _positives(value, least: int = 1, exact: bool = False) -> list:
     return out
 
 
+def _spacings(value, least: int = 1) -> list:
+    out = _positives(value, least)
+    if len(set(out)) < len(out):
+        raise ValueError(f"need distinct spacings, got {out}")
+    return out
+
+
 def _interval(value) -> list:
     out = [_finite(v) for v in value]
     if len(out) != 2 or not out[0] < out[1]:
@@ -394,16 +401,16 @@ _EXPERIMENTS = {
         "beta": (_finite, 2.0), "tol": (_finite, 1e-12),
     }),
     "oned-demo": (_run_oned_demo, False, {
-        "eps_list": (_positives, [0.2, 0.1, 0.05]), "delta": (_finite, 0.3),
+        "eps_list": (_spacings, [0.2, 0.1, 0.05]), "delta": (_finite, 0.3),
         "window": (_interval, [-6.0, 6.0]), "profile": (_profile, "gauss"),
     }),
     "embedded-violation": (_run_embedded_violation, False, {
-        "eps_list": (_positives, [0.2, 0.1]), "angle_deg": (_finite, 30.0),
+        "eps_list": (_spacings, [0.2, 0.1]), "angle_deg": (_finite, 30.0),
         "box_extent": (_positive, 1.6), "mass": (_finite, 1.0), "min_slope": (_finite, 1.5),
         "widths": (lambda v: _positives(v, 4, exact=True), [0.25, 0.5, 0.35, 0.42]),
     }),
     "continuum-check": (_run_continuum_check, False, {
-        "eps_list": (lambda v: _positives(v, 3), [0.2, 0.1, 0.05]), "box_extent": (_positive, 0.4),
+        "eps_list": (lambda v: _spacings(v, 3), [0.2, 0.1, 0.05]), "box_extent": (_positive, 0.4),
         "deficit_slope_band": (_interval, [3.8, 4.2]),
         "remainder_slope_band": (_interval, [5.5, 6.5]),
     }),
@@ -476,8 +483,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def _report_json(report: ExperimentReport) -> str:
-    payload = {"spec": report.spec, "records": report.records, "summary": report.summary}
-    return json.dumps(payload, indent=2, default=str) + "\n"
+    return json.dumps(asdict(report), indent=2, default=str) + "\n"
 
 
 def _report_csv(report: ExperimentReport) -> str:
@@ -495,36 +501,15 @@ def _report_csv(report: ExperimentReport) -> str:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return json.dumps(value)
-    return str(value)
+    return value if isinstance(value, str) else json.dumps(value, default=str)
 
 
-def _coerce_cell(text: str):
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
+def _json_or_text(text: str):
+    """The JSON value a CSV cell or a --param value holds, else its bare text."""
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if text[:1] in "[{":
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            pass
-    return text
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 def write_report(report: ExperimentReport, out: str | None, fmt: str) -> None:
@@ -547,9 +532,10 @@ def write_report(report: ExperimentReport, out: str | None, fmt: str) -> None:
 def load_report(path: str) -> ExperimentReport:
     """Read back a report written by ``write_report``, either format.
 
-    CSV cells come back through a fixed coercion (bool, int, float, JSON
-    list, string); floats are written with full precision so numeric values
-    round trip exactly.
+    A CSV cell holds a string bare and any other value as JSON text, so every
+    JSON value reads back as written, floats to the last bit; a string that
+    is itself JSON text reads back as that value.  An empty cell is a key
+    the record does not have.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -574,7 +560,7 @@ def load_report(path: str) -> ExperimentReport:
     reader = csv.reader(io.StringIO("\n".join(body)))
     rows = [row for row in reader if row]
     records = [
-        {k: v for k, cell in zip(rows[0], row) if (v := _coerce_cell(cell)) is not None}
+        {k: _json_or_text(cell) for k, cell in zip(rows[0], row) if cell != ""}
         for row in rows[1:]
     ]
     return ExperimentReport(spec=spec, records=records, summary=summary)
@@ -589,11 +575,7 @@ def _parse_param_override(text: str) -> tuple:
     if "=" not in text:
         raise SpecError(f"parameter override must look like name=value, got {text!r}")
     key, raw = text.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return key, value
+    return key, _json_or_text(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -381,15 +381,16 @@ class LatticeGraph:
 
         Returns an array ``perm`` with ``perm[v]`` the image of vertex v.
         Labeled adjacency is equivariant: perm[neighbor(v, l)] equals
-        neighbor(perm[v], l) for every vertex and label.
+        neighbor(perm[v], l) for every vertex and label.  Every event moves
+        ``offset[a] % dims[a]`` steps along `forward_sites` column a.
         """
         offset = tuple(int(o) for o in offset)
         if len(offset) != 4:
             raise GraphError(f"offset must have four components, got {offset}")
-        x = np.unravel_index(np.arange(self.n_events), self.dims)
-        s_new = np.ravel_multi_index(
-            [xi + o for xi, o in zip(x, offset)], self.dims, mode="wrap"
-        )
+        s_new = np.arange(self.n_events)
+        for a, o in enumerate(offset):
+            for _ in range(o % self.dims[a]):
+                s_new = self.forward_sites[s_new, a]
         # Slots are 4s + (d-1) and 6s + plane; translation replaces the site.
         return np.concatenate(
             [

@@ -181,14 +181,10 @@ def project_components(a: np.ndarray, gens: GeneratorSet) -> tuple[np.ndarray, n
     a = np.asarray(a, dtype=float)
     if a.shape != (4, 5, 5):
         raise ValueError(f"project_components expects shape (4, 5, 5), got {a.shape}")
-    vnorm = trace_pair(gens.v[0], gens.v[0])
-    g = np.einsum("aij,bij->ab", a, gens.v) / vnorm
-    h = np.zeros((4, 4, 4))
-    for b, c in PLANE_PAIRS:
-        mnorm = trace_pair(gens.m[b, c], gens.m[b, c])
-        coeff = 2.0 * np.einsum("aij,ij->a", a, gens.m[b, c]) / mnorm
-        h[:, b, c] = coeff
-        h[:, c, b] = -coeff
+    # Every generator has the same norm; m's antisymmetry makes h antisymmetric.
+    norm = trace_pair(gens.v[0], gens.v[0])
+    g = np.einsum("aij,bij->ab", a, gens.v) / norm
+    h = 2.0 * np.einsum("aij,bcij->abc", a, gens.m) / norm
     residual = float(np.max(np.abs(a - assemble_components(g, h, gens))))
     if residual > 1e-9:
         raise GeneratorSpanError(residual)

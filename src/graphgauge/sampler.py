@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate
 
 from . import liealg, wilson
-from .graphlat import LatticeGraph, _integer, build_hypercubic
+from .graphlat import GraphError, LatticeGraph, _integer, build_hypercubic
 
 SWEEP_ORDERS = ("lexicographic", "checkerboard")
 
@@ -84,6 +84,11 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
     U' is -(beta / N) Re tr((U' - U) staple_sum).
     """
     wilson._check_graph(lf, g)
+    if not (_integer(direction) and 1 <= direction <= 4):
+        raise GraphError(f"direction must be one of 1..4, got {direction!r}")
+    ev = np.asarray(events)
+    if ev.size and (ev.min() < 0 or ev.max() >= g.n_events):
+        raise GraphError(f"events must lie in [0, {g.n_events}), got {ev.min()}..{ev.max()}")
     offsets, dagger = g.staple_table
     n = lf.n_colors
     u = lf.su.reshape(-1, n, n)[offsets[events, direction - 1]]

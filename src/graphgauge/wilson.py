@@ -54,9 +54,17 @@ def _dagger(u: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(u, -1, -2))
 
 
+def _frame_block(o, what: str) -> np.ndarray:
+    """``o`` as a float array, refused unless it is one (5, 5) block."""
+    o = np.asarray(o, dtype=float)
+    if o.shape != (5, 5):
+        raise LinkFieldError(f"{what} must have shape (5, 5), got {o.shape}")
+    return o
+
+
 def identity_links(graph: LatticeGraph, n_colors: int, so5: np.ndarray | None = None) -> LinkField:
     _check_n(n_colors)
-    so5 = np.eye(5) if so5 is None else np.asarray(so5, dtype=float)
+    so5 = np.eye(5) if so5 is None else _frame_block(so5, "so5 block")
     su = np.broadcast_to(
         np.eye(n_colors, dtype=complex), (graph.n_events, 4, n_colors, n_colors)
     ).copy()
@@ -100,7 +108,7 @@ def validate_links(lf: LinkField) -> None:
                 f"link ({e}, {d + 1}) is not unitary, defect {defects[e, d]:.3e}"
             )
         raise LinkFieldError(f"link ({e}, {d + 1}) determinant is not 1")
-    if liealg.orthogonality_defect(lf.so5) > tol:
+    if liealg.orthogonality_defect(_frame_block(lf.so5, "so5 block")) > tol:
         raise LinkFieldError("so5 block is not orthogonal")
     if n != lf.su.shape[-1]:
         raise LinkFieldError("n_colors does not match block shape")
@@ -215,7 +223,7 @@ def local_gauge_links(lf: LinkField, omegas: np.ndarray) -> LinkField:
 
 def global_so5_conjugate(lf: LinkField, o: np.ndarray) -> LinkField:
     """Conjugate the shared so5 block by one orthogonal matrix."""
-    o = np.asarray(o, dtype=float)
+    o = _frame_block(o, "conjugating matrix")
     defect = liealg.orthogonality_defect(o)
     if defect > liealg.DEFECT_TOL:
         raise LinkFieldError(f"conjugating matrix is not orthogonal, defect {defect:.3e}")
@@ -282,8 +290,8 @@ def continuum_convergence(
     higher corrections, such as constant field strength in a commuting
     family, converge faster still.
     """
-    if len(eps_list) < 3:
-        raise ValueError("need at least three spacings to fit slopes")
+    if len(eps_list) < 3 or len(set(eps_list)) < len(eps_list):
+        raise ValueError(f"need at least three distinct spacings to fit slopes, got {eps_list}")
     base = np.zeros(4) if base_point is None else np.asarray(base_point, dtype=float)
     mu, nu = 0, 1
     e_mu, e_nu = np.eye(4)[:2]

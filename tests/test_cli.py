@@ -72,6 +72,19 @@ def test_json_and_csv_round_trip_identically(tmp_path):
         assert a == b
 
 
+def test_every_json_value_round_trips_in_both_formats(tmp_path):
+    record = {
+        "tenth": 0.1, "huge": 1e300, "inf": float("inf"), "nan": float("nan"), "neg_zero": -0.0,
+        "count": 7, "flag": True, "text": "not json, with a comma", "list": [1, 2.5, "x"],
+        "table": {"a": 1},
+    }
+    report = cli.ExperimentReport(spec={"kind": "codec"}, records=[record], summary={})
+    for fmt in ("json", "csv"):
+        path = tmp_path / f"r.{fmt}"
+        cli.write_report(report, str(path), fmt)
+        assert json.dumps(cli.load_report(str(path)).records) == json.dumps([record])
+
+
 def test_csv_cells_cover_value_types(tmp_path):
     out = tmp_path / "r.csv"
     assert _run(["oned-demo", "--out", str(out), "--format", "csv"]) == 0
@@ -309,6 +322,11 @@ def test_embedded_violation_rejects_non_finite_values(value, field, capsys, tmp_
         (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "measure_every=1.5"],
          "measure_every"),
         (["mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "sweeps=4.5"], "sweeps"),
+        # A repeated spacing fits a slope through fewer distinct points than it seems.
+        (["oned-demo", "--param", "eps_list=[0.1,0.1]"], "eps_list"),
+        (["embedded-violation", "--param", "eps_list=[0.2,0.2]", "--param", "min_slope=1.0"],
+         "eps_list"),
+        (["continuum-check", "--param", "eps_list=[0.2,0.2,0.2]"], "eps_list"),
     ],
 )
 def test_unusable_params_rejected_at_spec_time(argv, field, capsys, tmp_path):

@@ -158,6 +158,15 @@ def test_automorphism_equivariance_exhaustive(small_graph):
             assert got == want
 
 
+@pytest.mark.parametrize("offset", [(-1, 5, 3, -7), (7, -4, 0, 12)])
+def test_automorphism_shift_matches_coordinate_translation(offset):
+    # Reference: translate unravelled site coordinates, wrapping every axis.
+    g = build_hypercubic((3, 4, 2, 5))
+    x = np.unravel_index(np.arange(g.n_events), g.dims)
+    want = np.ravel_multi_index([xi + o for xi, o in zip(x, offset)], g.dims, mode="wrap")
+    assert np.array_equal(g.automorphism_shift(offset)[: g.n_events], want)
+
+
 def test_automorphism_preserves_roles(small_graph):
     g = small_graph
     perm = g.automorphism_shift((0, 1, 0, 1))

@@ -54,6 +54,17 @@ def test_staple_sum_identity_links(small_graph):
     np.testing.assert_allclose(staple, 6.0 * np.eye(2), atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "events, direction, field",
+    # Direction 0 and event -1 used to wrap to direction 4 and event 15.
+    [(0, 0, "direction"), (-1, 1, "events"), (0, 5, "direction"), (16, 1, "events")],
+)
+def test_staple_sum_refuses_bad_index(small_graph, events, direction, field):
+    lf = wilson.identity_links(small_graph, 2)
+    with pytest.raises(graphlat.GraphError, match=f"^{field} must"):
+        sampler.staple_sum(lf, small_graph, events, direction)
+
+
 @pytest.mark.parametrize("dims, n", [((4, 4, 4, 4), 3), ((2, 3, 4, 5), 2)])
 def test_staple_stack_matches_single_calls(dims, n):
     g = graphlat.build_hypercubic(dims)

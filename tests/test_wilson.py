@@ -1,5 +1,6 @@
 """Tests for plaquette products, the block action, and its symmetries."""
 
+import re
 import warnings
 
 import numpy as np
@@ -115,6 +116,23 @@ def test_validators_reject_nan(small_graph, rng, tmp_path, action, message):
     lf = wilson.random_links(small_graph, 2, rng)
     with pytest.raises(wilson.LinkFieldError, match=message):
         action(lf, tmp_path)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (6, 6), (3, 5, 5)])
+def test_frame_block_must_be_5x5(small_graph, rng, shape):
+    # A (4, 4) block passed validation and put n_p * 4 into the action, not n_p * 5.
+    block = np.broadcast_to(np.eye(shape[-1]), shape)
+    named = rf"must have shape \(5, 5\), got {re.escape(str(shape))}$"
+    with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
+        wilson.identity_links(small_graph, 2, so5=block)
+    with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
+        wilson.random_links(small_graph, 2, rng, so5=block)
+    lf = wilson.random_links(small_graph, 2, rng)
+    with pytest.raises(wilson.LinkFieldError, match="conjugating matrix " + named):
+        wilson.global_so5_conjugate(lf, block)
+    lf.so5 = block
+    with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
+        wilson.validate_links(lf)
 
 
 def test_validate_nan_link_raises_without_warning(small_graph, rng):
@@ -328,6 +346,12 @@ def test_continuum_deficit_uses_finite_differences_by_default():
 def test_continuum_requires_three_spacings():
     with pytest.raises(ValueError, match="three"):
         wilson.continuum_convergence(_constant_noncommuting, eps_list=[0.1, 0.05])
+
+
+def test_continuum_requires_distinct_spacings():
+    # Two equal spacings leave two points to fit a slope through.
+    with pytest.raises(ValueError, match="distinct"):
+        wilson.continuum_convergence(_constant_noncommuting, eps_list=[0.1, 0.05, 0.05])
 
 
 def test_finite_difference_field_strength_linear_abelian():
