@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import permutations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,18 +87,6 @@ class PlaquetteRef:
     corners: tuple[int, int, int, int]
     links: tuple[tuple[int, int], ...]
     plane: tuple[int, int]
-
-
-class StapleTable(NamedTuple):
-    """Per (event, direction): six staples of three stored links each.
-
-    Staple link j of staple i through link (e, mu) is the link at storage
-    offset offsets[e, mu-1, i, j], daggered where dagger[i, j]; the dagger
-    pattern does not depend on the link.
-    """
-
-    offsets: np.ndarray  # (E, 4, 6, 3) storage offsets
-    dagger: np.ndarray   # (6, 3) bool
 
 
 class LatticeGraph:
@@ -268,9 +255,12 @@ class LatticeGraph:
         return loops @ values[l3].conj().swapaxes(-1, -2)
 
     @cached_property
-    def staple_table(self) -> StapleTable:
-        """Upper staple (x+mu, nu), (x+nu, mu)^dag, (x, nu)^dag and lower staple
-        (x+mu-nu, nu)^dag, (x-nu, mu)^dag, (x-nu, nu) for each nu != mu in order."""
+    def staple_table(self) -> np.ndarray:
+        """(E, 4, 6, 3) storage offsets: entry [e, mu-1, i, j] is link j of staple i
+        through link (e, mu).  For each nu != mu in order, the upper staple
+        (x+mu, nu), (x+nu, mu)^dag, (x, nu)^dag, then the lower staple
+        (x+mu-nu, nu)^dag, (x-nu, mu)^dag, (x-nu, nu); which legs are daggered
+        does not depend on the link."""
         x = np.arange(self.n_events)
         fwd = self.forward_sites
         bwd = self.backward_sites
@@ -281,8 +271,7 @@ class LatticeGraph:
                 offsets[:, mu, 2 * k] = 4 * np.stack([fwd[:, mu], fwd[:, nu], x], 1) + dirs
                 lower = [bwd[fwd[:, mu], nu], bwd[:, nu], bwd[:, nu]]
                 offsets[:, mu, 2 * k + 1] = 4 * np.stack(lower, 1) + dirs
-        dagger = np.tile([[False, True, True], [True, True, False]], (3, 1))
-        return StapleTable(offsets, dagger)
+        return offsets
 
     def plaquettes(self) -> tuple[PlaquetteRef, ...]:
         """Every plaquette exactly once, in action order, built on each call.

@@ -14,7 +14,18 @@ absorbs the sign of ``tr(X Y)``, which is negative definite on antisymmetric
 matrices; orthonormality statements below are always in terms of
 ``trace_pair``.
 
-The gauge side uses complex SU(N) blocks, N in ``SUPPORTED_N``.
+The gauge side uses complex SU(N) blocks, N in ``SUPPORTED_N``.  Their hot
+paths avoid numpy's stacked ``@``, which pays about one dispatch per 2x2 or
+3x3 block:
+
+* `_cm_product` multiplies component-major stacks, shape (N, N, ...), one
+  elementwise multiply-add per inner index k, optionally daggering a factor.
+  The sampler's staples, the plaquette traces and the local gauge rotation
+  run on it.
+* `random_sun_near_identity` builds its proposals exp(i theta.T) in closed
+  form (`_exp_i_angles`): cos(r/2) + i sin(r/2) n.sigma for SU(2), and the
+  Cayley-Hamilton exponential of Morningstar and Peardon for SU(3).  The
+  ``eigh`` route, `_exp_i_hermitian`, stays for general Hermitian matrices.
 """
 
 from __future__ import annotations
@@ -260,24 +271,175 @@ def random_sun_near_identity(
     or a stack of ``count`` drawn on the random stream of ``count`` single draws.
 
     The draw is symmetric under inversion (theta -> -theta has equal density),
-    which is what the Metropolis proposal needs.
+    which is what the Metropolis proposal needs.  The exponential is built in
+    closed form by `_exp_i_angles`; a stack holds the matrices its single
+    draws give, bit for bit.
     """
-    gens = sun_generators(n)
+    _check_n(n)
     lead = () if count is None else (count,)
-    theta = rng.uniform(-scale, scale, size=lead + (len(gens),))
-    return _exp_i_angles(theta, gens)
+    theta = rng.uniform(-scale, scale, size=lead + (n * n - 1,))
+    return _exp_i_angles(theta)
 
 
-def _exp_i_angles(theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """exp(i sum_k theta_k T_k) for angles ``theta`` of shape (..., len(gens)).
+def _cm_product(a: np.ndarray, b: np.ndarray, dagger: str = "") -> np.ndarray:
+    """Matrix product on component-major stacks of shape (N, N, ...).
 
-    A stack of angles gives the same matrices as one call each.
+    Entry [i, j, ...] of the result is sum_k a[i, k, ...] b[k, j, ...],
+    accumulated one k at a time, so each step is one elementwise multiply over
+    the whole stack and no (N, N, N, ...) temporary is built.  ``dagger``
+    names the factors to conjugate-transpose first: "a", "b" or "".  A stack
+    of 2x2 or 3x3 blocks costs a few elementwise calls, where a stacked ``@``
+    pays one dispatch per block.
     """
-    return _exp_i_hermitian(np.einsum("...k,kij->...ij", theta, gens))
+    if "a" in dagger:
+        a = np.conj(a).swapaxes(0, 1)
+    if "b" in dagger:
+        b = np.conj(b).swapaxes(0, 1)
+    out = np.multiply(a[:, 0, None], b[None, 0], order="C")
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
+    return out
+
+
+# Component tables of the closed-form exponentials below.  SU(2): entry (row,
+# column, re/im) of the float view of exp(i theta.sigma / 2) is the component
+# _SU2_PICK of (cos r/2, s theta_1, s theta_2, s theta_3) times _SU2_SIGN,
+# with r = |theta| and s = sin(r/2) / r.
+_SU2_PICK = np.array([[[0, 3], [2, 1]], [[2, 1], [0, 3]]])
+_SU2_SIGN = np.array([[[1.0, 1.0], [1.0, 1.0]], [[-1.0, 1.0], [1.0, -1.0]]])
+# SU(3): the float view of Q = sum_k theta_k lambda_k / 2, entry (row, column,
+# re/im), is theta _SU3_EXT _SU3_Q.  theta _SU3_EXT = (theta_1..8, theta_8 /
+# sqrt 3) has one term an entry; _SU3_Q has power-of-two coefficients and at
+# most two terms an entry.  So each entry is rounded once whatever the
+# summation order, and the bits do not depend on the stack size.
+_SU3_EXT = np.hstack([np.eye(8), np.eye(8)[:, 7:] / np.sqrt(3.0)])
+_SU3_Q = (
+    np.concatenate([_GELLMANN[:7], np.zeros((1, 3, 3)), np.diag([1.0, 1.0, -2.0])[None]]) / 2.0
+).view(float).reshape(9, 18)
+# Morningstar-Peardon's h_j = A_j e^{2iu} + e^{-iu} (B_j + i C_j).  The rows
+# (A_0..2, B_0..2 / cos w, C_0..2 / xi0(w), 9u^2 - w^2) are _SU3_H times the
+# monomials (1, u, 3u, u^2, w^2, 3u^2, 9u^2, u (3u^2 + w^2)), again with
+# power-of-two coefficients and at most two terms a row.
+_SU3_H = np.array(
+    [
+        [0, 0, 0, 1, -1, 0, 0, 0],
+        [0, 2, 0, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 8, 0, 0, 0, 0],
+        [0, -2, 0, 0, 0, 0, 0, 0],
+        [-1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 2],
+        [0, 0, 0, 0, -1, 1, 0, 0],
+        [0, 0, -1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, -1, 0, 1, 0],
+    ],
+    dtype=float,
+)
+# (Re, Im) of e^{2iu} and of e^{-iu} (B + iC) as weights of the rows A, B, C,
+# picked from (cos 2u, cos u, cos w, sin 2u, sin u, sin w).
+_SU3_PHASE_PICK = np.array([[0, 1, 4], [3, 4, 1]])
+_SU3_PHASE_SIGN = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])[..., None]
+_TINY = np.finfo(float).tiny
+# Below this w, xi0(w) = sin(w) / w is summed as its series (error under 3e-16).
+_XI_SERIES_BELOW = 0.01
+
+
+def _exp_i_angles(theta: np.ndarray) -> np.ndarray:
+    """exp(i sum_k theta_k T_k) in the `sun_generators` basis, in closed form,
+    for angles ``theta`` of shape (..., 3) (SU(2)) or (..., 8) (SU(3)).
+
+    SU(2): cos(r/2) + i sin(r/2) n.sigma with r = |theta|, n = theta / r.
+    SU(3): Cayley-Hamilton, exp(iQ) = f0 + f1 Q + f2 Q^2 with the f_j of
+    Morningstar and Peardon (Phys. Rev. D 69, 054501 (2004)), evaluated at
+    c0 = |det Q| and mapped back by f_j(-c0) = (-1)^j f_j(c0)^*, with a
+    series for sin(w) / w at small w.  theta = 0 gives the identity exactly.
+
+    Every step is elementwise across the stack, and the only sums over more
+    than two terms run along a contiguous last axis, so a stack gives the
+    same matrices as one call each, bit for bit.
+    """
+    theta = np.asarray(theta, dtype=float)
+    lead, k = theta.shape[:-1], theta.shape[-1]
+    t = np.ascontiguousarray(theta.reshape(-1, k))
+    if k == 3:
+        return _exp_su2(t).reshape(lead + (2, 2))
+    if k == 8:
+        return _exp_su3(t).reshape(lead + (3, 3))
+    raise ValueError(f"expected 3 or 8 angles per matrix, got {k}")
+
+
+def _exp_su2(t: np.ndarray) -> np.ndarray:
+    """(P, 2, 2) exponentials of the (P, 3) angles ``t``."""
+    r = np.sqrt(np.einsum("pk,pk->p", t, t))
+    comp = np.empty((t.shape[0], 4))
+    comp[:, 0] = np.cos(0.5 * r)
+    # At r = 0 the sine factor multiplies zero angles, so any finite divisor works.
+    s = np.sin(0.5 * r) / np.maximum(r, _TINY)
+    np.multiply(t, s[:, None], out=comp[:, 1:])
+    return (np.take(comp, _SU2_PICK, axis=1) * _SU2_SIGN).view(complex)[..., 0]
+
+
+def _exp_su3(t: np.ndarray) -> np.ndarray:
+    """(P, 3, 3) exponentials of the (P, 8) angles ``t``."""
+    n_p = t.shape[0]
+    q_pm = (t @ _SU3_EXT @ _SU3_Q).view(complex).reshape(n_p, 3, 3)
+    q = np.ascontiguousarray(q_pm.transpose(1, 2, 0))
+    q2_pm = np.ascontiguousarray(_cm_product(q, q).transpose(2, 0, 1))
+    # c1 = tr(Q^2) / 2 = |theta|^2 / 4, and 3 c0 = 3 det Q = tr(Q^3) = the sum
+    # of Q o conj(Q^2) (both Hermitian), each taken along a contiguous last axis.
+    c1_3 = np.einsum("pk,pk->p", t, t) / 12.0
+    flat = (n_p, 18)
+    c0_3 = np.einsum("pk,pk->p", q_pm.view(float).reshape(flat), q2_pm.view(float).reshape(flat))
+    # |c0| / c0_max with c0_max = 2 (c1 / 3)^(3/2), clipped against rounding.
+    root = np.sqrt(c1_3)
+    c0_max_3 = 6.0 * c1_3 * root
+    ratio = np.abs(c0_3) / np.maximum(c0_max_3, _TINY)
+    third = np.arccos(np.minimum(ratio, 1.0)) / 3.0
+    # u and w at |c0|; f_j(-c0) = (-1)^j f_j(c0)^* is the same as giving u the
+    # sign of c0, since A_j, B_j and C_j are even or odd in u as (-1)^j is.
+    ang = np.empty((3, n_p))
+    u, w = ang[1], ang[2]
+    np.copysign(root * np.cos(third), c0_3, out=u)
+    np.multiply(np.sqrt(3.0) * root, np.sin(third), out=w)
+    np.add(u, u, out=ang[0])
+    trig = np.empty((2, 3, n_p))
+    np.cos(ang, out=trig[0])
+    np.sin(ang, out=trig[1])
+    mono = np.empty((8, n_p))
+    mono[0] = 1.0
+    mono[1] = u
+    np.multiply(u, 3.0, out=mono[2])
+    np.multiply(u, u, out=mono[3])
+    np.multiply(w, w, out=mono[4])
+    np.multiply(mono[3], 3.0, out=mono[5])
+    np.multiply(mono[3], 9.0, out=mono[6])
+    np.multiply(u, mono[5] + mono[4], out=mono[7])
+    w2 = mono[4]
+    series = 1.0 - w2 * (1.0 / 6.0 - w2 / 120.0)
+    xi0 = np.where(w < _XI_SERIES_BELOW, series, trig[1, 2] / np.maximum(w, _XI_SERIES_BELOW))
+    rows = _SU3_H @ mono
+    rows[3:6] *= trig[0, 2]
+    rows[6:9] *= xi0
+    phase = np.take(trig.reshape(6, n_p), _SU3_PHASE_PICK, axis=0) * _SU3_PHASE_SIGN
+    terms = phase[:, :, None] * rows[:9].reshape(3, 3, n_p)
+    h = np.empty((3, n_p, 2))
+    hv = h.transpose(2, 0, 1)
+    np.add(terms[:, 0], terms[:, 1], out=hv)
+    hv += terms[:, 2]
+    # 9u^2 - w^2 >= 2 c1 vanishes only at theta = 0, where every h_j does;
+    # shifting h_0 and the divisor by _TINY gives f = (1, 0, 0) there, and
+    # changes no bit unless |theta| is below about 1e-140.
+    hv[0, 0] += _TINY
+    hv /= rows[9] + _TINY
+    f = h.view(complex)[..., 0]
+    out = f[1][:, None, None] * q_pm + f[2][:, None, None] * q2_pm
+    out.reshape(n_p, 9)[:, ::4] += f[0][:, None]
+    return out
 
 
 def _exp_i_hermitian(herm: np.ndarray) -> np.ndarray:
-    """exp(i herm) for Hermitian matrices, through ``eigh`` matrix by matrix."""
+    """exp(i herm) for general Hermitian matrices, through ``eigh`` matrix by
+    matrix: the slow reference the closed forms of `_exp_i_angles` replace."""
     w, vec = np.linalg.eigh(herm)
     return (vec * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2))
 

@@ -12,6 +12,11 @@ draws its proposals and its accept thresholds as one batch, so a seeded
 chain is reproducible bit for bit.  The default `checkerboard` order has 8
 groups at all-even extents and 16 at the odd ones tried; `lexicographic`,
 one link per group, is the reference.
+
+Within a group, the proposals are closed-form SU(N) exponentials
+(`liealg.random_sun_near_identity`), the proposed links and the staples are
+component-major products (`liealg._cm_product`), and dS is the elementwise
+sum Re tr((U' - U) S) = Re sum (U' - U) o S^T: no product is formed for it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,20 @@ from . import liealg, wilson
 from .graphlat import GraphError, LatticeGraph, _integer, build_hypercubic
 
 SWEEP_ORDERS = ("lexicographic", "checkerboard")
+
+# What a sweep needs of its coupling and its step, as (field, test,
+# requirement); `ChainConfig.validate` and `metropolis_sweep` both apply them.
+_SWEEP_RULES = (
+    ("beta", lambda b: np.isfinite(b) and b >= 0, "a finite value >= 0"),
+    ("step_scale", lambda s: 0 < s <= 1, "a value in (0, 1]"),
+)
+
+
+def _enforce(rules, values: dict) -> None:
+    """Raise a ValueError naming the first field whose value fails its rule."""
+    for field, test, want in rules:
+        if not test(values[field]):
+            raise ValueError(f"parameter '{field}' is invalid: need {want}, got {values[field]!r}")
 
 
 @dataclass
@@ -43,24 +62,24 @@ class ChainConfig:
     def validate(self) -> None:
         """Raise a ValueError naming the first field the chain cannot honour.  Counts,
         extents and n_colors must be integers, and the schedule must measure a sweep."""
-        n, s, b, m = self.n_colors, self.sweeps, self.burn_in, self.measure_every
-        dims = tuple(self.dims)
-        for field, ok, want in (
-            ("beta", np.isfinite(self.beta) and self.beta >= 0, "a finite value >= 0"),
-            ("n_colors", _integer(n) and n in liealg.SUPPORTED_N,
-             f"one of {liealg.SUPPORTED_N}"),
-            ("dims", len(dims) == 4 and all(_integer(d) and d >= 2 for d in dims),
-             "four integer extents >= 2"),
-            ("sweeps", _integer(s) and s > 0, "a positive integer"),
-            ("burn_in", _integer(b) and 0 <= b < s, "an integer in [0, sweeps)"),
-            ("step_scale", 0 < self.step_scale <= 1, "a value in (0, 1]"),
-            ("measure_every", _integer(m) and 1 <= m <= s - b,
-             "an integer in [1, sweeps - burn_in]"),
-            ("order", self.order in SWEEP_ORDERS, f"one of {SWEEP_ORDERS}"),
-        ):
-            if not ok:
-                value = getattr(self, field)
-                raise ValueError(f"parameter '{field}' is invalid: need {want}, got {value!r}")
+        s, b = self.sweeps, self.burn_in
+        beta_rule, step_rule = _SWEEP_RULES
+        _enforce(
+            (
+                beta_rule,
+                ("n_colors", lambda v: _integer(v) and v in liealg.SUPPORTED_N,
+                 f"one of {liealg.SUPPORTED_N}"),
+                ("dims", lambda v: len(tuple(v)) == 4 and all(_integer(d) and d >= 2 for d in v),
+                 "four integer extents >= 2"),
+                ("sweeps", lambda v: _integer(v) and v > 0, "a positive integer"),
+                ("burn_in", lambda v: _integer(v) and 0 <= v < s, "an integer in [0, sweeps)"),
+                step_rule,
+                ("measure_every", lambda v: _integer(v) and 1 <= v <= s - b,
+                 "an integer in [1, sweeps - burn_in]"),
+                ("order", lambda v: v in SWEEP_ORDERS, f"one of {SWEEP_ORDERS}"),
+            ),
+            vars(self),
+        )
 
 
 @dataclass
@@ -81,19 +100,30 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
     per event of ``events`` (an int, or an int array giving a stack).
 
     The Metropolis change of the normalized action from replacing link U by
-    U' is -(beta / N) Re tr((U' - U) staple_sum).
+    U' is -(beta / N) Re tr((U' - U) staple_sum).  The legs are gathered from
+    a component-major copy of the field, and each staple is two
+    `liealg._cm_product` calls: A (C B)^dag for the upper staples and
+    (B A)^dag C for the lower ones, legs in `LatticeGraph.staple_table` order.
     """
     wilson._check_graph(lf, g)
     if not (_integer(direction) and 1 <= direction <= 4):
         raise GraphError(f"direction must be one of 1..4, got {direction!r}")
     ev = np.asarray(events)
+    if not np.issubdtype(ev.dtype, np.integer):
+        raise GraphError(f"events must be integer event ids, got dtype {ev.dtype}")
     if ev.size and (ev.min() < 0 or ev.max() >= g.n_events):
         raise GraphError(f"events must lie in [0, {g.n_events}), got {ev.min()}..{ev.max()}")
-    offsets, dagger = g.staple_table
     n = lf.n_colors
-    u = lf.su.reshape(-1, n, n)[offsets[events, direction - 1]]
-    u = np.where(dagger[..., None, None], np.conj(np.swapaxes(u, -1, -2)), u)
-    return (u[..., 0, :, :] @ u[..., 1, :, :] @ u[..., 2, :, :]).sum(axis=-3)
+    u = np.ascontiguousarray(lf.su.reshape(-1, n, n).transpose(1, 2, 0))
+    # (event, staple pair, upper/lower, leg) offsets to (upper/lower, leg, event,
+    # pair) legs: each leg is one contiguous block, and pairs are summed last.
+    idx = g.staple_table[ev.reshape(-1), direction - 1].reshape(-1, 3, 2, 3)
+    legs = np.take(u, idx.transpose(2, 3, 0, 1), axis=2)
+    (a, b, c), (la, lb, lc) = legs.transpose(2, 3, 0, 1, 4, 5)
+    upper = liealg._cm_product(a, liealg._cm_product(c, b), "b")
+    lower = liealg._cm_product(liealg._cm_product(lb, la), lc, "a")
+    staples = (upper + lower).sum(axis=-1)
+    return staples.transpose(2, 0, 1).reshape(ev.shape + (n, n))
 
 
 def update_groups(g: LatticeGraph, order: str) -> list:
@@ -122,20 +152,23 @@ def metropolis_sweep(
 ) -> tuple[wilson.LinkField, float]:
     """One full sweep over all links.  Returns the new field and acceptance.
 
-    The input field is not modified.  beta = 0 accepts every proposal.
+    The input field is not modified.  beta = 0 accepts every proposal; beta
+    and step_scale are held to the rules of `ChainConfig.validate`.
     """
+    _enforce(_SWEEP_RULES, {"beta": beta, "step_scale": step_scale})
     wilson._check_graph(lf, g)
     out = lf.copy()
     n = lf.n_colors
     accepted = 0
     for events, d in update_groups(g, order):
         x = liealg.random_sun_near_identity(n, 2.0 * step_scale, rng, count=len(events))
-        old_u = out.su[events, d - 1]
-        new_u = x @ old_u
-        staple = staple_sum(out, g, events, d)
-        d_s = -(beta / n) * np.trace((new_u - old_u) @ staple, axis1=-2, axis2=-1).real
+        old_u = out.su[events, d - 1].transpose(1, 2, 0)
+        new_u = liealg._cm_product(x.transpose(1, 2, 0), old_u)
+        staple = staple_sum(out, g, events, d).transpose(1, 2, 0)
+        # Re tr((U' - U) S) is the sum of (U' - U) o S^T: no product is formed.
+        d_s = -(beta / n) * np.einsum("ije,jie->e", new_u - old_u, staple).real
         accept = rng.uniform(size=len(events)) < np.exp(np.minimum(-d_s, 0.0))
-        out.su[events[accept], d - 1] = new_u[accept]
+        out.su[events[accept], d - 1] = new_u[:, :, accept].transpose(2, 0, 1)
         accepted += int(np.count_nonzero(accept))
     return out, accepted / g.n_transitions
 
@@ -216,9 +249,8 @@ def one_plaquette_chain(
     rng = np.random.default_rng(seed)
     draws = rng.uniform(size=(n_steps, 4))
     angle = 2.0 * step_scale
-    gens = liealg.sun_generators(2)
     # uniform(-angle, angle) returns -angle + (2 angle) u: the same angles bit for bit.
-    proposals = liealg._exp_i_angles(-angle + (2.0 * angle) * draws[:, :3], gens)
+    proposals = liealg._exp_i_angles(-angle + (2.0 * angle) * draws[:, :3])
     thresholds = draws[:, 3]
     u = np.eye(2, dtype=complex)
     trace = 2.0

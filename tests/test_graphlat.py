@@ -266,7 +266,6 @@ def _loop_reference(dims):
             act_trans.append((tr(s, mu), tr(c1, nu), tr(c3, mu), tr(s, nu)))
     sites = np.empty((n, 4, 6, 3), dtype=np.int64)
     dirs = np.empty((n, 4, 6, 3), dtype=np.int64)
-    dag = np.empty((n, 4, 6, 3), dtype=bool)
     for s in range(n):
         for mu in range(1, 5):
             i = 0
@@ -277,8 +276,6 @@ def _loop_reference(dims):
                 sites[s, mu - 1, i] = (x_pmu, shift(s, nu, +1), s)
                 sites[s, mu - 1, i + 1] = (shift(x_pmu, nu, -1), x_mnu, x_mnu)
                 dirs[s, mu - 1, i : i + 2] = (nu - 1, mu - 1, nu - 1)
-                dag[s, mu - 1, i] = (False, True, True)
-                dag[s, mu - 1, i + 1] = (True, True, False)
                 i += 2
     parity = np.array([sum(coords(s)) % 2 for s in range(n)], dtype=np.int8)
     forward = np.array([[shift(s, d, +1) for d in range(1, 5)] for s in range(n)])
@@ -287,7 +284,7 @@ def _loop_reference(dims):
         "corners": np.array(corners),
         "planes": np.array(planes),
         "act_trans": np.array(act_trans),
-        "staples": (sites, dirs, dag),
+        "staples": (sites, dirs),
         "parity": parity,
         "forward": forward,
     }
@@ -302,10 +299,8 @@ def test_tables_match_loop_construction(dims):
     assert np.array_equal([p.corners for p in views], ref["corners"])
     assert np.array_equal([p.plane for p in views], ref["planes"])
     assert np.array_equal(g.plaquette_table + g.n_events, ref["act_trans"])
-    st = g.staple_table
-    sites, dirs, dag = ref["staples"]
-    assert np.array_equal(st.offsets, 4 * sites + dirs)
-    assert np.array_equal(np.broadcast_to(st.dagger, dag.shape), dag)
+    sites, dirs = ref["staples"]
+    assert np.array_equal(g.staple_table, 4 * sites + dirs)
     # The event colouring is proper, and is the parity when every extent is even.
     assert not (g.event_colors[:, None] == g.event_colors[ref["forward"]]).any()
     if not any(d % 2 for d in dims):

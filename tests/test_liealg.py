@@ -245,3 +245,62 @@ def test_random_so5_is_special_orthogonal(rng):
         o = liealg.random_so5(rng)
         assert liealg.orthogonality_defect(o) < 1e-12
         assert abs(np.linalg.det(o) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# small-matrix kernels against the slow references they replace
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dagger", ["", "a", "b"])
+def test_cm_product_matches_stacked_matmul(rng, dagger):
+    for n in (2, 3):
+        a = rng.normal(size=(n, n, 5, 7)) + 1j * rng.normal(size=(n, n, 5, 7))
+        b = rng.normal(size=(n, n, 5, 7)) + 1j * rng.normal(size=(n, n, 5, 7))
+        left, right = np.moveaxis(a, (0, 1), (-2, -1)), np.moveaxis(b, (0, 1), (-2, -1))
+        if dagger == "a":
+            left = np.conj(np.swapaxes(left, -1, -2))
+        if dagger == "b":
+            right = np.conj(np.swapaxes(right, -1, -2))
+        want = np.moveaxis(left @ right, (-2, -1), (0, 1))
+        np.testing.assert_allclose(liealg._cm_product(a, b, dagger), want, rtol=0, atol=1e-14)
+
+
+def _angle_cases(rng, k, per_scale=2500):
+    """Uniform angles at several scales, their negatives (det Q changes sign),
+    and the edge cases theta = 0, |theta| ~ 1e-8 and degenerate spectra."""
+    scales = (1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0)
+    theta = np.concatenate([rng.uniform(-s, s, size=(per_scale, k)) for s in scales])
+    special = np.zeros((4, k))
+    special[1, -1] = 1e-8
+    special[2, -1] = 0.7  # Q proportional to lambda_8 (or sigma_3): a double eigenvalue
+    special[3, 0] = 1.3
+    return np.concatenate([theta, -theta, special, -special])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_proposals_match_eigh(rng, n):
+    gens = liealg.sun_generators(n)
+    theta = _angle_cases(rng, len(gens))
+    assert len(theta) >= 10_000
+    fast = liealg._exp_i_angles(theta)
+    slow = liealg._exp_i_hermitian(np.einsum("pk,kij->pij", theta, gens))
+    assert np.abs(fast - slow).max() <= 1e-14
+    assert liealg.unitarity_defect(fast).max() < 1e-14
+    assert np.abs(np.linalg.det(fast) - 1.0).max() < 1e-14
+    if n == 3:
+        # Both branches of the c0 symmetry are exercised.
+        det_q = np.linalg.det(np.einsum("pk,kij->pij", theta, gens)).real
+        assert (det_q > 0).sum() > 1000 and (det_q < 0).sum() > 1000
+    # theta = 0 is the identity, bit for bit.
+    assert np.array_equal(liealg._exp_i_angles(np.zeros(len(gens))), np.eye(n))
+
+
+def test_proposals_call_no_eigh(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for n in (2, 3):
+        liealg.random_sun_near_identity(n, 0.5, rng, count=20)
+        liealg.random_sun_near_identity(n, 0.5, rng)

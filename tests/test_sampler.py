@@ -1,5 +1,9 @@
 """Tests for the Metropolis sampler and its exact references."""
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from scipy.special import iv
@@ -56,8 +60,16 @@ def test_staple_sum_identity_links(small_graph):
 
 @pytest.mark.parametrize(
     "events, direction, field",
-    # Direction 0 and event -1 used to wrap to direction 4 and event 15.
-    [(0, 0, "direction"), (-1, 1, "events"), (0, 5, "direction"), (16, 1, "events")],
+    # Direction 0 and event -1 used to wrap to direction 4 and event 15; float
+    # and boolean events raised numpy's bare IndexError.
+    [
+        (0, 0, "direction"),
+        (-1, 1, "events"),
+        (0, 5, "direction"),
+        (16, 1, "events"),
+        (np.array([1.0]), 1, "events"),
+        (np.array([True, False]), 1, "events"),
+    ],
 )
 def test_staple_sum_refuses_bad_index(small_graph, events, direction, field):
     lf = wilson.identity_links(small_graph, 2)
@@ -81,19 +93,20 @@ def test_link_action_delta_matches_global_recompute(small_graph, rng):
     # The staple shortcut used by metropolis_sweep must agree with the full
     # action difference for arbitrary single-link replacements.  This
     # exercises every staple orientation over many random slots.
-    lf = wilson.random_links(small_graph, 2, rng)
     beta = 2.3
-    before = wilson.wilson_action(lf, small_graph, beta).normalized
-    for _ in range(100):
-        e = int(rng.integers(0, small_graph.n_events))
-        d = int(rng.integers(1, 5))
-        new_u = liealg.haar_random_sun(2, rng)
-        staple = sampler.staple_sum(lf, small_graph, e, d)
-        fast = -(beta / 2) * np.trace((new_u - lf.su[e, d - 1]) @ staple).real
-        trial = lf.copy()
-        trial.su[e, d - 1] = new_u
-        slow = wilson.wilson_action(trial, small_graph, beta).normalized - before
-        assert abs(fast - slow) < 1e-10 * max(1.0, abs(slow))
+    for n in (2, 3):
+        lf = wilson.random_links(small_graph, n, rng)
+        before = wilson.wilson_action(lf, small_graph, beta).normalized
+        for _ in range(100):
+            e = int(rng.integers(0, small_graph.n_events))
+            d = int(rng.integers(1, 5))
+            new_u = liealg.haar_random_sun(n, rng)
+            staple = sampler.staple_sum(lf, small_graph, e, d)
+            fast = -(beta / n) * np.trace((new_u - lf.su[e, d - 1]) @ staple).real
+            trial = lf.copy()
+            trial.su[e, d - 1] = new_u
+            slow = wilson.wilson_action(trial, small_graph, beta).normalized - before
+            assert abs(fast - slow) < 1e-10 * max(1.0, abs(slow))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +134,7 @@ def test_update_groups_cover_links_once(dims):
         assert n_colors == 2
         for k, (events, _) in enumerate(cb):
             assert np.array_equal(events, np.flatnonzero(parity == k // 4))
-    offsets, _ = g.staple_table
+    offsets = g.staple_table
     for events, d in cb:
         assert len(set(g.event_colors[events].tolist())) == 1
         # Storage offsets of the group's links and of all their staples.
@@ -238,6 +251,76 @@ def test_sweep_orders_agree_at_odd_extent():
     # (3, 2, 2, 2) takes four colours, so 16 groups a sweep.  Fewer sweeps
     # than above: the lexicographic chain costs about 10 ms a sweep here.
     _assert_orders_agree((3, 2, 2, 2), sweeps=400, burn_in=100)
+
+
+def _reference_sweep(lf, g, beta, step_scale, rng, order):
+    """The sweep written with stacked products: x U for the proposal and the
+    trace of (U' - U) S for dS."""
+    out = lf.copy()
+    n = lf.n_colors
+    accepted = 0
+    for events, d in sampler.update_groups(g, order):
+        x = liealg.random_sun_near_identity(n, 2.0 * step_scale, rng, count=len(events))
+        old_u = out.su[events, d - 1]
+        new_u = x @ old_u
+        staple = sampler.staple_sum(out, g, events, d)
+        d_s = -(beta / n) * np.trace((new_u - old_u) @ staple, axis1=-2, axis2=-1).real
+        accept = rng.uniform(size=len(events)) < np.exp(np.minimum(-d_s, 0.0))
+        out.su[events[accept], d - 1] = new_u[accept]
+        accepted += int(np.count_nonzero(accept))
+    return out, accepted / g.n_transitions
+
+
+@pytest.mark.parametrize("n, order", [(2, "lexicographic"), (3, "checkerboard")])
+def test_sweep_matches_reference_sweep(n, order):
+    g = graphlat.build_hypercubic((2, 3, 2, 2))
+    lf = wilson.random_links(g, n, np.random.default_rng(4))
+    fast, slow = lf, lf
+    for seed in range(3):
+        fast, acc = sampler.metropolis_sweep(fast, g, 2.5, 0.5, np.random.default_rng(seed), order)
+        slow, want = _reference_sweep(slow, g, 2.5, 0.5, np.random.default_rng(seed), order)
+        assert acc == want
+        np.testing.assert_allclose(fast.su, slow.su, rtol=0, atol=1e-13)
+
+
+def test_hot_kernels_form_no_stacked_products():
+    # Their products go through liealg._cm_product; a stacked @ dispatches per block.
+    for fn in (
+        sampler.metropolis_sweep, sampler.staple_sum, wilson._plaquette_traces,
+        wilson.local_gauge_links,
+    ):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), fn.__name__
+
+
+def test_checkerboard_drift_stays_unitary():
+    # 500 hot-start sweeps of closed-form proposals times links: the rounding
+    # they accumulate stays far below the validators' tolerance.
+    g = graphlat.build_hypercubic((2, 2, 2, 2))
+    rng = np.random.default_rng(57)
+    lf = wilson.random_links(g, 3, rng)
+    for _ in range(500):
+        lf, _ = sampler.metropolis_sweep(lf, g, 5.7, 0.5, rng)
+    assert liealg.unitarity_defect(lf.su).max() < 1e-12
+    wilson.validate_links(lf)
+
+
+@pytest.mark.parametrize(
+    "beta, step_scale, field",
+    [
+        (np.nan, 0.5, "beta"),
+        (np.inf, 0.5, "beta"),
+        (-1.0, 0.5, "beta"),
+        (2.0, 0.0, "step_scale"),
+        (2.0, 1.5, "step_scale"),
+        (2.0, np.nan, "step_scale"),
+    ],
+)
+def test_sweep_refuses_bad_coupling(small_graph, rng, beta, step_scale, field):
+    # A NaN beta used to accept nothing and return the field unchanged.
+    lf = wilson.identity_links(small_graph, 2)
+    with pytest.raises(ValueError, match=f"^parameter '{field}' is invalid: need "):
+        sampler.metropolis_sweep(lf, small_graph, beta, step_scale, rng)
 
 
 def test_sweep_does_not_modify_input(small_graph, rng):

@@ -133,6 +133,9 @@ def test_frame_block_must_be_5x5(small_graph, rng, shape):
     lf.so5 = block
     with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
         wilson.validate_links(lf)
+    # The action applies the same rule: a (4, 4) block used to give n_p * 4.
+    with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
+        wilson.wilson_action(lf, small_graph, 1.0)
 
 
 def test_validate_nan_link_raises_without_warning(small_graph, rng):
@@ -202,6 +205,16 @@ def test_plaquette_loops_match_plaquette_product(dims, rng):
     np.testing.assert_allclose(potential.flatness_residual(field, g).residuals, residuals, atol=1e-13)
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 4, 2, 5)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_plaquette_traces_match_plaquette_product(dims, n, rng):
+    """The trace-only kernel against the per-plaquette corner walk."""
+    g = graphlat.build_hypercubic(dims)
+    lf = wilson.random_links(g, n, rng)
+    want = [np.trace(wilson.plaquette_product(lf, p)[0]).real for p in g.plaquettes()]
+    np.testing.assert_allclose(wilson._plaquette_traces(lf, g), want, rtol=0, atol=1e-13)
+
+
 def test_so5_loop_trace_matches_dense_product(small_graph, rng):
     o = liealg.random_so5(rng)
     lf = wilson.identity_links(small_graph, 2, so5=o)
@@ -257,6 +270,19 @@ def test_local_gauge_invariance(small_graph, rng, n):
     assert abs(after.normalized - before.normalized) < 1e-10 * max(
         1.0, abs(before.normalized)
     )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_local_gauge_links_match_per_link_product(n, rng):
+    g = graphlat.build_hypercubic((2, 3, 4, 5))
+    lf = wilson.random_links(g, n, rng)
+    omegas = liealg.haar_random_sun(n, rng, count=g.n_events)
+    moved = wilson.local_gauge_links(lf, omegas)
+    for e in range(g.n_events):
+        for d in range(1, 5):
+            w_next = omegas[g.event_neighbor(e, d)]
+            want = omegas[e] @ lf.su[e, d - 1] @ w_next.conj().T
+            np.testing.assert_allclose(moved.su[e, d - 1], want, rtol=0, atol=1e-14)
 
 
 def test_local_gauge_rejects_nonunitary(small_graph, rng):
