@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from . import liealg
 
@@ -111,6 +110,9 @@ def violation_sigma_1d(
     delta = 0 gives sigma = 0.0 exactly: both actions are then the same
     floating point computation.
     """
+    # scipy is loaded here, on first use, so importing the package costs numpy only.
+    from scipy import integrate
+
     s_shifted = action_1d_embedded(f, density, eps, delta, window)
     s_aligned = action_1d_embedded(f, density, eps, 0.0, window)
     reference, quad_err = integrate.quad(

@@ -13,7 +13,10 @@ chain is reproducible bit for bit.  The default `checkerboard` order has 8
 groups at all-even extents and 16 at the odd ones tried; `lexicographic`,
 one link per group, is the reference.
 
-Within a group, the proposals are closed-form SU(N) exponentials
+A sweep copies the field once into a component-major working field, shape
+(N, N, 4E), and reads and writes links there; `staple_sum` gathers its legs
+from the same memory, viewed in (E, 4, N, N) order, without a copy of its
+own.  Within a group, the proposals are closed-form SU(N) exponentials
 (`liealg.random_sun_near_identity`), the proposed links and the staples are
 component-major products (`liealg._cm_product`), and dS is the elementwise
 sum Re tr((U' - U) S) = Re sum (U' - U) o S^T: no product is formed for it.
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import liealg, wilson
 from .graphlat import GraphError, LatticeGraph, _integer, build_hypercubic
@@ -101,8 +103,9 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
 
     The Metropolis change of the normalized action from replacing link U by
     U' is -(beta / N) Re tr((U' - U) staple_sum).  The legs are gathered from
-    a component-major copy of the field, and each staple is two
-    `liealg._cm_product` calls: A (C B)^dag for the upper staples and
+    a component-major copy of the field, which is no copy when ``lf.su`` views
+    a component-major array, as a sweep's working field does.  Each staple is
+    two `liealg._cm_product` calls: A (C B)^dag for the upper staples and
     (B A)^dag C for the lower ones, legs in `LatticeGraph.staple_table` order.
     """
     wilson._check_graph(lf, g)
@@ -152,24 +155,31 @@ def metropolis_sweep(
 ) -> tuple[wilson.LinkField, float]:
     """One full sweep over all links.  Returns the new field and acceptance.
 
-    The input field is not modified.  beta = 0 accepts every proposal; beta
+    The input field is not modified, and the returned ``su`` is a fresh
+    C-contiguous (E, 4, N, N) array.  beta = 0 accepts every proposal; beta
     and step_scale are held to the rules of `ChainConfig.validate`.
     """
     _enforce(_SWEEP_RULES, {"beta": beta, "step_scale": step_scale})
     wilson._check_graph(lf, g)
-    out = lf.copy()
     n = lf.n_colors
+    # One component-major working copy for the whole sweep: link (e, d) is
+    # u[:, :, 4 e + d - 1].  `work` views u in (E, 4, N, N) order, so the
+    # component-major copy `staple_sum` takes of it is u itself, accepts included.
+    u = np.ascontiguousarray(lf.su.reshape(-1, n, n).transpose(1, 2, 0))
+    work = wilson.LinkField(lf.graph, n, u.transpose(2, 0, 1).reshape(lf.su.shape), lf.so5)
     accepted = 0
     for events, d in update_groups(g, order):
+        links = 4 * events + (d - 1)
         x = liealg.random_sun_near_identity(n, 2.0 * step_scale, rng, count=len(events))
-        old_u = out.su[events, d - 1].transpose(1, 2, 0)
+        old_u = u[:, :, links]
         new_u = liealg._cm_product(x.transpose(1, 2, 0), old_u)
-        staple = staple_sum(out, g, events, d).transpose(1, 2, 0)
+        staple = staple_sum(work, g, events, d).transpose(1, 2, 0)
         # Re tr((U' - U) S) is the sum of (U' - U) o S^T: no product is formed.
         d_s = -(beta / n) * np.einsum("ije,jie->e", new_u - old_u, staple).real
         accept = rng.uniform(size=len(events)) < np.exp(np.minimum(-d_s, 0.0))
-        out.su[events[accept], d - 1] = new_u[:, :, accept].transpose(2, 0, 1)
+        u[:, :, links[accept]] = new_u[:, :, accept]
         accepted += int(np.count_nonzero(accept))
+    out = wilson.LinkField(lf.graph, n, np.ascontiguousarray(work.su), lf.so5.copy())
     return out, accepted / g.n_transitions
 
 
@@ -218,6 +228,8 @@ def single_plaquette_exact(beta: float) -> float:
     """
     if beta < 0 or not np.isfinite(beta):
         raise ValueError(f"beta must be a finite value >= 0, got {beta}")
+    # scipy is loaded here, on first use, so importing the package costs numpy only.
+    from scipy import integrate
 
     def den_f(t):
         return np.exp(beta * np.cos(t)) * np.sin(t) ** 2

@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.integrate  # noqa: F401  loaded before graphgauge: see the lazy-import test
 
-from graphgauge import cli
+from graphgauge import baseline, cli, sampler
 
 
 def _run(argv):
@@ -21,19 +23,19 @@ def _run(argv):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["covariance-sweep", "--seed", "1", "--param", "n_transforms=6"],
-        ["oned-demo"],
-        ["oned-demo", "--param", "profile=kink", "--param", "delta=0.05"],
-        ["embedded-violation"],
-        ["continuum-check"],
-        ["mc-run", "--seed", "5", "--param", "beta=2.0", "--param", "sweeps=6",
-         "--param", "burn_in=2"],
-        ["flatness-check", "--seed", "9"],
-    ],
-)
+_SMOKE_ARGV = [
+    ["covariance-sweep", "--seed", "1", "--param", "n_transforms=6"],
+    ["oned-demo"],
+    ["oned-demo", "--param", "profile=kink", "--param", "delta=0.05"],
+    ["embedded-violation"],
+    ["continuum-check"],
+    ["mc-run", "--seed", "5", "--param", "beta=2.0", "--param", "sweeps=6",
+     "--param", "burn_in=2"],
+    ["flatness-check", "--seed", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", _SMOKE_ARGV)
 def test_every_kind_exits_clean(argv, tmp_path):
     out = tmp_path / "report.json"
     assert _run(argv + ["--out", str(out)]) == 0
@@ -430,3 +432,50 @@ def test_module_entry_point_runs_clean(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["summary"]["status"] == "ok"
+
+
+# Run in a fresh interpreter: scipy must stay unloaded through the import, a
+# sweep and every kind but oned-demo, then load for the two quadratures.
+_LAZY_SCIPY_SCRIPT = """
+import json, sys
+import numpy as np
+import graphgauge
+from graphgauge import baseline, cli, graphlat, sampler, wilson
+g = graphlat.build_hypercubic((2, 2, 2, 2))
+sampler.metropolis_sweep(wilson.identity_links(g, 2), g, 2.0, 0.5, np.random.default_rng(0))
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv + ["--out", "report.json"]) == 0
+unloaded = "scipy" not in sys.modules
+assert cli.main(["oned-demo", "--out", "oned.json"]) == 0
+rep = baseline.violation_sigma_1d(lambda x: np.exp(-x * x), lambda v: v, 0.1, 0.05, (0.0, 8.0))
+print(json.dumps({
+    "unloaded": unloaded,
+    "oned": cli.load_report("oned.json").records,
+    "exact": sampler.single_plaquette_exact(2.0),
+    "violation": vars(rep),
+}))
+"""
+
+
+def test_scipy_loads_only_for_the_quadrature_references(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [a for a in _SMOKE_ARGV if a[0] != "oned-demo"]
+    assert {a[0] for a in argv} == set(cli.KINDS) - {"oned-demo"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT, json.dumps(argv)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["unloaded"]
+    # The same values, to the last bit, as in this process, where scipy was
+    # loaded before graphgauge was imported.
+    here = str(tmp_path / "here.json")
+    assert _run(["oned-demo", "--out", here]) == 0
+    assert json.dumps(got["oned"]) == json.dumps(cli.load_report(here).records)
+    assert got["exact"] == sampler.single_plaquette_exact(2.0)
+    want = baseline.violation_sigma_1d(lambda x: np.exp(-x * x), lambda v: v, 0.1, 0.05, (0.0, 8.0))
+    assert json.dumps(got["violation"]) == json.dumps(vars(want))

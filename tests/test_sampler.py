@@ -3,6 +3,7 @@
 import ast
 import inspect
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,10 +325,34 @@ def test_sweep_refuses_bad_coupling(small_graph, rng, beta, step_scale, field):
 
 
 def test_sweep_does_not_modify_input(small_graph, rng):
-    lf = wilson.random_links(small_graph, 2, rng)
-    su_before = lf.su.copy()
-    sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(0))
-    assert np.array_equal(lf.su, su_before)
+    # The sweep works on a component-major copy and views it in link order;
+    # neither may reach the caller's arrays, and the result is a fresh array.
+    for n in liealg.SUPPORTED_N:
+        lf = wilson.random_links(small_graph, n, rng, so5=liealg.random_so5(rng))
+        su_before, so5_before = lf.su.tobytes(), lf.so5.tobytes()
+        out, _ = sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(0))
+        assert lf.su.tobytes() == su_before and lf.so5.tobytes() == so5_before
+        assert out.su.shape == (small_graph.n_events, 4, n, n)
+        assert out.su.flags.c_contiguous
+        assert not np.shares_memory(out.su, lf.su)
+        assert not np.shares_memory(out.so5, lf.so5)
+
+
+def test_sweep_makes_no_whole_field_copy_per_group():
+    # The working copy, the returned field and one group's staple legs peak
+    # at about 5.4 field sizes; a component-major copy of the whole field in
+    # each group (`staple_sum` on a C-contiguous field) adds about one more.
+    g = graphlat.build_hypercubic((8, 8, 8, 8))
+    rng = np.random.default_rng(3)
+    lf = wilson.random_links(g, 3, rng)
+    lf, _ = sampler.metropolis_sweep(lf, g, 5.7, 0.5, rng)  # builds the graph's cached tables
+    tracemalloc.start()
+    try:
+        sampler.metropolis_sweep(lf, g, 5.7, 0.5, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * lf.su.nbytes
 
 
 @pytest.mark.parametrize("field_dims, graph_dims", [((4, 4, 4, 4), (2, 2, 2, 2)),
