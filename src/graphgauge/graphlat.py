@@ -373,9 +373,9 @@ class LatticeGraph:
         neighbor(perm[v], l) for every vertex and label.  Every event moves
         ``offset[a] % dims[a]`` steps along `forward_sites` column a.
         """
-        offset = tuple(int(o) for o in offset)
-        if len(offset) != 4:
-            raise GraphError(f"offset must have four components, got {offset}")
+        offset = tuple(offset)
+        if len(offset) != 4 or not all(_integer(o) for o in offset):
+            raise GraphError(f"offset must have four integer components, got {offset}")
         s_new = np.arange(self.n_events)
         for a, o in enumerate(offset):
             for _ in range(o % self.dims[a]):

@@ -13,10 +13,7 @@ chain is reproducible bit for bit.  The default `checkerboard` order has 8
 groups at all-even extents and 16 at the odd ones tried; `lexicographic`,
 one link per group, is the reference.
 
-A sweep copies the field once into a component-major working field, shape
-(N, N, 4E), and reads and writes links there; `staple_sum` gathers its legs
-from the same memory, viewed in (E, 4, N, N) order, without a copy of its
-own.  Within a group, the proposals are closed-form SU(N) exponentials
+Within a group, the proposals are closed-form SU(N) exponentials
 (`liealg.random_sun_near_identity`), the proposed links and the staples are
 component-major products (`liealg._cm_product`), and dS is the elementwise
 sum Re tr((U' - U) S) = Re sum (U' - U) o S^T: no product is formed for it.
@@ -103,10 +100,9 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
 
     The Metropolis change of the normalized action from replacing link U by
     U' is -(beta / N) Re tr((U' - U) staple_sum).  The legs are gathered from
-    a component-major copy of the field, which is no copy when ``lf.su`` views
-    a component-major array, as a sweep's working field does.  Each staple is
-    two `liealg._cm_product` calls: A (C B)^dag for the upper staples and
-    (B A)^dag C for the lower ones, legs in `LatticeGraph.staple_table` order.
+    ``lf.cm``.  Each staple is two `liealg._cm_product` calls: A (C B)^dag for
+    the upper staples and (B A)^dag C for the lower ones, legs in
+    `LatticeGraph.staple_table` order.
     """
     wilson._check_graph(lf, g)
     if not (_integer(direction) and 1 <= direction <= 4):
@@ -116,8 +112,7 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
         raise GraphError(f"events must be integer event ids, got dtype {ev.dtype}")
     if ev.size and (ev.min() < 0 or ev.max() >= g.n_events):
         raise GraphError(f"events must lie in [0, {g.n_events}), got {ev.min()}..{ev.max()}")
-    n = lf.n_colors
-    u = np.ascontiguousarray(lf.su.reshape(-1, n, n).transpose(1, 2, 0))
+    n, u = lf.n_colors, lf.cm
     # (event, staple pair, upper/lower, leg) offsets to (upper/lower, leg, event,
     # pair) legs: each leg is one contiguous block, and pairs are summed last.
     idx = g.staple_table[ev.reshape(-1), direction - 1].reshape(-1, 3, 2, 3)
@@ -155,31 +150,27 @@ def metropolis_sweep(
 ) -> tuple[wilson.LinkField, float]:
     """One full sweep over all links.  Returns the new field and acceptance.
 
-    The input field is not modified, and the returned ``su`` is a fresh
-    C-contiguous (E, 4, N, N) array.  beta = 0 accepts every proposal; beta
-    and step_scale are held to the rules of `ChainConfig.validate`.
+    The input field is not modified: accepted links are written into the
+    ``cm`` of a copy, which is returned.  beta = 0 accepts every proposal;
+    beta and step_scale are held to the rules of `ChainConfig.validate`.
     """
     _enforce(_SWEEP_RULES, {"beta": beta, "step_scale": step_scale})
     wilson._check_graph(lf, g)
     n = lf.n_colors
-    # One component-major working copy for the whole sweep: link (e, d) is
-    # u[:, :, 4 e + d - 1].  `work` views u in (E, 4, N, N) order, so the
-    # component-major copy `staple_sum` takes of it is u itself, accepts included.
-    u = np.ascontiguousarray(lf.su.reshape(-1, n, n).transpose(1, 2, 0))
-    work = wilson.LinkField(lf.graph, n, u.transpose(2, 0, 1).reshape(lf.su.shape), lf.so5)
+    out = lf.copy()
+    u = out.cm
     accepted = 0
     for events, d in update_groups(g, order):
         links = 4 * events + (d - 1)
         x = liealg.random_sun_near_identity(n, 2.0 * step_scale, rng, count=len(events))
         old_u = u[:, :, links]
         new_u = liealg._cm_product(x.transpose(1, 2, 0), old_u)
-        staple = staple_sum(work, g, events, d).transpose(1, 2, 0)
+        staple = staple_sum(out, g, events, d).transpose(1, 2, 0)
         # Re tr((U' - U) S) is the sum of (U' - U) o S^T: no product is formed.
         d_s = -(beta / n) * np.einsum("ije,jie->e", new_u - old_u, staple).real
         accept = rng.uniform(size=len(events)) < np.exp(np.minimum(-d_s, 0.0))
         u[:, :, links[accept]] = new_u[:, :, accept]
         accepted += int(np.count_nonzero(accept))
-    out = wilson.LinkField(lf.graph, n, np.ascontiguousarray(work.su), lf.so5.copy())
     return out, accepted / g.n_transitions
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import liealg
-from .graphlat import GraphError, LatticeGraph, PlaquetteRef
+from .graphlat import GraphError, LatticeGraph, PlaquetteRef, _integer
 
 
 class LinkFieldError(ValueError):
@@ -34,20 +34,32 @@ class LinkFieldError(ValueError):
 
 @dataclass
 class LinkField:
-    """SU(N) blocks per stored link plus the shared so5 block."""
+    """SU(N) blocks per stored link plus the shared so5 block.  ``su[e, d - 1]``
+    is link (e, d), a view of column 4 e + d - 1 of ``cm``, the C-contiguous
+    (N, N, 4E) array that the batched kernels read and write."""
 
     graph: LatticeGraph
     n_colors: int
-    su: np.ndarray          # (n_events, 4, N, N) complex
+    su: np.ndarray          # (n_events, 4, N, N) complex, a view of `cm`
     so5: np.ndarray         # (5, 5) real orthogonal
 
+    def __post_init__(self):
+        n, shape = self.n_colors, np.shape(self.su)
+        want = (self.graph.n_events, 4, n, n)
+        if not (_integer(n) and n in liealg.SUPPORTED_N and shape == want):
+            raise LinkFieldError(
+                f"su must have shape {want} with N one of {liealg.SUPPORTED_N}, "
+                f"got {shape} for N={n}"
+            )
+        self.su = self.cm.transpose(2, 0, 1).reshape(want)
+
+    @property
+    def cm(self) -> np.ndarray:
+        """The su blocks component-major; a copy only if ``su`` was reassigned."""
+        return np.ascontiguousarray(self.su.transpose(2, 3, 0, 1)).reshape(*self.su.shape[2:], -1)
+
     def copy(self) -> "LinkField":
-        return LinkField(self.graph, self.n_colors, self.su.copy(), self.so5.copy())
-
-
-def _check_n(n_colors: int):
-    if n_colors not in liealg.SUPPORTED_N:
-        raise LinkFieldError(f"unsupported N={n_colors}, expected one of {liealg.SUPPORTED_N}")
+        return LinkField(self.graph, self.n_colors, self.su.copy(order="K"), self.so5.copy())
 
 
 def _frame_block(o, what: str) -> np.ndarray:
@@ -59,12 +71,12 @@ def _frame_block(o, what: str) -> np.ndarray:
 
 
 def identity_links(graph: LatticeGraph, n_colors: int, so5: np.ndarray | None = None) -> LinkField:
-    _check_n(n_colors)
     so5 = np.eye(5) if so5 is None else _frame_block(so5, "so5 block")
-    su = np.broadcast_to(
-        np.eye(n_colors, dtype=complex), (graph.n_events, 4, n_colors, n_colors)
-    ).copy()
-    return LinkField(graph, n_colors, su, so5)
+    # A zero-stride placeholder, so an unsupported N is refused before any allocation.
+    placeholder = np.broadcast_to(0j, (graph.n_events, 4, n_colors, n_colors))
+    lf = LinkField(graph, n_colors, placeholder, so5)
+    lf.cm[...] = np.eye(n_colors)[:, :, None]
+    return lf
 
 
 def random_links(
@@ -160,8 +172,7 @@ def _plaquette_traces(lf: LinkField, graph: LatticeGraph) -> np.ndarray:
     component-major products and one elementwise sum give every trace; the
     loop itself is never formed.
     """
-    n = lf.n_colors
-    u = np.ascontiguousarray(lf.su.reshape(-1, n, n).transpose(1, 2, 0))
+    n, u = lf.n_colors, lf.cm
     table = graph.plaquette_table
     traces = np.empty(len(table))
     for start in range(0, len(table), _CHUNK):
@@ -236,14 +247,15 @@ def local_gauge_links(lf: LinkField, omegas: np.ndarray) -> LinkField:
     worst = liealg.unitarity_defect(omegas).max()
     if worst > liealg.DEFECT_TOL:
         raise LinkFieldError(f"gauge matrices are not unitary, defect {worst:.3e}")
-    w = omegas.transpose(1, 2, 0)
+    n, w = lf.n_colors, omegas.transpose(1, 2, 0)
     fwd = lf.graph.forward_sites
-    su = np.empty(lf.su.shape, dtype=complex)
+    out = LinkField(lf.graph, n, np.empty_like(lf.su, dtype=complex), lf.so5.copy())
+    u, moved_u = lf.cm.reshape(n, n, -1, 4), out.cm.reshape(n, n, -1, 4)
     for start in range(0, len(fwd), _CHUNK // 4):
         part = slice(start, start + _CHUNK // 4)
-        moved = liealg._cm_product(w[:, :, part, None], lf.su[part].transpose(2, 3, 0, 1))
-        su[part] = liealg._cm_product(moved, w[:, :, fwd[part]], "b").transpose(2, 3, 0, 1)
-    return LinkField(lf.graph, lf.n_colors, su, lf.so5.copy())
+        moved = liealg._cm_product(w[:, :, part, None], u[:, :, part])
+        moved_u[:, :, part] = liealg._cm_product(moved, w[:, :, fwd[part]], "b")
+    return out
 
 
 def global_so5_conjugate(lf: LinkField, o: np.ndarray) -> LinkField:
@@ -380,7 +392,7 @@ def save_links(lf: LinkField, path) -> None:
     """
     g = lf.graph
     so5 = " ".join(map(repr, np.asarray(lf.so5, dtype=float).ravel().tolist()))
-    rows = lf.su.astype(complex, copy=False).reshape(g.n_transitions, -1).view(np.float64)
+    rows = np.ascontiguousarray(lf.su, dtype=complex).reshape(g.n_transitions, -1).view(np.float64)
     title = "graphgauge link field snapshot"
     g.write_snapshot(path, "link", title, {"N": lf.n_colors}, f"so5: {so5}", rows)
 

@@ -158,13 +158,27 @@ def test_automorphism_equivariance_exhaustive(small_graph):
             assert got == want
 
 
-@pytest.mark.parametrize("offset", [(-1, 5, 3, -7), (7, -4, 0, 12)])
+@pytest.mark.parametrize(
+    "offset", [(-1, 5, 3, -7), (7, -4, 0, 12), (np.int64(2), np.int32(-3), 1, np.int8(9))]
+)
 def test_automorphism_shift_matches_coordinate_translation(offset):
     # Reference: translate unravelled site coordinates, wrapping every axis.
     g = build_hypercubic((3, 4, 2, 5))
     x = np.unravel_index(np.arange(g.n_events), g.dims)
     want = np.ravel_multi_index([xi + o for xi, o in zip(x, offset)], g.dims, mode="wrap")
     assert np.array_equal(g.automorphism_shift(offset)[: g.n_events], want)
+
+
+@pytest.mark.parametrize(
+    "offset",
+    [(1.5, 0, 0, 0), (True, 0, 0, 0), (np.nan, 0, 0, 0), (0, 0, np.float64(1.0), 0), (1, 0, 0),
+     np.array([1.0, 0.0, 0.0, 0.0])],
+)
+def test_automorphism_shift_refuses_non_integer_offsets(small_graph, offset):
+    # int() used to truncate 1.5 to a shift by 1, count True as 1 and fail
+    # on NaN with a bare ValueError.
+    with pytest.raises(GraphError, match="^offset must have four integer components"):
+        small_graph.automorphism_shift(offset)
 
 
 def test_automorphism_preserves_roles(small_graph):

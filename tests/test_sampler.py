@@ -325,17 +325,18 @@ def test_sweep_refuses_bad_coupling(small_graph, rng, beta, step_scale, field):
 
 
 def test_sweep_does_not_modify_input(small_graph, rng):
-    # The sweep works on a component-major copy and views it in link order;
-    # neither may reach the caller's arrays, and the result is a fresh array.
+    # The sweep writes accepted links into the component-major array of a
+    # copy; neither the input's arrays nor its views may see them.
     for n in liealg.SUPPORTED_N:
         lf = wilson.random_links(small_graph, n, rng, so5=liealg.random_so5(rng))
         su_before, so5_before = lf.su.tobytes(), lf.so5.tobytes()
         out, _ = sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(0))
         assert lf.su.tobytes() == su_before and lf.so5.tobytes() == so5_before
         assert out.su.shape == (small_graph.n_events, 4, n, n)
-        assert out.su.flags.c_contiguous
-        assert not np.shares_memory(out.su, lf.su)
-        assert not np.shares_memory(out.so5, lf.so5)
+        assert out.cm.flags.c_contiguous
+        for mine in (out.su, out.cm, out.so5):
+            for theirs in (lf.su, lf.cm, lf.so5):
+                assert not np.shares_memory(mine, theirs)
 
 
 def test_sweep_makes_no_whole_field_copy_per_group():

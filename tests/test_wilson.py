@@ -1,12 +1,14 @@
 """Tests for plaquette products, the block action, and its symmetries."""
 
 import re
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from graphgauge import graphlat, liealg, potential, wilson
+from graphgauge import graphlat, liealg, potential, sampler, wilson
 
 _PAULI1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -32,6 +34,73 @@ def test_identity_action_exact(small_graph, n):
 def test_unsupported_color_count_rejected(small_graph):
     with pytest.raises(wilson.LinkFieldError, match="N=4"):
         wilson.identity_links(small_graph, 4)
+
+
+def test_identity_links_refuses_before_allocating(small_graph):
+    # One complex 10^4 x 10^4 identity block alone would take 1.6 GB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(wilson.LinkFieldError, match="N=10000"):
+            wilson.identity_links(small_graph, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "dims, n, block_dims, block_n",
+    [
+        ((2, 2, 2, 2), 2, (2, 2, 2, 2), 3),  # 3x3 blocks read as SU(2)
+        ((3, 3, 2, 2), 3, (3, 3, 2, 2), 2),  # 2x2 blocks read as SU(3)
+        ((2, 2, 2, 2), 2, (2, 2, 2, 4), 2),  # blocks of another lattice
+        ((2, 2, 2, 2), 4, (2, 2, 2, 2), 4),  # an unsupported N
+    ],
+)
+def test_link_field_refuses_blocks_of_the_wrong_shape(dims, n, block_dims, block_n):
+    # 3x3 blocks used to read as SU(2) links, giving a finite action, and 2x2
+    # blocks as SU(3) failed with a bare IndexError in the first kernel.
+    g = graphlat.build_hypercubic(dims)
+    eye = np.eye(block_n, dtype=complex)
+    su = np.broadcast_to(eye, (graphlat.build_hypercubic(block_dims).n_events, 4) + eye.shape)
+    with pytest.raises(wilson.LinkFieldError, match=rf"^su must have shape .* for N={n}$"):
+        wilson.LinkField(g, n, su, np.eye(5))
+    with pytest.raises(wilson.LinkFieldError, match="^su must have shape"):
+        wilson.LinkField(g, 2, su.reshape(-1, block_n, block_n), np.eye(5))
+
+
+def test_every_producer_keeps_su_a_view_of_cm(small_graph, rng, tmp_path):
+    # The kernels read `cm`; a field whose su is not a view of it would pay a
+    # whole-field component-major copy on every kernel call.
+    g = small_graph
+    lf = wilson.random_links(g, 3, rng)
+    omegas = liealg.haar_random_sun(3, rng, g.n_events)
+    wilson.save_links(lf, tmp_path / "links.txt")
+    fields = {
+        "identity_links": wilson.identity_links(g, 2),
+        "random_links": lf,
+        "pure_gauge_links": wilson.pure_gauge_links(g, 3, rng),
+        "local_gauge_links": wilson.local_gauge_links(lf, omegas),
+        "global_so5_conjugate": wilson.global_so5_conjugate(lf, liealg.random_so5(rng)),
+        "copy": lf.copy(),
+        "metropolis_sweep": sampler.metropolis_sweep(lf, g, 2.0, 0.5, rng)[0],
+        "load_links": wilson.load_links(tmp_path / "links.txt", g),
+        "constructor": wilson.LinkField(g, 3, np.ascontiguousarray(lf.su), np.eye(5)),
+    }
+    for name, field in fields.items():
+        n = field.n_colors
+        assert field.cm.shape == (n, n, g.n_transitions) and field.cm.flags.c_contiguous, name
+        assert np.shares_memory(field.cm, field.su), name
+        assert np.array_equal(field.cm[:, :, 4 * 5 + 2], field.su[5, 2]), name
+    assert np.array_equal(fields["constructor"].su, lf.su)
+
+
+def test_reassigned_su_still_reads_component_major(small_graph, rng):
+    lf = wilson.random_links(small_graph, 2, rng)
+    want = wilson.wilson_action(lf, small_graph, 2.0)
+    lf.su = np.ascontiguousarray(lf.su)
+    assert np.array_equal(lf.cm[:, :, 7], lf.su[1, 3])
+    assert wilson.wilson_action(lf, small_graph, 2.0) == want
 
 
 def test_random_links_pass_validation(small_graph, rng):
@@ -149,6 +218,23 @@ def test_validate_nan_link_raises_without_warning(small_graph, rng):
             wilson.validate_links(lf)
 
 
+def test_action_and_plaquette_make_no_whole_field_copy():
+    # The action's gathers read `cm`, the field's own memory; a component-major
+    # copy of the field per call peaked at 2.64 field sizes at 8^4 SU(3).
+    g = graphlat.build_hypercubic((8, 8, 8, 8))
+    lf = wilson.random_links(g, 3, np.random.default_rng(3))
+    wilson.wilson_action(lf, g, 5.7)  # builds the graph's cached plaquette table
+    for call in (lambda: wilson.wilson_action(lf, g, 5.7),
+                 lambda: sampler.average_plaquette(lf, g)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * lf.su.nbytes
+
+
 def test_action_rejects_mismatched_graph(small_graph, mid_graph):
     lf = wilson.identity_links(small_graph, 2)
     with pytest.raises(graphlat.GraphError):
@@ -181,9 +267,13 @@ def test_plaquette_product_matches_corner_walk(small_graph, rng):
 
 
 def _reference_loops(g, values):
-    """`plaquette_product` per plaquette, with ``values`` as the stored blocks."""
+    """`plaquette_product` per plaquette, with ``values`` as the stored blocks.
+
+    A stand-in for the field, since a `LinkField` holds SU(2) or SU(3) blocks
+    only and ``values`` may be SO(5) transports.
+    """
     n = values.shape[-1]
-    lf = wilson.LinkField(g, n, values.reshape(g.n_events, 4, n, n), np.eye(5))
+    lf = types.SimpleNamespace(graph=g, su=values.reshape(g.n_events, 4, n, n), so5=np.eye(5))
     return np.stack([wilson.plaquette_product(lf, p)[0] for p in g.plaquettes()])
 
 
