@@ -55,6 +55,16 @@ class PotentialField:
     g: np.ndarray
     h: np.ndarray
 
+    def __post_init__(self):
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        t = self.graph.n_transitions
+        if np.shape(self.g) != (t, 4, 4) or np.shape(self.h) != (t, 4, 4, 4):
+            raise ValueError(
+                f"g and h must have shapes {(t, 4, 4)} and {(t, 4, 4, 4)}, "
+                f"got {np.shape(self.g)} and {np.shape(self.h)}"
+            )
+
     def entry(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(g, h) tables at transition vertex v."""
         i = self.graph.transition_offset(v)
@@ -66,8 +76,6 @@ class PotentialField:
 
 def flat_field(graph: LatticeGraph, eps: float) -> PotentialField:
     """Identity metric potential, vanishing torsion, at every transition."""
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
     t = graph.n_transitions
     g = np.broadcast_to(np.eye(4), (t, 4, 4)).copy()
     h = np.zeros((t, 4, 4, 4))
@@ -78,8 +86,6 @@ def random_field(
     graph: LatticeGraph, eps: float, rng: np.random.Generator, scale: float = 1.0
 ) -> PotentialField:
     """Independent uniform entries in +-scale, torsion antisymmetrized."""
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
     t = graph.n_transitions
     g = rng.uniform(-scale, scale, size=(t, 4, 4))
     raw = rng.uniform(-scale, scale, size=(t, 4, 4, 4))

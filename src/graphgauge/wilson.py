@@ -32,31 +32,31 @@ class LinkFieldError(ValueError):
     pass
 
 
-@dataclass
 class LinkField:
-    """SU(N) blocks per stored link plus the shared so5 block.  ``su[e, d - 1]``
-    is link (e, d), a view of column 4 e + d - 1 of ``cm``, the C-contiguous
-    (N, N, 4E) array that the batched kernels read and write."""
+    """SU(N) blocks per stored link plus the shared so5 block.  ``cm``, the
+    C-contiguous (N, N, 4E) complex array that the batched kernels read and
+    write, is the field; ``su[e, d - 1]`` is link (e, d), a view of column
+    4 e + d - 1 of ``cm``.  A ``su`` that is such a view is adopted, not copied."""
 
-    graph: LatticeGraph
-    n_colors: int
-    su: np.ndarray          # (n_events, 4, N, N) complex, a view of `cm`
-    so5: np.ndarray         # (5, 5) real orthogonal
-
-    def __post_init__(self):
-        n, shape = self.n_colors, np.shape(self.su)
-        want = (self.graph.n_events, 4, n, n)
-        if not (_integer(n) and n in liealg.SUPPORTED_N and shape == want):
+    def __init__(self, graph: LatticeGraph, n_colors: int, su: np.ndarray, so5: np.ndarray):
+        shape, want = np.shape(su), (graph.n_events, 4, n_colors, n_colors)
+        if not (_integer(n_colors) and n_colors in liealg.SUPPORTED_N and shape == want):
             raise LinkFieldError(
                 f"su must have shape {want} with N one of {liealg.SUPPORTED_N}, "
-                f"got {shape} for N={n}"
+                f"got {shape} for N={n_colors}"
             )
-        self.su = self.cm.transpose(2, 0, 1).reshape(want)
+        self.graph = graph
+        self.so5 = so5      # (5, 5) real orthogonal
+        su = np.transpose(su, (2, 3, 0, 1))
+        self.cm = np.ascontiguousarray(su, dtype=complex).reshape(n_colors, n_colors, -1)
 
     @property
-    def cm(self) -> np.ndarray:
-        """The su blocks component-major; a copy only if ``su`` was reassigned."""
-        return np.ascontiguousarray(self.su.transpose(2, 3, 0, 1)).reshape(*self.su.shape[2:], -1)
+    def n_colors(self) -> int:
+        return self.cm.shape[0]
+
+    @property
+    def su(self) -> np.ndarray:
+        return self.cm.transpose(2, 0, 1).reshape(-1, 4, *self.cm.shape[:2])
 
     def copy(self) -> "LinkField":
         return LinkField(self.graph, self.n_colors, self.su.copy(order="K"), self.so5.copy())
@@ -102,7 +102,6 @@ def pure_gauge_links(graph: LatticeGraph, n_colors: int, rng: np.random.Generato
 
 def validate_links(lf: LinkField) -> None:
     """Reject su blocks that are not unitary with unit determinant."""
-    n = lf.n_colors
     tol = liealg.DEFECT_TOL
     defects = liealg.unitarity_defect(lf.su)
     # A non-finite link already shows as an infinite defect; its det is NaN.
@@ -118,8 +117,6 @@ def validate_links(lf: LinkField) -> None:
         raise LinkFieldError(f"link ({e}, {d + 1}) determinant is not 1")
     if liealg.orthogonality_defect(_frame_block(lf.so5, "so5 block")) > tol:
         raise LinkFieldError("so5 block is not orthogonal")
-    if n != lf.su.shape[-1]:
-        raise LinkFieldError("n_colors does not match block shape")
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +192,6 @@ def _canonical_sum(values: np.ndarray) -> float:
 def _check_graph(lf: LinkField, graph: LatticeGraph) -> None:
     if lf.graph is not graph and not lf.graph.compatible(graph):
         raise GraphError("link field was built on a different graph")
-    if lf.su.shape[0] != graph.n_events:
-        raise LinkFieldError("link field does not cover the graph's links")
 
 
 def wilson_action(lf: LinkField, graph: LatticeGraph, beta: float) -> ActionValue:
@@ -249,7 +244,7 @@ def local_gauge_links(lf: LinkField, omegas: np.ndarray) -> LinkField:
         raise LinkFieldError(f"gauge matrices are not unitary, defect {worst:.3e}")
     n, w = lf.n_colors, omegas.transpose(1, 2, 0)
     fwd = lf.graph.forward_sites
-    out = LinkField(lf.graph, n, np.empty_like(lf.su, dtype=complex), lf.so5.copy())
+    out = LinkField(lf.graph, n, np.empty_like(lf.su), lf.so5.copy())
     u, moved_u = lf.cm.reshape(n, n, -1, 4), out.cm.reshape(n, n, -1, 4)
     for start in range(0, len(fwd), _CHUNK // 4):
         part = slice(start, start + _CHUNK // 4)
@@ -391,8 +386,8 @@ def save_links(lf: LinkField, path) -> None:
     with real and imaginary parts interleaved.
     """
     g = lf.graph
-    so5 = " ".join(map(repr, np.asarray(lf.so5, dtype=float).ravel().tolist()))
-    rows = np.ascontiguousarray(lf.su, dtype=complex).reshape(g.n_transitions, -1).view(np.float64)
+    so5 = " ".join(map(repr, _frame_block(lf.so5, "so5 block").ravel().tolist()))
+    rows = np.ascontiguousarray(lf.su).reshape(g.n_transitions, -1).view(np.float64)
     title = "graphgauge link field snapshot"
     g.write_snapshot(path, "link", title, {"N": lf.n_colors}, f"so5: {so5}", rows)
 
@@ -402,8 +397,10 @@ def load_links(path, graph: LatticeGraph) -> LinkField:
     header, note, rows = graph.read_snapshot(path, "link", "N")
     if not note.startswith("so5:"):
         raise ValueError("snapshot is missing the so5 header line")
-    so5 = np.array(note[4:].split(), dtype=float).reshape(5, 5)
-    lf = identity_links(graph, int(header["N"]), so5)
+    values = note[4:].split()
+    if len(values) != 25:
+        raise ValueError(f"snapshot so5 line holds {len(values)} values, expected 25")
+    lf = identity_links(graph, int(header["N"]), np.array(values, dtype=float).reshape(5, 5))
     n = lf.n_colors
     if rows.shape[1] != 2 * n * n:
         raise ValueError(f"snapshot rows have {rows.shape[1]} values, expected {2 * n * n}")

@@ -36,6 +36,25 @@ def test_random_field_antisymmetric_torsion(small_graph, rng):
     assert np.abs(field.g).max() > 0.0
 
 
+@pytest.mark.parametrize(
+    "eps, g_dims, h_dims, message",
+    [
+        (0.1, (2, 2, 2, 4), (2, 2, 2, 4), r"got \(128, 4, 4\) and \(128, 4, 4, 4\)$"),
+        (0.1, (2, 2, 2, 2), (2, 2, 2, 4), r"got \(64, 4, 4\) and \(128, 4, 4, 4\)$"),
+        (-0.1, (2, 2, 2, 2), (2, 2, 2, 2), r"^eps must be positive and finite, got -0.1$"),
+        (np.nan, (2, 2, 2, 2), (2, 2, 2, 2), r"^eps must be positive and finite, got nan$"),
+    ],
+    ids=["other-graph", "h-of-other-graph", "negative-eps", "nan-eps"],
+)
+def test_potential_field_refuses_bad_eps_or_shapes(small_graph, eps, g_dims, h_dims, message):
+    # Tables of a 2x2x2x4 graph went through flatness_residual on 2^4, which
+    # read their first 64 of 128 rows; a negative eps gave a residual of 2.0.
+    g = potential.flat_field(graphlat.build_hypercubic(g_dims), 0.1).g
+    h = potential.flat_field(graphlat.build_hypercubic(h_dims), 0.1).h
+    with pytest.raises(ValueError, match=message):
+        potential.PotentialField(small_graph, eps, g, h)
+
+
 @pytest.mark.parametrize("eps", [0.0, -0.1])
 def test_nonpositive_eps_rejected(small_graph, rng, eps):
     with pytest.raises(ValueError, match="eps"):

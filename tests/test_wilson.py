@@ -90,16 +90,37 @@ def test_every_producer_keeps_su_a_view_of_cm(small_graph, rng, tmp_path):
     for name, field in fields.items():
         n = field.n_colors
         assert field.cm.shape == (n, n, g.n_transitions) and field.cm.flags.c_contiguous, name
+        assert field.cm.dtype == np.complex128, name
         assert np.shares_memory(field.cm, field.su), name
         assert np.array_equal(field.cm[:, :, 4 * 5 + 2], field.su[5, 2]), name
     assert np.array_equal(fields["constructor"].su, lf.su)
+    # A su that is already a view of some cm is adopted, not copied.
+    assert np.shares_memory(wilson.LinkField(g, 3, lf.su, np.eye(5)).cm, lf.cm)
 
 
-def test_reassigned_su_still_reads_component_major(small_graph, rng):
+@pytest.mark.parametrize("dtype", [float, int])
+def test_real_or_integer_blocks_are_stored_complex(small_graph, dtype):
+    # A float identity used to stay float: the sweep then dropped the imaginary
+    # part of every accepted link, with a ComplexWarning, and broke unitarity.
+    g = small_graph
+    eye = np.broadcast_to(np.eye(2, dtype=dtype), (g.n_events, 4, 2, 2))
+    lf = wilson.LinkField(g, 2, eye, np.eye(5))
+    assert lf.cm.dtype == np.complex128
+    identity = wilson.identity_links(g, 2)
+    want = sampler.metropolis_sweep(identity, g, 2.0, 0.5, np.random.default_rng(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sampler.metropolis_sweep(lf, g, 2.0, 0.5, np.random.default_rng(1))
+    assert got[1] == want[1] and np.array_equal(got[0].cm, want[0].cm)
+    wilson.validate_links(got[0])
+
+
+def test_su_and_n_colors_are_read_only_views_of_cm(small_graph, rng):
     lf = wilson.random_links(small_graph, 2, rng)
     want = wilson.wilson_action(lf, small_graph, 2.0)
-    lf.su = np.ascontiguousarray(lf.su)
-    assert np.array_equal(lf.cm[:, :, 7], lf.su[1, 3])
+    for name, value in (("su", np.ascontiguousarray(lf.su)), ("n_colors", 3)):
+        with pytest.raises(AttributeError):
+            setattr(lf, name, value)
     assert wilson.wilson_action(lf, small_graph, 2.0) == want
 
 
@@ -188,7 +209,7 @@ def test_validators_reject_nan(small_graph, rng, tmp_path, action, message):
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (6, 6), (3, 5, 5)])
-def test_frame_block_must_be_5x5(small_graph, rng, shape):
+def test_frame_block_must_be_5x5(small_graph, rng, tmp_path, shape):
     # A (4, 4) block passed validation and put n_p * 4 into the action, not n_p * 5.
     block = np.broadcast_to(np.eye(shape[-1]), shape)
     named = rf"must have shape \(5, 5\), got {re.escape(str(shape))}$"
@@ -205,6 +226,10 @@ def test_frame_block_must_be_5x5(small_graph, rng, shape):
     # The action applies the same rule: a (4, 4) block used to give n_p * 4.
     with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
         wilson.wilson_action(lf, small_graph, 1.0)
+    # A (4, 4) block was saved as 16 values that `load_links` could not reshape.
+    with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
+        wilson.save_links(lf, tmp_path / "links.txt")
+    assert not (tmp_path / "links.txt").exists()
 
 
 def test_validate_nan_link_raises_without_warning(small_graph, rng):
@@ -559,6 +584,19 @@ def test_load_rejects_dims_mismatch(small_graph, mid_graph, rng, tmp_path):
     wilson.save_links(lf, path)
     with pytest.raises(ValueError, match="dims"):
         wilson.load_links(path, mid_graph)
+
+
+@pytest.mark.parametrize("n_values", [16, 26])
+def test_load_rejects_so5_line_of_wrong_length(small_graph, rng, tmp_path, n_values):
+    path = tmp_path / "links.txt"
+    wilson.save_links(wilson.random_links(small_graph, 2, rng), path)
+    lines = path.read_text().splitlines()
+    assert lines[2].startswith("# so5: ")
+    lines[2] = "# so5: " + " ".join(["0.5"] * n_values)
+    path.write_text("\n".join(lines) + "\n")
+    message = rf"^snapshot so5 line holds {n_values} values, expected 25$"
+    with pytest.raises(ValueError, match=message):
+        wilson.load_links(path, small_graph)
 
 
 def test_load_revalidates_blocks(small_graph, rng, tmp_path):
