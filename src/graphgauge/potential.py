@@ -36,9 +36,10 @@ class OrthogonalityError(ValueError):
         super().__init__(f"matrix is not orthogonal, max defect {defect:.3e}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PotentialField:
-    """Per-transition potential data tied to one graph.
+    """Per-transition potential data tied to one graph.  Frozen: the
+    attributes cannot be reassigned, and ``g`` and ``h`` are written in place.
 
     Attributes
     ----------
@@ -214,53 +215,30 @@ def _check_orthogonal(o: np.ndarray):
         raise OrthogonalityError(defect)
 
 
-def gauge_transform(
-    field: PotentialField,
-    o: np.ndarray,
-    mode: str = "global",
-) -> PotentialField:
-    """Gauge transform the potential field by orthogonal matrices.
+def gauge_transform(field: PotentialField, o: np.ndarray) -> PotentialField:
+    """Gauge transform by one orthogonal (5, 5) matrix at every transition or
+    one per transition, shape (n_transitions, 5, 5); the input is not modified.
 
-    Parameters
-    ----------
-    field : PotentialField
-    o : ndarray
-        Shape (5, 5) for mode "global" (one matrix applied everywhere) or
-        (n_transitions, 5, 5) for mode "local".
-    mode : str
-        "global": A'_a = O A_a O^T at every transition.
-        "local": additionally subtracts the discrete derivative term
-        ((O_next - O_prev) / (2 eps)) O^T, with O sampled at the two
-        same-direction transitions one site forward and backward along
-        axis a.  The result is projected back onto the antisymmetric span
-        (the symmetric leakage of the central difference is order eps^2).
-
-    Returns
-    -------
-    PotentialField
-        New field; the input is not modified.
+    A'_a = O A_a O^T - ((O_next - O_prev) / (2 eps)) O^T, with O_next and
+    O_prev the matrices at the two same-direction transitions one site
+    forward and backward along axis a, projected back onto the antisymmetric
+    span (the central difference leaks a symmetric part of order eps^2).
+    One matrix has an exactly zero derivative term: the result is the
+    conjugation O A_a O^T, with exactly antisymmetric torsion.
     """
     n_t = field.graph.n_transitions
     o = np.asarray(o, dtype=float)
-    a = transport_generators(field.g, field.h)
-    if mode == "global":
-        if o.shape != (5, 5):
-            raise ValueError(f"global mode expects one (5,5) matrix, got {o.shape}")
-        _check_orthogonal(o)
-        g_new, h_new = components_from_transport(np.einsum("ij,tajk,lk->tail", o, a, o))
-        return PotentialField(field.graph, field.eps, g_new, h_new)
-    if mode != "local":
-        raise ValueError(f"unknown mode {mode!r}, expected 'global' or 'local'")
-    if o.shape != (n_t, 5, 5):
+    if o.shape not in ((5, 5), (n_t, 5, 5)):
         raise ValueError(
-            f"local mode expects per-transition matrices ({n_t},5,5), got {o.shape}"
+            f"o must be one (5, 5) matrix or one per transition ({n_t}, 5, 5), got {o.shape}"
         )
     _check_orthogonal(o)
+    a = transport_generators(field.g, field.h)
 
     # Transition 4s + d - 1 is [s, d - 1] below; its neighbours one site
     # forward and backward along each axis carry the same direction d.
     graph = field.graph
-    o = o.reshape(graph.n_events, 4, 1, 5, 5)
+    o = np.broadcast_to(o, (n_t, 5, 5)).reshape(graph.n_events, 4, 1, 5, 5)
     d = np.arange(4)[:, None]
     o_plus = o[graph.forward_sites[:, None, :], d, 0]
     o_minus = o[graph.backward_sites[:, None, :], d, 0]

@@ -247,8 +247,17 @@ def one_plaquette_chain(
     step reads four consecutive uniforms (three proposal angles, then the
     accept threshold), so all of them are drawn as one block and all
     proposals are built as one stack; only the product, its trace and the
-    accept test run per step.
+    accept test run per step.  beta and step_scale are held to the rules of
+    `ChainConfig.validate`, and the burn-in must leave at least one sample.
     """
+    _enforce(
+        _SWEEP_RULES
+        + (
+            ("n_steps", lambda v: _integer(v) and v >= 1, "a positive integer"),
+            ("burn_in", lambda v: _integer(v) and 0 <= v < n_steps, "an integer in [0, n_steps)"),
+        ),
+        {"beta": beta, "step_scale": step_scale, "n_steps": n_steps, "burn_in": burn_in},
+    )
     rng = np.random.default_rng(seed)
     draws = rng.uniform(size=(n_steps, 4))
     angle = 2.0 * step_scale

@@ -36,7 +36,8 @@ class LinkField:
     """SU(N) blocks per stored link plus the shared so5 block.  ``cm``, the
     C-contiguous (N, N, 4E) complex array that the batched kernels read and
     write, is the field; ``su[e, d - 1]`` is link (e, d), a view of column
-    4 e + d - 1 of ``cm``.  A ``su`` that is such a view is adopted, not copied."""
+    4 e + d - 1 of ``cm``.  A ``su`` that is such a view is adopted, not copied.
+    ``cm``, ``su`` and ``n_colors`` are read-only; the arrays are written in place."""
 
     def __init__(self, graph: LatticeGraph, n_colors: int, su: np.ndarray, so5: np.ndarray):
         shape, want = np.shape(su), (graph.n_events, 4, n_colors, n_colors)
@@ -48,15 +49,19 @@ class LinkField:
         self.graph = graph
         self.so5 = so5      # (5, 5) real orthogonal
         su = np.transpose(su, (2, 3, 0, 1))
-        self.cm = np.ascontiguousarray(su, dtype=complex).reshape(n_colors, n_colors, -1)
+        self._cm = np.ascontiguousarray(su, dtype=complex).reshape(n_colors, n_colors, -1)
+
+    @property
+    def cm(self) -> np.ndarray:
+        return self._cm
 
     @property
     def n_colors(self) -> int:
-        return self.cm.shape[0]
+        return self._cm.shape[0]
 
     @property
     def su(self) -> np.ndarray:
-        return self.cm.transpose(2, 0, 1).reshape(-1, 4, *self.cm.shape[:2])
+        return self._cm.transpose(2, 0, 1).reshape(-1, 4, *self._cm.shape[:2])
 
     def copy(self) -> "LinkField":
         return LinkField(self.graph, self.n_colors, self.su.copy(order="K"), self.so5.copy())
@@ -324,6 +329,10 @@ def continuum_convergence(
     """
     if len(eps_list) < 3 or len(set(eps_list)) < len(eps_list):
         raise ValueError(f"need at least three distinct spacings to fit slopes, got {eps_list}")
+    if not all(0 < eps < np.inf for eps in eps_list):
+        raise ValueError(f"eps_list must hold finite spacings > 0, got {eps_list}")
+    if not 0 < box_extent < np.inf:
+        raise ValueError(f"box_extent must be finite and > 0, got {box_extent}")
     base = np.zeros(4) if base_point is None else np.asarray(base_point, dtype=float)
     mu, nu = 0, 1
     e_mu, e_nu = np.eye(4)[:2]

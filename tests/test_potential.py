@@ -1,5 +1,7 @@
 """Tests for potential fields, coordinate steps, and frame transforms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,17 @@ def test_potential_field_refuses_bad_eps_or_shapes(small_graph, eps, g_dims, h_d
     h = potential.flat_field(graphlat.build_hypercubic(h_dims), 0.1).h
     with pytest.raises(ValueError, match=message):
         potential.PotentialField(small_graph, eps, g, h)
+
+
+@pytest.mark.parametrize("name", ["eps", "g", "h"])
+def test_potential_field_is_frozen(small_graph, name):
+    # Reassigning eps = -1.0 used to go through flatness_residual unchecked.
+    field = potential.flat_field(small_graph, 0.1)
+    other = potential.flat_field(graphlat.build_hypercubic((2, 2, 2, 4)), 0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(field, name, -1.0 if name == "eps" else getattr(other, name))
+    field.g[0, 0, 1] = 0.5
+    assert field.g[0, 0, 1] == 0.5
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1])
@@ -284,7 +297,7 @@ def test_relabel_commutes_with_stepping(rng):
 def test_global_gauge_transform_conjugates_transports(small_graph, rng):
     field = potential.random_field(small_graph, 0.1, rng, scale=0.5)
     o = liealg.random_so5(rng)
-    out = potential.gauge_transform(field, o, mode="global")
+    out = potential.gauge_transform(field, o)
     for i in range(0, small_graph.n_transitions, 7):
         a_old = potential.transport_generators(field.g[i], field.h[i])
         a_new = potential.transport_generators(out.g[i], out.h[i])
@@ -296,41 +309,53 @@ def test_gauge_transform_rejects_nonorthogonal(small_graph, rng):
     field = potential.flat_field(small_graph, 0.1)
     bad = np.eye(5) + 0.01
     with pytest.raises(potential.OrthogonalityError) as info:
-        potential.gauge_transform(field, bad, mode="global")
+        potential.gauge_transform(field, bad)
     assert info.value.defect > 1e-10
 
 
 def test_gauge_transform_shape_checks(small_graph, rng):
     field = potential.flat_field(small_graph, 0.1)
-    with pytest.raises(ValueError, match="5,5"):
-        potential.gauge_transform(field, np.eye(4), mode="global")
-    with pytest.raises(ValueError, match="mode"):
-        potential.gauge_transform(field, np.eye(5), mode="sideways")
-    with pytest.raises(ValueError, match="per-transition"):
-        potential.gauge_transform(field, np.eye(5), mode="local")
+    t = small_graph.n_transitions
+    want = rf"one \(5, 5\) matrix or one per transition \({t}, 5, 5\)"
+    for bad in (np.eye(4), np.broadcast_to(np.eye(5), (t - 1, 5, 5))):
+        with pytest.raises(ValueError, match=want):
+            potential.gauge_transform(field, bad)
 
 
-@pytest.mark.parametrize("mode", ["global", "local"])
-def test_gauge_transform_rejects_nan(small_graph, mode):
+@pytest.mark.parametrize("stacked", [False, True], ids=["global", "local"])
+def test_gauge_transform_rejects_nan(small_graph, stacked):
     field = potential.flat_field(small_graph, 0.1)
     o = np.eye(5)
-    if mode == "local":
+    if stacked:
         o = np.broadcast_to(o, (small_graph.n_transitions, 5, 5)).copy()
     o[..., 3, 1] = np.nan
     with pytest.raises(potential.OrthogonalityError, match="not orthogonal, max defect inf"):
-        potential.gauge_transform(field, o, mode=mode)
+        potential.gauge_transform(field, o)
 
 
 def test_constant_local_gauge_matches_global(small_graph, rng):
-    # A position independent local transform has vanishing derivative term,
-    # so it must reduce to the global conjugation.
+    # One matrix runs the per-transition formula on a zero-stride stack, so
+    # it must give the same bits as the same matrix tiled at every transition.
     field = potential.random_field(small_graph, 0.1, rng, scale=0.5)
     o = liealg.random_so5(rng)
     tiled = np.broadcast_to(o, (small_graph.n_transitions, 5, 5)).copy()
-    out_local = potential.gauge_transform(field, tiled, mode="local")
-    out_global = potential.gauge_transform(field, o, mode="global")
-    np.testing.assert_allclose(out_local.g, out_global.g, atol=1e-13)
-    np.testing.assert_allclose(out_local.h, out_global.h, atol=1e-13)
+    out_local = potential.gauge_transform(field, tiled)
+    out_global = potential.gauge_transform(field, o)
+    assert np.array_equal(out_local.g, out_global.g)
+    assert np.array_equal(out_local.h, out_global.h)
+
+
+def test_global_gauge_keeps_torsion_antisymmetric_and_round_trips(small_graph, rng, tmp_path):
+    # The derivative term of one matrix is exactly zero, so the torsion stays
+    # exactly antisymmetric and the snapshot gives back every bit.
+    field = potential.random_field(small_graph, 0.1, rng, scale=0.5)
+    out = potential.gauge_transform(field, liealg.random_so5(rng))
+    assert not np.any(out.h + np.swapaxes(out.h, 2, 3))
+    path = tmp_path / "field.txt"
+    potential.save_field(out, path)
+    back = potential.load_field(path, small_graph)
+    assert back.g.tobytes() == out.g.tobytes()
+    assert back.h.tobytes() == out.h.tobytes()
 
 
 def test_smooth_local_gauge_keeps_field_flat(mid_graph):
@@ -363,7 +388,7 @@ def test_smooth_local_gauge_keeps_field_flat(mid_graph):
             theta += mats[k] * np.sin(angle)
         o[i] = liealg.expm5(0.02 * theta)
 
-    out = potential.gauge_transform(field, o, mode="local")
+    out = potential.gauge_transform(field, o)
     res = potential.flatness_residual(out, mid_graph).max_residual
     assert res <= 2.0 * base
 
@@ -419,7 +444,7 @@ def test_flatness_invariant_under_global_gauge(small_graph, rng):
     before = potential.flatness_residual(field, small_graph).residuals
     o = liealg.random_so5(rng)
     after = potential.flatness_residual(
-        potential.gauge_transform(field, o, mode="global"), small_graph
+        potential.gauge_transform(field, o), small_graph
     ).residuals
     np.testing.assert_allclose(after, before, atol=1e-12)
 

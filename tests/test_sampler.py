@@ -431,6 +431,29 @@ def test_one_plaquette_chain_matches_exact(beta):
     assert abs(samples.mean() - exact) < 3.0 * se
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"beta": np.nan}, "beta"),
+        ({"beta": -1.0}, "beta"),
+        ({"step_scale": 0.0}, "step_scale"),
+        ({"step_scale": 3.0}, "step_scale"),
+        ({"n_steps": 0, "burn_in": 0}, "n_steps"),
+        ({"n_steps": 100.0}, "n_steps"),
+        ({"burn_in": -3}, "burn_in"),
+        ({"burn_in": 100}, "burn_in"),
+        ({"burn_in": 200}, "burn_in"),
+        ({"burn_in": 2.0}, "burn_in"),
+    ],
+)
+def test_one_plaquette_chain_refuses_bad_input(kwargs, field):
+    # A NaN beta or a zero step froze the chain at 1.0, and a negative or
+    # too large burn-in returned the last samples or none at all.
+    args = {"beta": 1.0, "n_steps": 100, "step_scale": 0.5, "burn_in": 10} | kwargs
+    with pytest.raises(ValueError, match=f"^parameter '{field}' is invalid: need "):
+        sampler.one_plaquette_chain(**args)
+
+
 def test_one_plaquette_chain_deterministic():
     a = sampler.one_plaquette_chain(1.0, 2000, seed=7)
     b = sampler.one_plaquette_chain(1.0, 2000, seed=7)

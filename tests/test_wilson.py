@@ -118,10 +118,16 @@ def test_real_or_integer_blocks_are_stored_complex(small_graph, dtype):
 def test_su_and_n_colors_are_read_only_views_of_cm(small_graph, rng):
     lf = wilson.random_links(small_graph, 2, rng)
     want = wilson.wilson_action(lf, small_graph, 2.0)
-    for name, value in (("su", np.ascontiguousarray(lf.su)), ("n_colors", 3)):
+    for name, value in (
+        ("su", np.ascontiguousarray(lf.su)),
+        ("n_colors", 3),
+        ("cm", np.zeros((3, 3, small_graph.n_transitions), dtype=complex)),
+    ):
         with pytest.raises(AttributeError):
             setattr(lf, name, value)
     assert wilson.wilson_action(lf, small_graph, 2.0) == want
+    lf.cm[...] = np.eye(2)[:, :, None]
+    assert np.array_equal(lf.su, np.broadcast_to(np.eye(2), lf.su.shape))
 
 
 def test_random_links_pass_validation(small_graph, rng):
@@ -493,6 +499,25 @@ def test_continuum_requires_distinct_spacings():
     # Two equal spacings leave two points to fit a slope through.
     with pytest.raises(ValueError, match="distinct"):
         wilson.continuum_convergence(_constant_noncommuting, eps_list=[0.1, 0.05, 0.05])
+
+
+@pytest.mark.parametrize(
+    "eps_list, box_extent, field",
+    [
+        ([0.1, 0.05, -0.025], 0.2, "eps_list"),
+        ([0.1, 0.05, 0.0], 0.2, "eps_list"),
+        ([0.1, 0.05, np.nan], 0.2, "eps_list"),
+        ([0.1, 0.05, np.inf], 0.2, "eps_list"),
+        ([0.1, 0.05, 0.025], -1.0, "box_extent"),
+        ([0.1, 0.05, 0.025], 0.0, "box_extent"),
+        ([0.1, 0.05, 0.025], np.nan, "box_extent"),
+    ],
+)
+def test_continuum_refuses_non_positive_sizes(eps_list, box_extent, field):
+    # A negative box or spacing gave a NaN slope, and a NaN spacing failed
+    # inside numpy's float-to-integer conversion.
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        wilson.continuum_convergence(_constant_noncommuting, eps_list, box_extent=box_extent)
 
 
 def test_finite_difference_field_strength_linear_abelian():
