@@ -35,7 +35,7 @@ class ViolationReport:
     extras: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False)
 class GraphField1D:
     """A 1d graph field: samples, positive weights, and a nominal start index.
 

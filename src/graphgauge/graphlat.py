@@ -37,7 +37,6 @@ link (s, d)): the row of per-transition data, such as link matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import permutations
@@ -72,21 +71,6 @@ def _label_col(label: int) -> int:
     if not _integer(label) or label == 0 or abs(label) > 4:
         raise GraphError(f"invalid edge label {label!r}, expected +-1..+-4")
     return 2 * (abs(label) - 1) + (0 if label > 0 else 1)
-
-
-@dataclass(frozen=True)
-class PlaquetteRef:
-    """One plaquette: its action vertex, corner events, and loop steps.
-
-    ``links`` holds (event, signed direction) steps in loop order
-    (+mu, +nu, -mu, -nu); a negative direction means the step traverses the
-    link stored at the destination event in reverse.
-    """
-
-    action: int
-    corners: tuple[int, int, int, int]
-    links: tuple[tuple[int, int], ...]
-    plane: tuple[int, int]
 
 
 class LatticeGraph:
@@ -204,10 +188,6 @@ class LatticeGraph:
         self._vertices(v, (Role.TRANSITION,), "is not a transition vertex")
         return v - self.n_events
 
-    def links(self):
-        """All stored links as (event, direction) pairs, event major."""
-        return [(s, d) for s in range(self.n_events) for d in range(1, 5)]
-
     # -- derived index tables -----------------------------------------------
 
     @cached_property
@@ -272,24 +252,6 @@ class LatticeGraph:
                 lower = [bwd[fwd[:, mu], nu], bwd[:, nu], bwd[:, nu]]
                 offsets[:, mu, 2 * k + 1] = 4 * np.stack(lower, 1) + dirs
         return offsets
-
-    def plaquettes(self) -> tuple[PlaquetteRef, ...]:
-        """Every plaquette exactly once, in action order, built on each call.
-
-        These per-plaquette views serve the reference path
-        (`wilson.plaquette_product`); batched code reads `plaquette_table`.
-        """
-        legs = self.plaquette_table
-        c0, c1, c3 = legs[:, :3].T // 4
-        mu, nu = legs[:, :2].T % 4 + 1
-        c2 = self.forward_sites[c1, nu - 1]
-        a0 = self.n_events + self.n_transitions
-        return tuple(
-            PlaquetteRef(a0 + k, (a, b, c, d), ((a, m), (b, n), (c, -m), (d, -n)), (m, n))
-            for k, (a, b, c, d, m, n) in enumerate(
-                zip(*(t.tolist() for t in (c0, c1, c2, c3, mu, nu)))
-            )
-        )
 
     # -- snapshots -----------------------------------------------------------
 

@@ -53,7 +53,7 @@ class GeneratorSpanError(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """Orthonormalized generator basis.
 

@@ -36,7 +36,7 @@ class OrthogonalityError(ValueError):
         super().__init__(f"matrix is not orthogonal, max defect {defect:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialField:
     """Per-transition potential data tied to one graph.  Frozen: the
     attributes cannot be reassigned, and ``g`` and ``h`` are written in place.
@@ -178,7 +178,7 @@ def step_coordinates(
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelabelMap:
     """Affine relabeling of the four coordinate components: y -> chi y + omega."""
 
@@ -267,7 +267,7 @@ def lorentz_transform_field(field: PotentialField, lam: np.ndarray) -> Potential
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class FlatnessReport:
     max_residual: float
     residuals: np.ndarray

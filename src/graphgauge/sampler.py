@@ -81,7 +81,7 @@ class ChainConfig:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class ObservableSeries:
     sweep_index: np.ndarray
     avg_plaquette: np.ndarray

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import liealg
-from .graphlat import GraphError, LatticeGraph, PlaquetteRef, _integer
+from .graphlat import GraphError, LatticeGraph, _integer
 
 
 class LinkFieldError(ValueError):
@@ -47,7 +47,7 @@ class LinkField:
                 f"got {shape} for N={n_colors}"
             )
         self.graph = graph
-        self.so5 = so5      # (5, 5) real orthogonal
+        self.so5 = _frame_block(so5, "so5 block")  # real orthogonal
         su = np.transpose(su, (2, 3, 0, 1))
         self._cm = np.ascontiguousarray(su, dtype=complex).reshape(n_colors, n_colors, -1)
 
@@ -76,10 +76,9 @@ def _frame_block(o, what: str) -> np.ndarray:
 
 
 def identity_links(graph: LatticeGraph, n_colors: int, so5: np.ndarray | None = None) -> LinkField:
-    so5 = np.eye(5) if so5 is None else _frame_block(so5, "so5 block")
     # A zero-stride placeholder, so an unsupported N is refused before any allocation.
     placeholder = np.broadcast_to(0j, (graph.n_events, 4, n_colors, n_colors))
-    lf = LinkField(graph, n_colors, placeholder, so5)
+    lf = LinkField(graph, n_colors, placeholder, np.eye(5) if so5 is None else so5)
     lf.cm[...] = np.eye(n_colors)[:, :, None]
     return lf
 
@@ -129,27 +128,34 @@ def validate_links(lf: LinkField) -> None:
 # ---------------------------------------------------------------------------
 
 
-def plaquette_product(lf: LinkField, p: PlaquetteRef) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered product of the four links around plaquette p, as the block
-    pair ``(su, so5)``.
+def plaquette_product(lf: LinkField, action: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered product of the four links around an action vertex's loop, as
+    the block pair ``(su, so5)``.
 
-    Steps with positive direction use the stored matrix, steps with negative
-    direction use the dagger of the link stored at the step's destination.
-    The so5 blocks compose the same loop, with transposes on reversed legs.
+    The walk starts at the tail of the first of `LatticeGraph.action_transitions`
+    and takes the legs in loop order by adjacency alone: a leg entered at its
+    tail contributes its stored blocks, one entered at its head their dagger
+    (the transpose for the so5 block).  A leg that touches neither end of the
+    walk, or a walk that does not return to its start, raises GraphError.
     """
     g = lf.graph
-    su = None
-    so5 = None
-    for event, sd in p.links:
-        if sd > 0:
-            m = lf.su[event, sd - 1]
-            o = lf.so5
+    legs = np.array(g.action_transitions(action))
+    dirs, offsets = g.transition_direction(legs).tolist(), g.transition_offset(legs).tolist()
+    start = here = g.neighbor(legs[0], -dirs[0])
+    su = so5 = None
+    for t, d, k in zip(legs.tolist(), dirs, offsets):
+        m, o = lf.su[k // 4, k % 4], lf.so5
+        tail, head = g.neighbor(t, -d), g.neighbor(t, d)
+        if here == tail:
+            here = head
+        elif here == head:
+            here, m, o = tail, m.conj().T, o.T
         else:
-            stored = g.event_neighbor(event, sd)
-            m = lf.su[stored, -sd - 1].conj().T
-            o = lf.so5.T
+            raise GraphError(f"leg {t} of action {action} has no end at event {here}")
         su = m if su is None else su @ m
         so5 = o if so5 is None else so5 @ o
+    if here != start:
+        raise GraphError(f"the loop of action {action} ends at event {here}, not {start}")
     return su, so5
 
 
@@ -217,6 +223,8 @@ def wilson_action(lf: LinkField, graph: LatticeGraph, beta: float) -> ActionValu
         normalized = beta * sum_p (1 - Re tr su_p / N), from one traversal.
     """
     _check_graph(lf, graph)
+    if not -np.inf < beta < np.inf:
+        raise ValueError(f"beta must be finite, got {beta}")
     so5 = _frame_block(lf.so5, "so5 block")
     traces = _plaquette_traces(lf, graph)
     n_p = traces.shape[0]
@@ -274,7 +282,7 @@ def global_so5_conjugate(lf: LinkField, o: np.ndarray) -> LinkField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvergenceReport:
     eps: np.ndarray
     deficit: np.ndarray

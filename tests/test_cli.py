@@ -302,6 +302,7 @@ def test_embedded_violation_rejects_non_finite_values(value, field, capsys, tmp_
         (["flatness-check", "--seed", "1", "--param", "amplitude=NaN"], "amplitude"),
         (["flatness-check", "--seed", "-1"], "seed"),
         (["mc-run", "--param", "seed=-3", "--param", "beta=2.0"], "seed"),
+        # covariance-sweep takes no beta: the name itself is refused.
         (["covariance-sweep", "--seed", "1", "--param", "n_transforms=3", "--param", "beta=NaN"],
          "beta"),
         # Names the kind does not read.

@@ -50,32 +50,45 @@ def test_vertex_degrees(small_graph):
         assert all(g.role(w) == Role.TRANSITION for w in nbrs)
 
 
+def _walk(g, action):
+    """Corners, directions and orientations of an action's loop, walked by
+    adjacency from the tail of its first leg, and the event the walk ends at.
+    A leg entered at its tail has orientation +1, one entered at its head -1."""
+    legs = g.action_transitions(action)
+    here = g.neighbor(legs[0], -g.transition_direction(legs[0]))
+    corners, dirs, signs = [], [], []
+    for t in legs:
+        d = g.transition_direction(t)
+        sign = 1 if g.neighbor(t, -d) == here else -1
+        assert g.neighbor(t, -sign * d) == here
+        corners.append(here)
+        dirs.append(d)
+        signs.append(sign)
+        here = g.neighbor(t, sign * d)
+    return corners, dirs, signs, here
+
+
+def _actions(g):
+    return range(g.n_events + g.n_transitions, g.n_vertices)
+
+
 def test_every_link_in_exactly_six_plaquettes(small_graph):
     g = small_graph
-    counts = {}
-    for p in g.plaquettes():
-        for event, step in p.links:
-            if step > 0:
-                key = (event, step)
-            else:
-                key = (g.event_neighbor(event, step), -step)
-            counts[key] = counts.get(key, 0) + 1
-    assert set(counts) == set(g.links())
-    assert all(c == 6 for c in counts.values())
+    counts = np.bincount(g.plaquette_table.ravel(), minlength=g.n_transitions)
+    assert counts.shape == (g.n_transitions,)
+    assert (counts == 6).all()
 
 
-def test_plaquette_loop_closes(small_graph):
-    g = small_graph
-    for p in g.plaquettes():
-        here = p.corners[0]
-        for event, step in p.links:
-            assert event == here
-            here = g.event_neighbor(here, step)
-        assert here == p.corners[0]
-        mu, nu = p.plane
+def test_plaquette_loop_closes():
+    # Extents above 2 along every plane, so x + mu and x - mu differ.
+    g = build_hypercubic((2, 3, 4, 5))
+    for a in _actions(g):
+        corners, dirs, signs, end = _walk(g, a)
+        assert end == corners[0]
+        mu, nu = dirs[:2]
         assert 1 <= mu < nu <= 4
-        steps = tuple(s for _, s in p.links)
-        assert steps == (mu, nu, -mu, -nu)
+        assert dirs == [mu, nu, mu, nu]
+        assert signs == [1, 1, -1, -1]
 
 
 def test_event_neighbor_is_two_half_steps(small_graph):
@@ -118,23 +131,13 @@ def test_transition_direction_and_offset(small_graph):
 
 
 def test_action_transitions_in_loop_order(small_graph):
+    """The legs are the links stored at (c0, mu), (c1, nu), (c3, mu), (c0, nu) of
+    the walked corners c0..c3."""
     g = small_graph
-    for p in g.plaquettes():
-        ts = g.action_transitions(p.action)
-        mu, nu = p.plane
-        c0, c1, _, c3 = p.corners
-        assert ts[0] == g.neighbor(c0, mu)
-        assert ts[1] == g.neighbor(c1, nu)
-        assert ts[2] == g.neighbor(c3, mu)
-        assert ts[3] == g.neighbor(c0, nu)
-
-
-def test_links_enumeration(small_graph):
-    g = small_graph
-    links = g.links()
-    assert len(links) == g.n_transitions
-    assert links == sorted(links)
-    assert all(1 <= d <= 4 for _, d in links)
+    for a in _actions(g):
+        (c0, c1, _, c3), (mu, nu, _, _), _, _ = _walk(g, a)
+        steps = ((c0, mu), (c1, nu), (c3, mu), (c0, nu))
+        assert tuple(g.neighbor(c, d) for c, d in steps) == g.action_transitions(a)
 
 
 def test_automorphism_equivariance_exhaustive(small_graph):
@@ -309,9 +312,9 @@ def test_tables_match_loop_construction(dims):
     g = build_hypercubic(dims)
     ref = _loop_reference(dims)
     assert np.array_equal(g._nbr, ref["nbr"])
-    views = g.plaquettes()
-    assert np.array_equal([p.corners for p in views], ref["corners"])
-    assert np.array_equal([p.plane for p in views], ref["planes"])
+    walks = [_walk(g, a) for a in _actions(g)]
+    assert np.array_equal([corners for corners, *_ in walks], ref["corners"])
+    assert np.array_equal([dirs[:2] for _, dirs, *_ in walks], ref["planes"])
     assert np.array_equal(g.plaquette_table + g.n_events, ref["act_trans"])
     sites, dirs = ref["staples"]
     assert np.array_equal(g.staple_table, 4 * sites + dirs)
@@ -324,19 +327,6 @@ def test_tables_match_loop_construction(dims):
     assert np.array_equal(g.forward_sites, fwd)
     bwd = np.stack([[g.event_neighbor(int(e), -d) for d in range(1, 5)] for e in events])
     assert np.array_equal(g.backward_sites, bwd)
-
-
-def test_plaquette_views_match_table(small_graph):
-    g = small_graph
-    table = g.plaquette_table
-    for k, p in enumerate(g.plaquettes()):
-        assert p.action == g.n_events + g.n_transitions + k
-        # Legs (c0, mu), (c1, nu), (c3, mu), (c0, nu), as storage offsets.
-        (c0, c1, _, c3), (mu, nu) = p.corners, p.plane
-        steps = ((c0, mu), (c1, nu), (c3, mu), (c0, nu))
-        assert [g.transition_offset(g.neighbor(c, d)) for c, d in steps] == table[k].tolist()
-        ts = tuple(int(t) + g.n_events for t in table[k])
-        assert ts == g.action_transitions(p.action)
 
 
 @pytest.mark.parametrize(

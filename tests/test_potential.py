@@ -1,11 +1,12 @@
 """Tests for potential fields, coordinate steps, and frame transforms."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
-from graphgauge import graphlat, liealg, potential
+from graphgauge import baseline, graphlat, liealg, potential, sampler, wilson
 
 
 def _coords(site, dims):
@@ -67,6 +68,28 @@ def test_potential_field_is_frozen(small_graph, name):
     field.g[0, 0, 1] = 0.5
     assert field.g[0, 0, 1] == 0.5
 
+
+_ARRAY_RECORDS = {
+    "PotentialField": lambda g: potential.flat_field(g, 0.1),
+    "FlatnessReport": lambda g: potential.flatness_residual(potential.flat_field(g, 0.1), g),
+    "RelabelMap": lambda g: potential.RelabelMap(np.eye(4), np.zeros(4)),
+    "GeneratorSet": lambda g: liealg.make_generators(),
+    "ConvergenceReport": lambda g: wilson.ConvergenceReport(*np.ones((4, 3)), 4.0, 6.0),
+    "ObservableSeries": lambda g: sampler.ObservableSeries(np.arange(3), np.ones(3), np.ones(3)),
+    "GraphField1D": lambda g: baseline.GraphField1D(np.ones(3), np.ones(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_RECORDS))
+def test_records_holding_arrays_compare_by_identity(small_graph, name):
+    # The generated __eq__ compared the array fields and raised numpy's
+    # ambiguous-truth ValueError, and left the frozen records unhashable.
+    x = _ARRAY_RECORDS[name](small_graph)
+    assert x == x
+    assert not x == copy.copy(x)
+    if type(x).__dataclass_params__.frozen:
+        assert hash(x) == hash(x)
+        assert len({x, copy.copy(x)}) == 2
 
 @pytest.mark.parametrize("eps", [0.0, -0.1])
 def test_nonpositive_eps_rejected(small_graph, rng, eps):
@@ -427,7 +450,7 @@ def test_lorentz_transform_field(small_graph, rng):
 def test_flat_field_residual_small(mid_graph):
     field = potential.flat_field(mid_graph, 0.05)
     report = potential.flatness_residual(field, mid_graph)
-    assert report.residuals.shape == (len(mid_graph.plaquettes()),)
+    assert report.residuals.shape == (mid_graph.n_actions,)
     assert 0.0 < report.max_residual <= 5e-3
 
 

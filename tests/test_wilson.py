@@ -24,7 +24,7 @@ _PAULI3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 def test_identity_action_exact(small_graph, n):
     lf = wilson.identity_links(small_graph, n)
     act = wilson.wilson_action(lf, small_graph, beta=2.5)
-    n_p = len(small_graph.plaquettes())
+    n_p = small_graph.n_actions
     assert act.n_plaquettes == n_p
     assert act.raw_trace_sum == float(n_p * (n + 5))
     assert act.normalized == 0.0
@@ -216,7 +216,8 @@ def test_validators_reject_nan(small_graph, rng, tmp_path, action, message):
 
 @pytest.mark.parametrize("shape", [(4, 4), (6, 6), (3, 5, 5)])
 def test_frame_block_must_be_5x5(small_graph, rng, tmp_path, shape):
-    # A (4, 4) block passed validation and put n_p * 4 into the action, not n_p * 5.
+    # A (4, 4) block passed validation and put n_p * 4 into the action, not n_p * 5;
+    # given to the constructor, it also went through sweeps unchecked.
     block = np.broadcast_to(np.eye(shape[-1]), shape)
     named = rf"must have shape \(5, 5\), got {re.escape(str(shape))}$"
     with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
@@ -224,6 +225,8 @@ def test_frame_block_must_be_5x5(small_graph, rng, tmp_path, shape):
     with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
         wilson.random_links(small_graph, 2, rng, so5=block)
     lf = wilson.random_links(small_graph, 2, rng)
+    with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
+        wilson.LinkField(small_graph, 2, lf.su, block)
     with pytest.raises(wilson.LinkFieldError, match="conjugating matrix " + named):
         wilson.global_so5_conjugate(lf, block)
     lf.so5 = block
@@ -236,6 +239,24 @@ def test_frame_block_must_be_5x5(small_graph, rng, tmp_path, shape):
     with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
         wilson.save_links(lf, tmp_path / "links.txt")
     assert not (tmp_path / "links.txt").exists()
+
+
+def test_link_field_stores_so5_rows_as_one_float_block(small_graph, rng):
+    # A tuple of rows used to be stored as given, so `copy()`, and every sweep,
+    # failed on `tuple.copy`.
+    su = wilson.random_links(small_graph, 2, rng).su
+    lf = wilson.LinkField(small_graph, 2, su, tuple(map(tuple, np.eye(5))))
+    assert lf.so5.dtype == float and np.array_equal(lf.so5, np.eye(5))
+    moved, _ = sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, rng)
+    wilson.validate_links(moved)
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_wilson_action_refuses_non_finite_beta(small_graph, beta):
+    # NaN used to come back silently as normalized=nan.
+    lf = wilson.identity_links(small_graph, 2)
+    with pytest.raises(ValueError, match=f"^beta must be finite, got {beta}$"):
+        wilson.wilson_action(lf, small_graph, beta)
 
 
 def test_validate_nan_link_raises_without_warning(small_graph, rng):
@@ -277,21 +298,28 @@ def test_action_rejects_mismatched_graph(small_graph, mid_graph):
 # ---------------------------------------------------------------------------
 
 
+def _actions(g):
+    return range(g.n_events + g.n_transitions, g.n_vertices)
+
+
 def test_plaquette_product_matches_corner_walk(small_graph, rng):
-    # Independent recomputation from the corner list: the loop is
-    # U(c0, mu) U(c1, nu) U(c3, mu)^dag U(c0, nu)^dag where c1 and c3 are
-    # the corners one step along mu and nu.
-    lf = wilson.random_links(small_graph, 2, rng, so5=liealg.random_so5(rng))
-    for p in small_graph.plaquettes()[::11]:
-        c0, c1, _, c3 = p.corners
-        mu, nu = p.plane
+    # Independent recomputation from the corners: the loop is
+    # U(c0, mu) U(c1, nu) U(c3, mu)^dag U(c0, nu)^dag, where c0 is the tail of
+    # the first leg and c1 and c3 are the events one step along mu and nu.
+    g = small_graph
+    lf = wilson.random_links(g, 2, rng, so5=liealg.random_so5(rng))
+    for a in _actions(g)[::11]:
+        legs = g.action_transitions(a)
+        mu, nu = (g.transition_direction(t) for t in legs[:2])
+        c0 = g.neighbor(legs[0], -mu)
+        c1, c3 = g.event_neighbor(c0, mu), g.event_neighbor(c0, nu)
         want = (
             lf.su[c0, mu - 1]
             @ lf.su[c1, nu - 1]
             @ lf.su[c3, mu - 1].conj().T
             @ lf.su[c0, nu - 1].conj().T
         )
-        su, so5 = wilson.plaquette_product(lf, p)
+        su, so5 = wilson.plaquette_product(lf, a)
         np.testing.assert_allclose(su, want, atol=1e-13)
         want_o = lf.so5 @ lf.so5 @ lf.so5.T @ lf.so5.T
         np.testing.assert_allclose(so5, want_o, atol=1e-13)
@@ -305,7 +333,7 @@ def _reference_loops(g, values):
     """
     n = values.shape[-1]
     lf = types.SimpleNamespace(graph=g, su=values.reshape(g.n_events, 4, n, n), so5=np.eye(5))
-    return np.stack([wilson.plaquette_product(lf, p)[0] for p in g.plaquettes()])
+    return np.stack([wilson.plaquette_product(lf, a)[0] for a in _actions(g)])
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 4, 5), (3, 3, 5, 2)])
@@ -332,7 +360,7 @@ def test_plaquette_traces_match_plaquette_product(dims, n, rng):
     """The trace-only kernel against the per-plaquette corner walk."""
     g = graphlat.build_hypercubic(dims)
     lf = wilson.random_links(g, n, rng)
-    want = [np.trace(wilson.plaquette_product(lf, p)[0]).real for p in g.plaquettes()]
+    want = [np.trace(wilson.plaquette_product(lf, a)[0]).real for a in _actions(g)]
     np.testing.assert_allclose(wilson._plaquette_traces(lf, g), want, rtol=0, atol=1e-13)
 
 
@@ -351,8 +379,8 @@ def test_action_matches_explicit_loop_sum(small_graph, rng):
     beta = 1.7
     total = 0.0
     su_total = 0.0
-    for p in small_graph.plaquettes():
-        su, so5 = wilson.plaquette_product(lf, p)
+    for a in _actions(small_graph):
+        su, so5 = wilson.plaquette_product(lf, a)
         tr_su = float(np.trace(su).real)
         su_total += tr_su
         total += tr_su + float(np.trace(so5))
@@ -365,12 +393,34 @@ def test_action_matches_explicit_loop_sum(small_graph, rng):
 def test_pure_gauge_links_have_trivial_holonomy(small_graph, rng):
     lf = wilson.pure_gauge_links(small_graph, 2, rng)
     eye = np.eye(2)
-    for p in small_graph.plaquettes():
-        su, _ = wilson.plaquette_product(lf, p)
+    for a in _actions(small_graph):
+        su, _ = wilson.plaquette_product(lf, a)
         assert np.abs(su - eye).max() < 1e-12
     act = wilson.wilson_action(lf, small_graph, beta=3.0)
     assert abs(act.normalized) < 1e-10
 
+
+@pytest.mark.parametrize(
+    "swap, message",
+    [((0, 1), "has no end at event"), ((1, 2), "has no end at event"), (None, "ends at event")],
+)
+def test_plaquette_product_refuses_a_misoriented_loop(rng, swap, message):
+    """The reference derives each leg's orientation from adjacency, so a table
+    row whose legs are out of loop order, or do not close, is caught."""
+    g = graphlat.build_hypercubic((3, 3, 4, 3))
+    lf = wilson.random_links(g, 2, rng)
+    k = 7
+    row = g.plaquette_table[k]
+    if swap is None:
+        # Last leg (x + nu, nu) in place of (x, nu): the walk ends at x + 2 nu.
+        x, nu = divmod(int(row[3]), 4)
+        row[3] = 4 * g.forward_sites[x, nu] + nu
+    else:
+        row[list(swap)] = row[list(swap[::-1])]
+    action = g.n_events + g.n_transitions + k
+    with pytest.raises(graphlat.GraphError, match=message):
+        wilson.plaquette_product(lf, action)
+    wilson.plaquette_product(lf, action + 1)
 
 # ---------------------------------------------------------------------------
 # gauge and frame symmetries
