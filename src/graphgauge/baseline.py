@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import liealg
+from .graphlat import _integer
 
 
 @dataclass
@@ -50,8 +51,10 @@ class GraphField1D:
 
 def _sample_grid(eps: float, delta: float, window: tuple[float, float]) -> np.ndarray:
     lo, hi = window
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not np.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if not hi > lo:
         raise ValueError(f"window must be increasing, got {window}")
     k_lo = int(np.ceil((lo - delta) / eps - 1e-12))
@@ -95,6 +98,8 @@ def action_1d_graph(gf: GraphField1D, density: Callable) -> float:
 
 def relabel_1d(gf: GraphField1D, shift: int) -> GraphField1D:
     """Shift every index name by an integer.  Values and weights untouched."""
+    if not _integer(shift):
+        raise ValueError(f"shift must be an integer, got {shift!r}")
     return GraphField1D(
         values=gf.values.copy(),
         weights=gf.weights.copy(),

@@ -16,23 +16,20 @@ below is answered from adjacency alone.  Vertex ids are assigned
 contiguously: events first, then transitions, then actions.  Site s owns
 transition 4s + d - 1 (its forward link along d) and action 6s + i (the
 plaquette with first corner s in plane ``PLANES[i]``), both counted from the
-first vertex of their role.
+first vertex of their role.  A transition's count is its storage offset: the
+row of per-transition data, such as link matrices.
 
 Every index table is derived from `LatticeGraph.neighbor` over all events
 at once and cached on the graph when first used:
 
 * `forward_sites` and `backward_sites`: the event one step along +-d, two
   labeled half steps from each event;
-* `plaquette_table`: per action, the storage offsets of its four loop
-  transitions, read off `forward_sites`; `plaquette_loops` composes any
+* `plaquette_table` and `staple_table`: walks of signed steps, taken by
+  `path_offsets` over both site tables; each plaquette is the walk
+  (+mu, +nu, -mu, -nu) from its corner, and `plaquette_loops` composes any
   per-transition matrices around these loops;
-* `staple_table`: per stored link, the storage offsets of its six staples,
-  read off both site tables;
 * `event_colors`: a proper event colouring (2 colours at all-even extents,
   4 at the odd ones tried), greedy over both site tables.
-
-A storage offset is a transition counted from the first one (4s + d - 1 for
-link (s, d)): the row of per-transition data, such as link matrices.
 """
 
 from __future__ import annotations
@@ -212,23 +209,33 @@ class LatticeGraph:
             colors[e] = min(set(range(9)) - {colors[m] for m in nbrs})
         return np.array(colors, dtype=np.int8)
 
+    def path_offsets(self, steps, start) -> np.ndarray:
+        """Storage offsets, shape ``start.shape + (len(steps),)``, of the links crossed
+        by walking `forward_sites` and `backward_sites` along the signed directions
+        ``steps`` from each event of ``start``.  Step +d crosses link (x, d) from its
+        tail and step -d link (x - d, d) from its head: a loop daggers the latter."""
+        here = np.asarray(start)
+        self._vertices(here, (Role.EVENT,), "is not an event vertex")
+        legs = np.empty(here.shape + (len(steps),), dtype=np.int64)
+        for k, step in enumerate(steps):
+            d = _label_col(step) // 2
+            there = (self.forward_sites if step > 0 else self.backward_sites)[here, d]
+            legs[..., k] = 4 * (here if step > 0 else there) + d
+            here = there
+        return legs
+
     @cached_property
     def plaquette_table(self) -> np.ndarray:
         """(A, 4) storage offsets of each action's loop legs, row k for action A0 + k:
-        links (x, mu), (x+mu, nu), (x+nu, mu), (x, nu) of corner x and plane (mu, nu)."""
-        fwd = self.forward_sites
-        x = 4 * np.arange(self.n_events)[:, None]
-        mu, nu = np.array(PLANES).T - 1
-        legs = [x + mu, 4 * fwd[:, mu] + nu, 4 * fwd[:, nu] + mu, x + nu]
-        return np.stack(legs, axis=-1).reshape(self.n_actions, 4)
+        the walk (+mu, +nu, -mu, -nu) from corner x in plane (mu, nu)."""
+        events = np.arange(self.n_events)
+        loops = [self.path_offsets((mu, nu, -mu, -nu), events) for mu, nu in PLANES]
+        return np.stack(loops, axis=1).reshape(self.n_actions, 4)
 
     def plaquette_loops(self, values: np.ndarray) -> np.ndarray:
-        """Loop product l0 l1 l2^dag l3^dag of every plaquette, in action order.
-
-        ``values`` holds one matrix per transition, at its storage offset; l0..l3
-        are the values at the plaquette's `plaquette_table` legs, and each
-        reversed leg is daggered as it is gathered.
-        """
+        """Loop product l0 l1 l2^dag l3^dag of every plaquette, in action order:
+        ``values`` holds one matrix per transition, l0..l3 are its rows at the
+        `plaquette_table` legs, and the legs of the two negative steps are daggered."""
         l0, l1, l2, l3 = self.plaquette_table.T
         loops = values[l0] @ values[l1]
         loops = loops @ values[l2].conj().swapaxes(-1, -2)
@@ -236,22 +243,15 @@ class LatticeGraph:
 
     @cached_property
     def staple_table(self) -> np.ndarray:
-        """(E, 4, 6, 3) storage offsets: entry [e, mu-1, i, j] is link j of staple i
-        through link (e, mu).  For each nu != mu in order, the upper staple
-        (x+mu, nu), (x+nu, mu)^dag, (x, nu)^dag, then the lower staple
-        (x+mu-nu, nu)^dag, (x-nu, mu)^dag, (x-nu, nu); which legs are daggered
-        does not depend on the link."""
-        x = np.arange(self.n_events)
-        fwd = self.forward_sites
-        bwd = self.backward_sites
-        offsets = np.empty((self.n_events, 4, 6, 3), dtype=np.int64)
-        for mu in range(4):
-            for k, nu in enumerate(d for d in range(4) if d != mu):
-                dirs = (nu, mu, nu)
-                offsets[:, mu, 2 * k] = 4 * np.stack([fwd[:, mu], fwd[:, nu], x], 1) + dirs
-                lower = [bwd[fwd[:, mu], nu], bwd[:, nu], bwd[:, nu]]
-                offsets[:, mu, 2 * k + 1] = 4 * np.stack(lower, 1) + dirs
-        return offsets
+        """(E, 4, 6, 3) storage offsets: entry [e, mu-1, i, j] is leg j of staple i
+        through link (e, mu).  For each nu != mu in order, the upper staple walks
+        (+nu, -mu, -nu) from x + mu and the lower one (-nu, -mu, +nu)."""
+        walks = [
+            self.path_offsets((s * nu, -mu, -s * nu), self.forward_sites[:, mu - 1])
+            for mu, nu in permutations(range(1, 5), 2)
+            for s in (1, -1)
+        ]
+        return np.stack(walks, axis=1).reshape(self.n_events, 4, 6, 3)
 
     # -- snapshots -----------------------------------------------------------
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg
-from .graphlat import GraphError, LatticeGraph
+from .graphlat import GraphError, LatticeGraph, _integer
 
 MODES = ("poincare", "desitter")
 
@@ -164,8 +164,10 @@ def step_coordinates(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if not 0 <= axis <= 3:
-        raise ValueError(f"axis must be 0..3, got {axis}")
+    if not (_integer(axis) and 0 <= axis <= 3):
+        raise ValueError(f"axis must be an integer 0..3, got {axis!r}")
+    if not np.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     y = np.asarray(y, dtype=float)
     if y.shape != (5,):
         raise ValueError(f"label must have shape (5,), got {y.shape}")

@@ -217,8 +217,7 @@ def single_plaquette_exact(beta: float) -> float:
     weight exp(beta cos t) against the Haar factor sin^2 t on [0, pi].
     Absolute accuracy is driven well below 1e-8 by the quadrature settings.
     """
-    if beta < 0 or not np.isfinite(beta):
-        raise ValueError(f"beta must be a finite value >= 0, got {beta}")
+    _enforce(_SWEEP_RULES[:1], {"beta": beta})
     # scipy is loaded here, on first use, so importing the package costs numpy only.
     from scipy import integrate
 

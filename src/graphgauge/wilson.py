@@ -37,7 +37,8 @@ class LinkField:
     C-contiguous (N, N, 4E) complex array that the batched kernels read and
     write, is the field; ``su[e, d - 1]`` is link (e, d), a view of column
     4 e + d - 1 of ``cm``.  A ``su`` that is such a view is adopted, not copied.
-    ``cm``, ``su`` and ``n_colors`` are read-only; the arrays are written in place."""
+    ``cm``, ``su`` and ``n_colors`` are read-only; the arrays are written in place.
+    ``so5`` is stored through `_frame_block` whenever it is assigned."""
 
     def __init__(self, graph: LatticeGraph, n_colors: int, su: np.ndarray, so5: np.ndarray):
         shape, want = np.shape(su), (graph.n_events, 4, n_colors, n_colors)
@@ -47,13 +48,21 @@ class LinkField:
                 f"got {shape} for N={n_colors}"
             )
         self.graph = graph
-        self.so5 = _frame_block(so5, "so5 block")  # real orthogonal
+        self.so5 = so5
         su = np.transpose(su, (2, 3, 0, 1))
         self._cm = np.ascontiguousarray(su, dtype=complex).reshape(n_colors, n_colors, -1)
 
     @property
     def cm(self) -> np.ndarray:
         return self._cm
+
+    @property
+    def so5(self) -> np.ndarray:
+        return self._so5
+
+    @so5.setter
+    def so5(self, o) -> None:
+        self._so5 = _frame_block(o, "so5 block")  # real orthogonal
 
     @property
     def n_colors(self) -> int:
@@ -119,7 +128,7 @@ def validate_links(lf: LinkField) -> None:
                 f"link ({e}, {d + 1}) is not unitary, defect {defects[e, d]:.3e}"
             )
         raise LinkFieldError(f"link ({e}, {d + 1}) determinant is not 1")
-    if liealg.orthogonality_defect(_frame_block(lf.so5, "so5 block")) > tol:
+    if liealg.orthogonality_defect(lf.so5) > tol:
         raise LinkFieldError("so5 block is not orthogonal")
 
 
@@ -225,10 +234,9 @@ def wilson_action(lf: LinkField, graph: LatticeGraph, beta: float) -> ActionValu
     _check_graph(lf, graph)
     if not -np.inf < beta < np.inf:
         raise ValueError(f"beta must be finite, got {beta}")
-    so5 = _frame_block(lf.so5, "so5 block")
     traces = _plaquette_traces(lf, graph)
     n_p = traces.shape[0]
-    so5_loop = so5 @ so5 @ so5.T @ so5.T
+    so5_loop = lf.so5 @ lf.so5 @ lf.so5.T @ lf.so5.T
     so5_trace = float(np.trace(so5_loop))
     su_sum = _canonical_sum(traces)
     raw = su_sum + n_p * so5_trace
@@ -403,7 +411,7 @@ def save_links(lf: LinkField, path) -> None:
     with real and imaginary parts interleaved.
     """
     g = lf.graph
-    so5 = " ".join(map(repr, _frame_block(lf.so5, "so5 block").ravel().tolist()))
+    so5 = " ".join(map(repr, lf.so5.ravel().tolist()))
     rows = np.ascontiguousarray(lf.su).reshape(g.n_transitions, -1).view(np.float64)
     title = "graphgauge link field snapshot"
     g.write_snapshot(path, "link", title, {"N": lf.n_colors}, f"so5: {so5}", rows)

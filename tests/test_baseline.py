@@ -43,6 +43,12 @@ def test_sample_grid_validation():
         baseline._sample_grid(0.0, 0.0, (0.0, 1.0))
     with pytest.raises(ValueError, match="window"):
         baseline._sample_grid(0.1, 0.0, (1.0, 0.0))
+    # NaN used to fail inside numpy's int conversion, an infinite eps as a
+    # non-finite field value, and an infinite delta with an OverflowError.
+    bad = [(np.nan, 0.0, "eps"), (np.inf, 0.0, "eps"), (0.1, np.inf, "delta"), (0.1, np.nan, "delta")]
+    for eps, delta, field in bad:
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            baseline._sample_grid(eps, delta, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +77,15 @@ def test_relabel_leaves_action_bit_identical():
     assert baseline.action_1d_graph(shifted, _half_square) == before
     assert np.array_equal(shifted.values, gf.values)
     assert np.array_equal(shifted.weights, gf.weights)
+    assert baseline.relabel_1d(gf, np.int64(-3)).start_index == gf.start_index - 3
+
+
+@pytest.mark.parametrize("shift", [1.5, True, "2", 2.0, None])
+def test_relabel_refuses_non_integer_shift(shift):
+    # 1.5 used to shift by 1, True by 1 and "2" by 2, silently.
+    gf = baseline.sample_on_lattice(_kink, 0.1, (-3.0, 3.0))
+    with pytest.raises(ValueError, match="^shift must be an integer"):
+        baseline.relabel_1d(gf, shift)
 
 
 def test_zero_offset_sigma_is_exactly_zero():

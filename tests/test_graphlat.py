@@ -332,7 +332,7 @@ def test_tables_match_loop_construction(dims):
 @pytest.mark.parametrize(
     "consumer, tables, labels",
     [
-        ("wilson_action", ["forward_sites", "plaquette_table"], [1, 2, 3, 4]),
+        ("wilson_action", ["forward_sites", "backward_sites", "plaquette_table"], graphlat.LABELS),
         ("staple_sum", ["forward_sites", "backward_sites", "staple_table"], graphlat.LABELS),
         ("local_gauge_links", ["forward_sites"], [1, 2, 3, 4]),
     ],
@@ -361,6 +361,78 @@ def test_index_tables_are_derived_from_adjacency(consumer, tables, labels, monke
     run[consumer]()
     assert all(t in vars(g) for t in tables)
     assert sorted(calls) == sorted((label, g.n_events) for label in labels for _ in range(2))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 4, 5, 2), (3, 3, 3, 3)])
+def test_path_offsets_follow_adjacency(dims, rng):
+    """Each column of a walk is the transition its first half step reaches, as a
+    storage offset; the second half step reaches the next event.  Closed walks
+    undo random steps in shuffled order, or wrap once around axis 1."""
+    g = build_hypercubic(dims)
+    events = np.arange(g.n_events)
+    walks = [(rng.choice(graphlat.LABELS, size=n).tolist(), False) for n in (1, 2, 4, 7)]
+    for n in (1, 2, 3):
+        steps = rng.choice(graphlat.LABELS, size=n).tolist()
+        walks.append((steps + (-rng.permutation(steps)).tolist(), True))
+    walks.append(([1] * dims[0], True))
+    for steps, closed in walks:
+        start = rng.permutation(events)
+        got = g.path_offsets(steps, start)
+        assert got.shape == (g.n_events, len(steps))
+        here = start
+        for k, step in enumerate(steps):
+            link = g.neighbor(here, step)
+            assert np.array_equal(got[:, k], link - g.n_events)
+            here = g.neighbor(link, step)
+        if closed:
+            assert np.array_equal(here, start)
+
+
+def test_path_offsets_validation(small_graph):
+    g = small_graph
+    assert g.path_offsets([], np.arange(3)).shape == (3, 0)
+    assert g.path_offsets((1, -2), np.int64(5)).shape == (2,)
+    for step in (0, 5, -5, 1.0, True):
+        with pytest.raises(GraphError, match="invalid edge label"):
+            g.path_offsets((1, step), np.arange(g.n_events))
+    with pytest.raises(GraphError, match="is not an event vertex"):
+        g.path_offsets((1,), [g.n_events])
+    with pytest.raises(GraphError, match="out of range"):
+        g.path_offsets((1,), [-1])
+    with pytest.raises(GraphError, match="must be integers"):
+        g.path_offsets((1,), [0.0])
+
+
+def _walk_product(links, g, steps, start):
+    """Compose the links a walk crosses with `@`, daggering those of negative steps."""
+    legs = g.path_offsets(steps, start)
+    prod = np.eye(links.shape[-1])
+    for k, step in enumerate(steps):
+        m = links[legs[:, k]]
+        prod = prod @ (m if step > 0 else m.conj().swapaxes(-1, -2))
+    return prod
+
+
+def test_kernel_dagger_patterns_are_the_step_signs(rng):
+    """The staple and plaquette kernels fix which legs they dagger; those are the
+    negative steps of the walks that build their tables."""
+    g = build_hypercubic((2, 3, 4, 5))
+    lf = wilson.random_links(g, 3, rng)
+    links = lf.su.reshape(-1, 3, 3)
+    events = np.arange(g.n_events)
+    for mu in range(1, 5):
+        start = g.forward_sites[:, mu - 1]
+        want = sum(
+            _walk_product(links, g, (s * nu, -mu, -s * nu), start)
+            for nu in range(1, 5)
+            if nu != mu
+            for s in (1, -1)
+        )
+        got = sampler.staple_sum(lf, g, events, mu)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    loops = [_walk_product(links, g, (mu, nu, -mu, -nu), events) for mu, nu in graphlat.PLANES]
+    want = np.stack(loops, axis=1).reshape(g.n_actions, 3, 3)
+    np.testing.assert_allclose(g.plaquette_loops(links), want, rtol=0, atol=1e-13)
 
 
 def test_array_neighbor_matches_scalar():

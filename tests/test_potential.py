@@ -247,6 +247,16 @@ def test_step_input_validation(rng):
         potential.step_coordinates(y, 0, g_v, h_v, 0.1, mode="static")
     with pytest.raises(ValueError, match="shape"):
         potential.step_coordinates(np.zeros(4), 0, g_v, h_v, 0.1)
+    # NaN eps used to return a NaN label, axis 1.0 an IndexError and True a
+    # broadcast error.
+    for axis in (1.0, True, "1", None):
+        with pytest.raises(ValueError, match="^axis must be an integer"):
+            potential.step_coordinates(y, axis, g_v, h_v, 0.1)
+    for eps in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^eps must be finite"):
+            potential.step_coordinates(y, 0, g_v, h_v, eps)
+    w = potential.step_coordinates(y, np.int64(2), g_v, h_v, 0.1)
+    assert np.array_equal(w, [0.0, 0.0, 0.1, 0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

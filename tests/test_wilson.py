@@ -229,16 +229,13 @@ def test_frame_block_must_be_5x5(small_graph, rng, tmp_path, shape):
         wilson.LinkField(small_graph, 2, lf.su, block)
     with pytest.raises(wilson.LinkFieldError, match="conjugating matrix " + named):
         wilson.global_so5_conjugate(lf, block)
-    lf.so5 = block
+    # Assignment applies the same rule, so no (4, 4) block reaches the action
+    # (where it gave n_p * 4) or a snapshot (16 values `load_links` could not read).
     with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
-        wilson.validate_links(lf)
-    # The action applies the same rule: a (4, 4) block used to give n_p * 4.
-    with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
-        wilson.wilson_action(lf, small_graph, 1.0)
-    # A (4, 4) block was saved as 16 values that `load_links` could not reshape.
-    with pytest.raises(wilson.LinkFieldError, match="so5 block " + named):
-        wilson.save_links(lf, tmp_path / "links.txt")
-    assert not (tmp_path / "links.txt").exists()
+        lf.so5 = block
+    assert np.array_equal(lf.so5, np.eye(5))
+    wilson.save_links(lf, tmp_path / "links.txt")
+    assert np.array_equal(wilson.load_links(tmp_path / "links.txt", small_graph).so5, np.eye(5))
 
 
 def test_link_field_stores_so5_rows_as_one_float_block(small_graph, rng):
@@ -249,6 +246,10 @@ def test_link_field_stores_so5_rows_as_one_float_block(small_graph, rng):
     assert lf.so5.dtype == float and np.array_equal(lf.so5, np.eye(5))
     moved, _ = sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, rng)
     wilson.validate_links(moved)
+    # Assigned rows are stored the same way: a sweep used to fail on `tuple.copy`.
+    moved.so5 = tuple(map(tuple, np.eye(5)))
+    assert moved.so5.dtype == float and moved.so5.shape == (5, 5)
+    wilson.validate_links(sampler.metropolis_sweep(moved, small_graph, 2.0, 0.5, rng)[0])
 
 
 @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
