@@ -55,11 +55,13 @@ def _sample_grid(eps: float, delta: float, window: tuple[float, float]) -> np.nd
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if not np.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
-    if not hi > lo:
-        raise ValueError(f"window must be increasing, got {window}")
-    k_lo = int(np.ceil((lo - delta) / eps - 1e-12))
-    k_hi = int(np.floor((hi - delta) / eps + 1e-12))
-    k = np.arange(k_lo, k_hi + 1, dtype=float)
+    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+        raise ValueError(f"window must be finite and increasing, got {window}")
+    k_lo = np.ceil((lo - delta) / eps - 1e-12)
+    k_hi = np.floor((hi - delta) / eps + 1e-12)
+    if not k_hi - k_lo + 1 <= np.iinfo(np.intp).max:  # also an overflow to inf
+        raise ValueError(f"eps {eps} is too small: the window {window} holds too many samples")
+    k = np.arange(int(k_lo), int(k_hi) + 1, dtype=float)
     return k * eps + delta
 
 

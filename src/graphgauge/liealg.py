@@ -466,11 +466,19 @@ def unitarity_defect(u: np.ndarray):
     A non-finite defect (a NaN or inf entry) reads as inf, so every
     ``defect > tol`` check rejects it.
     """
-    u = np.asarray(u)
+    u = np.moveaxis(np.asarray(u), (-2, -1), (0, 1))  # component-major view
     with np.errstate(invalid="ignore"):
-        gram = np.conj(np.swapaxes(u, -1, -2)) @ u
-    defect = np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
+        gram = _cm_product(u, u, "a")
+        gram[np.diag_indices(len(u))] -= 1
+        defect = np.abs(gram).max(axis=(0, 1))
     return np.nan_to_num(defect, nan=np.inf, posinf=np.inf)
+
+
+def _cm_det(m: np.ndarray) -> np.ndarray:
+    """Determinant of a component-major (N, N, ...) stack, N = 2 or 3, by cofactors."""
+    if len(m) == 2:
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return sum(m[0, j] * (m[1, j - 2] * m[2, j - 1] - m[1, j - 1] * m[2, j - 2]) for j in range(3))
 
 
 def orthogonality_defect(o: np.ndarray):

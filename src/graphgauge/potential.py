@@ -173,6 +173,10 @@ def step_coordinates(
         raise ValueError(f"label must have shape (5,), got {y.shape}")
     if mode == "poincare" and abs(y[4] - 1.0) > 1e-12:
         raise ValueError(f"poincare mode pins the auxiliary component to 1, got {y[4]}")
+    g_v, h_v = np.asarray(g_v, dtype=float), np.asarray(h_v, dtype=float)
+    for name, v, shape in (("g_v", g_v, (4, 4)), ("h_v", h_v, (4, 4, 4))):
+        if v.shape != shape or not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite with shape {shape}, got shape {v.shape}")
     w = y.copy()
     w[:4] = y[:4] + eps * (g_v[axis] * y[4] + 0.5 * (h_v[axis] @ y[:4]))
     if mode == "desitter":

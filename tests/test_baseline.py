@@ -41,14 +41,19 @@ def test_sample_grid_covers_window():
 def test_sample_grid_validation():
     with pytest.raises(ValueError, match="eps"):
         baseline._sample_grid(0.0, 0.0, (0.0, 1.0))
-    with pytest.raises(ValueError, match="window"):
-        baseline._sample_grid(0.1, 0.0, (1.0, 0.0))
+    for window in ((1.0, 0.0), (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="^window must be finite and increasing"):
+            baseline._sample_grid(0.1, 0.0, window)
     # NaN used to fail inside numpy's int conversion, an infinite eps as a
     # non-finite field value, and an infinite delta with an OverflowError.
     bad = [(np.nan, 0.0, "eps"), (np.inf, 0.0, "eps"), (0.1, np.inf, "delta"), (0.1, np.nan, "delta")]
     for eps, delta, field in bad:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             baseline._sample_grid(eps, delta, (0.0, 1.0))
+    # A grid numpy cannot hold used to fail with "Maximum allowed size exceeded".
+    for eps in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match=r"^eps .* too small"):
+            baseline._sample_grid(eps, 0.0, (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

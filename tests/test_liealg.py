@@ -99,6 +99,28 @@ def test_orthogonality_defect_stack_matches_single_matrices(rng):
     assert np.array_equal(got, [liealg.orthogonality_defect(o) for o in stack])
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_unitarity_defect_matches_dense_gram_product(rng, n):
+    # The component-major Gram product against the stacked @ it replaced, on
+    # near-unitary and far-from-unitary blocks, stacked (E, 4, N, N) like `su`.
+    u = rng.normal(size=(6, 4, n, n)) + 1j * rng.normal(size=(6, 4, n, n))
+    u[:3] = np.linalg.qr(u[:3])[0] * (1.0 + 1e-9 * rng.normal(size=(3, 4, 1, 1)))
+    gram = np.conj(np.swapaxes(u, -1, -2)) @ u
+    want = np.abs(gram - np.eye(n)).max(axis=(-2, -1))
+    got = liealg.unitarity_defect(u)
+    assert got.shape == (6, 4)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_determinant_matches_linalg(rng, n):
+    haar = liealg.haar_random_sun(n, rng, count=64)
+    loose = rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))
+    for stack in (haar, loose):
+        got = liealg._cm_det(np.moveaxis(stack, 0, -1))
+        np.testing.assert_allclose(got, np.linalg.det(stack), rtol=1e-14, atol=1e-14)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_defects_of_non_finite_matrices_are_infinite(bad):
     o = np.eye(5)

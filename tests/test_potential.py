@@ -255,6 +255,16 @@ def test_step_input_validation(rng):
     for eps in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^eps must be finite"):
             potential.step_coordinates(y, 0, g_v, h_v, eps)
+    # An h_v of shape (4, 4) used to return (0.1, 0, 0, 0, 1), a NaN g_v a NaN
+    # label, and a (3, 3) g_v numpy's broadcast error.
+    nan_g, inf_h = g_v.copy(), h_v.copy()
+    nan_g[0, 1], inf_h[0, 1, 2] = np.nan, np.inf
+    bad = [(np.eye(3), h_v, "g_v"), (np.eye(4)[0], h_v, "g_v"), (nan_g, h_v, "g_v"),
+           (g_v, np.zeros((4, 4)), "h_v"), (g_v, np.zeros((4, 4, 5)), "h_v"), (g_v, inf_h, "h_v")]
+    for g_bad, h_bad, field in bad:
+        for mode in potential.MODES:
+            with pytest.raises(ValueError, match=f"^{field} must be finite with shape"):
+                potential.step_coordinates(y, 0, g_bad, h_bad, 0.1, mode=mode)
     w = potential.step_coordinates(y, np.int64(2), g_v, h_v, 0.1)
     assert np.array_equal(w, [0.0, 0.0, 0.1, 0.0, 1.0])
 

@@ -288,7 +288,7 @@ def test_hot_kernels_form_no_stacked_products():
     # Their products go through liealg._cm_product; a stacked @ dispatches per block.
     for fn in (
         sampler.metropolis_sweep, sampler.staple_sum, wilson._plaquette_traces,
-        wilson.local_gauge_links,
+        wilson.local_gauge_links, wilson.validate_links, liealg.unitarity_defect,
     ):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), fn.__name__

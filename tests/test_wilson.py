@@ -271,6 +271,52 @@ def test_validate_nan_link_raises_without_warning(small_graph, rng):
             wilson.validate_links(lf)
 
 
+def _scaled_to_defect(su, defect):
+    return su * np.sqrt(1.0 + defect)  # (s U)^dag (s U) = (1 + defect) I
+
+
+def _det_phase(su, phase):
+    return su * np.exp(1j * phase / su.shape[-1])  # det(c U) = c^N det U
+
+
+def _one_entry(su, value):
+    su = su.copy()
+    su[..., 1, 0] = value
+    return su
+
+
+_TOL = liealg.DEFECT_TOL
+_UNITARY, _DET = "is not unitary, defect ", "determinant is not 1$"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "spoil, amount, refusal",
+    [
+        (_scaled_to_defect, 0.9 * _TOL, None),
+        (_scaled_to_defect, 1.1 * _TOL, _UNITARY + r"1\.100e-10$"),
+        (_det_phase, 0.9 * 10 * _TOL, None),
+        (_det_phase, 1.1 * 10 * _TOL, _DET),
+        (_one_entry, np.nan, _UNITARY + "inf$"),
+        (_one_entry, np.inf, _UNITARY + "inf$"),
+    ],
+    ids=["defect-0.9", "defect-1.1", "det-0.9", "det-1.1", "nan", "inf"],
+)
+def test_validate_links_at_the_tolerance_edge(small_graph, rng, n, spoil, amount, refusal):
+    # Links (3, 2) onward, in storage order, are spoilt alike; a refusal names
+    # the first of them.
+    lf = wilson.random_links(small_graph, n, rng)
+    spoilt = spoil(lf.su, amount)
+    lf.su[3, 1:], lf.su[4:] = spoilt[3, 1:], spoilt[4:]
+    if refusal is None:
+        wilson.validate_links(lf)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wilson.LinkFieldError, match=r"^link \(3, 2\) " + refusal):
+            wilson.validate_links(lf)
+
+
 def test_action_and_plaquette_make_no_whole_field_copy():
     # The action's gathers read `cm`, the field's own memory; a component-major
     # copy of the field per call peaked at 2.64 field sizes at 8^4 SU(3).
@@ -455,6 +501,27 @@ def test_local_gauge_links_match_per_link_product(n, rng):
             w_next = omegas[g.event_neighbor(e, d)]
             want = omegas[e] @ lf.su[e, d - 1] @ w_next.conj().T
             np.testing.assert_allclose(moved.su[e, d - 1], want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dims, n", [((3, 4, 5, 2), 3), ((2, 2, 2, 2), 2)])
+def test_kernel_bits_do_not_depend_on_the_pass_size(dims, n, monkeypatch):
+    g = graphlat.build_hypercubic(dims)
+    rng = np.random.default_rng(23)
+    lf = wilson.random_links(g, n, rng, so5=liealg.random_so5(rng))
+    w = liealg.haar_random_sun(n, rng, count=g.n_events)
+
+    def kernels():
+        action = wilson.wilson_action(lf, g, 5.7)
+        return (wilson._plaquette_traces(lf, g), (action.raw_trace_sum, action.normalized),
+                wilson.local_gauge_links(lf, w).cm)
+
+    traces, action, rotated = kernels()
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(wilson, "_CHUNK", chunk)
+        got = kernels()
+        assert np.array_equal(got[0], traces), chunk
+        assert got[1] == action, chunk
+        assert np.array_equal(got[2], rotated), chunk
 
 
 def test_local_gauge_rejects_nonunitary(small_graph, rng):
