@@ -213,12 +213,7 @@ def violation_4d_embedded(
     refinement.  eps and box_extent must be positive and finite, and a
     non-finite action raises ValueError.
     """
-    rot = np.asarray(rotation, dtype=float)
-    if rot.shape != (4, 4):
-        raise ValueError(f"rotation must be 4x4, got {rot.shape}")
-    defect = liealg.orthogonality_defect(rot)
-    if defect > liealg.DEFECT_TOL:
-        raise ValueError(f"rotation is not orthogonal, defect {defect:.3e}")
+    rot = liealg._as_group(rotation, float, ((4, 4),), "rotation", ValueError)
     s_rot = _embedded_action_4d(field_fn, rot, eps, box_extent, mass)
     s_aligned = _embedded_action_4d(field_fn, np.eye(4), eps, box_extent, mass)
 

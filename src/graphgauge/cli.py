@@ -421,7 +421,7 @@ _EXPERIMENTS = {
         "measure_every": (_int, 1), "hot_start": (_bool, False), "order": (str, "checkerboard"),
     }),
     "flatness-check": (_run_flatness_check, True, {
-        "dims": (_dims, [4, 4, 4, 4]), "eps": (_positive, 0.05), "amplitude": (_finite, 0.5),
+        "dims": (_dims, [4, 4, 4, 4]), "eps": (_positive, 0.05), "amplitude": (_positive, 0.5),
         "flat_tol": (_finite, 5e-3), "min_ratio": (_finite, 10.0),
     }),
 }

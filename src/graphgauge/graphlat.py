@@ -64,6 +64,12 @@ def _integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_graph(field, graph: "LatticeGraph") -> None:
+    """Refuse a link or potential field built on a graph of other extents."""
+    if field.graph is not graph and not field.graph.compatible(graph):
+        raise GraphError(f"{type(field).__name__} was built on a different graph")
+
+
 def _label_col(label: int) -> int:
     if not _integer(label) or label == 0 or abs(label) > 4:
         raise GraphError(f"invalid edge label {label!r}, expected +-1..+-4")

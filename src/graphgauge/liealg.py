@@ -481,6 +481,26 @@ def _cm_det(m: np.ndarray) -> np.ndarray:
     return sum(m[0, j] * (m[1, j - 2] * m[2, j - 1] - m[1, j - 1] * m[2, j - 2]) for j in range(3))
 
 
-def orthogonality_defect(o: np.ndarray):
-    """Max-norm distance of o^T o from the identity, per matrix of a stack."""
-    return unitarity_defect(o)
+def _as_blocks(x, dtype, shapes, what, error) -> np.ndarray:
+    """``x`` as a ``dtype`` array of a shape in ``shapes``, else ``error`` naming ``what``.
+    A real ``dtype`` refuses a nonzero imaginary part and drops an all-zero one."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        if (x.imag != 0).any():
+            raise error(f"{what} must be real")
+        x = x.real
+    x = x.astype(dtype, copy=False)
+    if x.shape not in shapes:
+        raise error(f"{what} must have shape {' or '.join(map(str, shapes))}, got {x.shape}")
+    return x
+
+
+def _as_group(x, dtype, shapes, what, error) -> np.ndarray:
+    """`_as_blocks`, then ``error`` unless every matrix is orthogonal (a real
+    ``dtype``) or unitary to within `DEFECT_TOL`; NaN or inf entries never are."""
+    x = _as_blocks(x, dtype, shapes, what, error)
+    defect = unitarity_defect(x).max()
+    if defect > DEFECT_TOL:
+        group = "unitary" if x.dtype.kind == "c" else "orthogonal"
+        raise error(f"{what} is not {group}, defect {defect:.3e}")
+    return x

@@ -25,21 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg
-from .graphlat import GraphError, LatticeGraph, _integer
+from .graphlat import LatticeGraph, _check_graph, _integer
 
 MODES = ("poincare", "desitter")
-
-
-class OrthogonalityError(ValueError):
-    def __init__(self, defect: float):
-        self.defect = float(defect)
-        super().__init__(f"matrix is not orthogonal, max defect {defect:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
 class PotentialField:
     """Per-transition potential data tied to one graph.  Frozen: the
     attributes cannot be reassigned, and ``g`` and ``h`` are written in place.
+    They must be finite when the field is built.
 
     Attributes
     ----------
@@ -65,6 +60,9 @@ class PotentialField:
                 f"g and h must have shapes {(t, 4, 4)} and {(t, 4, 4, 4)}, "
                 f"got {np.shape(self.g)} and {np.shape(self.h)}"
             )
+        for name in ("g", "h"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has non-finite entries")
 
     def entry(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(g, h) tables at transition vertex v."""
@@ -87,6 +85,8 @@ def random_field(
     graph: LatticeGraph, eps: float, rng: np.random.Generator, scale: float = 1.0
 ) -> PotentialField:
     """Independent uniform entries in +-scale, torsion antisymmetrized."""
+    if not 0 <= scale < np.inf:
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
     t = graph.n_transitions
     g = rng.uniform(-scale, scale, size=(t, 4, 4))
     raw = rng.uniform(-scale, scale, size=(t, 4, 4, 4))
@@ -202,6 +202,9 @@ def relabel_coordinates(labels: np.ndarray, rmap: RelabelMap) -> np.ndarray:
     omega = np.asarray(rmap.omega, dtype=float)
     if chi.shape != (4, 4) or omega.shape != (4,):
         raise ValueError("relabel map needs chi (4,4) and omega (4,)")
+    for name, v in (("chi", chi), ("omega", omega)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"relabel map {name} has non-finite entries")
     if abs(np.linalg.det(chi)) < 1e-12:
         raise ValueError("relabel map chi is singular")
     labels = np.asarray(labels, dtype=float)
@@ -213,12 +216,6 @@ def relabel_coordinates(labels: np.ndarray, rmap: RelabelMap) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # gauge and frame transformations
 # ---------------------------------------------------------------------------
-
-
-def _check_orthogonal(o: np.ndarray):
-    defect = liealg.orthogonality_defect(o).max()
-    if defect > liealg.DEFECT_TOL:
-        raise OrthogonalityError(defect)
 
 
 def gauge_transform(field: PotentialField, o: np.ndarray) -> PotentialField:
@@ -233,12 +230,7 @@ def gauge_transform(field: PotentialField, o: np.ndarray) -> PotentialField:
     conjugation O A_a O^T, with exactly antisymmetric torsion.
     """
     n_t = field.graph.n_transitions
-    o = np.asarray(o, dtype=float)
-    if o.shape not in ((5, 5), (n_t, 5, 5)):
-        raise ValueError(
-            f"o must be one (5, 5) matrix or one per transition ({n_t}, 5, 5), got {o.shape}"
-        )
-    _check_orthogonal(o)
+    o = liealg._as_group(o, float, ((5, 5), (n_t, 5, 5)), "o", ValueError)
     a = transport_generators(field.g, field.h)
 
     # Transition 4s + d - 1 is [s, d - 1] below; its neighbours one site
@@ -293,8 +285,7 @@ def flatness_residual(field: PotentialField, graph: LatticeGraph) -> FlatnessRep
     Thresholds are therefore calibrated relative to the flat baseline, not
     absolute.
     """
-    if field.graph is not graph and not field.graph.compatible(graph):
-        raise GraphError("field and graph do not match")
+    _check_graph(field, graph)
     e0 = graph.n_events
     transports = edge_transport(field, e0 + np.arange(graph.n_transitions))
     loops = graph.plaquette_loops(transports)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg, wilson
-from .graphlat import GraphError, LatticeGraph, _integer, build_hypercubic
+from .graphlat import GraphError, LatticeGraph, _check_graph, _integer, build_hypercubic
 
 SWEEP_ORDERS = ("lexicographic", "checkerboard")
 
@@ -60,7 +60,8 @@ class ChainConfig:
 
     def validate(self) -> None:
         """Raise a ValueError naming the first field the chain cannot honour.  Counts,
-        extents and n_colors must be integers, and the schedule must measure a sweep."""
+        extents, n_colors and seed must be integers, hot_start a bool, and the
+        schedule must measure a sweep."""
         s, b = self.sweeps, self.burn_in
         beta_rule, step_rule = _SWEEP_RULES
         _enforce(
@@ -76,6 +77,8 @@ class ChainConfig:
                 ("measure_every", lambda v: _integer(v) and 1 <= v <= s - b,
                  "an integer in [1, sweeps - burn_in]"),
                 ("order", lambda v: v in SWEEP_ORDERS, f"one of {SWEEP_ORDERS}"),
+                ("seed", lambda v: _integer(v) and v >= 0, "an integer >= 0"),
+                ("hot_start", lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
             ),
             vars(self),
         )
@@ -104,7 +107,7 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
     the upper staples and (B A)^dag C for the lower ones, legs in
     `LatticeGraph.staple_table` order.
     """
-    wilson._check_graph(lf, g)
+    _check_graph(lf, g)
     if not (_integer(direction) and 1 <= direction <= 4):
         raise GraphError(f"direction must be one of 1..4, got {direction!r}")
     ev = np.asarray(events)
@@ -155,7 +158,7 @@ def metropolis_sweep(
     beta and step_scale are held to the rules of `ChainConfig.validate`.
     """
     _enforce(_SWEEP_RULES, {"beta": beta, "step_scale": step_scale})
-    wilson._check_graph(lf, g)
+    _check_graph(lf, g)
     n = lf.n_colors
     out = lf.copy()
     u = out.cm
@@ -176,7 +179,7 @@ def metropolis_sweep(
 
 def average_plaquette(lf: wilson.LinkField, g: LatticeGraph) -> float:
     """Mean over plaquettes of Re tr(su loop) / N."""
-    wilson._check_graph(lf, g)
+    _check_graph(lf, g)
     traces = wilson._plaquette_traces(lf, g)
     return float(np.mean(traces)) / lf.n_colors
 

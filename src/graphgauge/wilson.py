@@ -25,11 +25,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import liealg
-from .graphlat import GraphError, LatticeGraph, _integer
+from .graphlat import GraphError, LatticeGraph, _check_graph, _integer
 
 
 class LinkFieldError(ValueError):
     pass
+
+
+_SO5_SHAPES = ((5, 5),)  # the shapes an so5 or conjugating block may take
 
 
 class LinkField:
@@ -38,7 +41,8 @@ class LinkField:
     write, is the field; ``su[e, d - 1]`` is link (e, d), a view of column
     4 e + d - 1 of ``cm``.  A ``su`` that is such a view is adopted, not copied.
     ``cm``, ``su`` and ``n_colors`` are read-only; the arrays are written in place.
-    ``so5`` is stored through `_frame_block` whenever it is assigned."""
+    ``so5`` is stored as one float (5, 5) block whenever it is assigned; its
+    orthogonality is `validate_links`' to check."""
 
     def __init__(self, graph: LatticeGraph, n_colors: int, su: np.ndarray, so5: np.ndarray):
         shape, want = np.shape(su), (graph.n_events, 4, n_colors, n_colors)
@@ -62,7 +66,7 @@ class LinkField:
 
     @so5.setter
     def so5(self, o) -> None:
-        self._so5 = _frame_block(o, "so5 block")  # real orthogonal
+        self._so5 = liealg._as_blocks(o, float, _SO5_SHAPES, "so5 block", LinkFieldError)
 
     @property
     def n_colors(self) -> int:
@@ -74,14 +78,6 @@ class LinkField:
 
     def copy(self) -> "LinkField":
         return LinkField(self.graph, self.n_colors, self.su.copy(order="K"), self.so5.copy())
-
-
-def _frame_block(o, what: str) -> np.ndarray:
-    """``o`` as a float array, refused unless it is one (5, 5) block."""
-    o = np.asarray(o, dtype=float)
-    if o.shape != (5, 5):
-        raise LinkFieldError(f"{what} must have shape (5, 5), got {o.shape}")
-    return o
 
 
 def identity_links(graph: LatticeGraph, n_colors: int, so5: np.ndarray | None = None) -> LinkField:
@@ -114,7 +110,8 @@ def pure_gauge_links(graph: LatticeGraph, n_colors: int, rng: np.random.Generato
 
 
 def validate_links(lf: LinkField) -> None:
-    """Reject su blocks that are not unitary with unit determinant."""
+    """Reject su blocks that are not unitary with unit determinant, and an so5
+    block that is not orthogonal."""
     tol = liealg.DEFECT_TOL
     defects = liealg.unitarity_defect(lf.su)
     # A non-finite link already shows as an infinite defect, whatever its det.
@@ -128,8 +125,7 @@ def validate_links(lf: LinkField) -> None:
                 f"link ({e}, {d + 1}) is not unitary, defect {defects[e, d]:.3e}"
             )
         raise LinkFieldError(f"link ({e}, {d + 1}) determinant is not 1")
-    if liealg.orthogonality_defect(lf.so5) > tol:
-        raise LinkFieldError("so5 block is not orthogonal")
+    liealg._as_group(lf.so5, float, _SO5_SHAPES, "so5 block", LinkFieldError)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +209,6 @@ def _canonical_sum(values: np.ndarray) -> float:
     return float(np.sum(np.sort(values)))
 
 
-def _check_graph(lf: LinkField, graph: LatticeGraph) -> None:
-    if lf.graph is not graph and not lf.graph.compatible(graph):
-        raise GraphError("link field was built on a different graph")
-
-
 def wilson_action(lf: LinkField, graph: LatticeGraph, beta: float) -> ActionValue:
     """Total plaquette action of the link field.
 
@@ -260,13 +251,8 @@ def wilson_action(lf: LinkField, graph: LatticeGraph, beta: float) -> ActionValu
 
 def local_gauge_links(lf: LinkField, omegas: np.ndarray) -> LinkField:
     """Site-local gauge rotation U'(x, d) = W(x) U(x, d) W(x + d)^dag."""
-    omegas = np.asarray(omegas, dtype=complex)
-    expected = (lf.graph.n_events, lf.n_colors, lf.n_colors)
-    if omegas.shape != expected:
-        raise LinkFieldError(f"expected site matrices of shape {expected}, got {omegas.shape}")
-    worst = liealg.unitarity_defect(omegas).max()
-    if worst > liealg.DEFECT_TOL:
-        raise LinkFieldError(f"gauge matrices are not unitary, defect {worst:.3e}")
+    shape = (lf.graph.n_events, lf.n_colors, lf.n_colors)
+    omegas = liealg._as_group(omegas, complex, (shape,), "gauge matrix stack", LinkFieldError)
     n, w = lf.n_colors, omegas.transpose(1, 2, 0)
     fwd = lf.graph.forward_sites
     out = LinkField(lf.graph, n, np.empty_like(lf.su), lf.so5.copy())
@@ -281,10 +267,7 @@ def local_gauge_links(lf: LinkField, omegas: np.ndarray) -> LinkField:
 
 def global_so5_conjugate(lf: LinkField, o: np.ndarray) -> LinkField:
     """Conjugate the shared so5 block by one orthogonal matrix."""
-    o = _frame_block(o, "conjugating matrix")
-    defect = liealg.orthogonality_defect(o)
-    if defect > liealg.DEFECT_TOL:
-        raise LinkFieldError(f"conjugating matrix is not orthogonal, defect {defect:.3e}")
+    o = liealg._as_group(o, float, _SO5_SHAPES, "conjugating matrix", LinkFieldError)
     out = lf.copy()
     out.so5 = o @ lf.so5 @ o.T
     return out

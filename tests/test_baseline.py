@@ -182,7 +182,7 @@ def test_rotation_sigma_nonzero_and_shrinking():
 def test_rotation_must_be_orthogonal():
     with pytest.raises(ValueError, match="orthogonal"):
         baseline.violation_4d_embedded(_aniso_gauss, np.eye(4) * 1.1, 0.2, 1.0)
-    with pytest.raises(ValueError, match="4x4"):
+    with pytest.raises(ValueError, match=r"^rotation must have shape \(4, 4\), got \(3, 3\)$"):
         baseline.violation_4d_embedded(_aniso_gauss, np.eye(3), 0.2, 1.0)
 
 

@@ -330,6 +330,8 @@ def test_embedded_violation_rejects_non_finite_values(value, field, capsys, tmp_
         (["embedded-violation", "--param", "eps_list=[0.2,0.2]", "--param", "min_slope=1.0"],
          "eps_list"),
         (["continuum-check", "--param", "eps_list=[0.2,0.2,0.2]"], "eps_list"),
+        # A negative amplitude is a noise scale `random_field` refuses mid-run.
+        (["flatness-check", "--seed", "1", "--param", "amplitude=-0.5"], "amplitude"),
     ],
 )
 def test_unusable_params_rejected_at_spec_time(argv, field, capsys, tmp_path):

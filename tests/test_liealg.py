@@ -1,8 +1,11 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from graphgauge import liealg
+from graphgauge import baseline, liealg, potential, wilson
 
 
 def test_generator_shapes_and_antisymmetry(gens):
@@ -68,7 +71,7 @@ def test_expm5_matches_scipy_expm(rng):
 def test_expm5_of_antisymmetric_is_orthogonal(rng):
     for _ in range(50):
         q = liealg.expm5(liealg.random_antisymmetric5(rng, 3.0))
-        assert liealg.orthogonality_defect(q) < 1e-12
+        assert liealg.unitarity_defect(q) < 1e-12
         assert abs(np.linalg.det(q) - 1.0) < 1e-12
 
 
@@ -94,9 +97,9 @@ def test_expm5_stack_matches_single_matrices_bitwise(rng):
 
 def test_orthogonality_defect_stack_matches_single_matrices(rng):
     stack = np.stack([liealg.random_so5(rng) for _ in range(10)] + [rng.normal(size=(5, 5))])
-    got = liealg.orthogonality_defect(stack)
+    got = liealg.unitarity_defect(stack)
     assert got.shape == (11,)
-    assert np.array_equal(got, [liealg.orthogonality_defect(o) for o in stack])
+    assert np.array_equal(got, [liealg.unitarity_defect(o) for o in stack])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -125,7 +128,7 @@ def test_closed_form_determinant_matches_linalg(rng, n):
 def test_defects_of_non_finite_matrices_are_infinite(bad):
     o = np.eye(5)
     o[1, 2] = bad
-    assert liealg.orthogonality_defect(o) == np.inf
+    assert liealg.unitarity_defect(o) == np.inf
     u = np.stack([np.eye(2, dtype=complex)] * 3)
     u[1, 0, 0] = bad
     assert np.array_equal(liealg.unitarity_defect(u), [0.0, np.inf, 0.0])
@@ -265,7 +268,7 @@ def test_near_identity_stack_matches_single_draws(count):
 def test_random_so5_is_special_orthogonal(rng):
     for _ in range(20):
         o = liealg.random_so5(rng)
-        assert liealg.orthogonality_defect(o) < 1e-12
+        assert liealg.unitarity_defect(o) < 1e-12
         assert abs(np.linalg.det(o) - 1.0) < 1e-12
 
 
@@ -326,3 +329,101 @@ def test_proposals_call_no_eigh(rng, monkeypatch):
     for n in (2, 3):
         liealg.random_sun_near_identity(n, 0.5, rng, count=20)
         liealg.random_sun_near_identity(n, 0.5, rng)
+
+
+# ---------------------------------------------------------------------------
+# the group gate: `_as_blocks` and `_as_group` at every call site
+# ---------------------------------------------------------------------------
+
+
+def _assign_so5(lf, o):
+    lf.so5 = o
+
+
+def _validate_so5(lf, o):
+    lf.so5 = o
+    wilson.validate_links(lf)
+
+
+# site: (make a valid input, feed it to the site, error class, what, real, checks defects).
+# A stack is spoilt in its matrix 6 only; the so5 setter checks shape and reality alone.
+_GATE_SITES = {
+    "so5-setter": (
+        lambda g, rng: liealg.random_so5(rng),
+        lambda g, o: _assign_so5(wilson.identity_links(g, 2), o),
+        wilson.LinkFieldError, "so5 block", True, False,
+    ),
+    "validate_links": (
+        lambda g, rng: liealg.random_so5(rng),
+        lambda g, o: _validate_so5(wilson.identity_links(g, 2), o),
+        wilson.LinkFieldError, "so5 block", True, True,
+    ),
+    "local_gauge_links": (
+        lambda g, rng: liealg.haar_random_sun(2, rng, count=g.n_events),
+        lambda g, w: wilson.local_gauge_links(wilson.identity_links(g, 2), w),
+        wilson.LinkFieldError, "gauge matrix stack", False, True,
+    ),
+    "global_so5_conjugate": (
+        lambda g, rng: liealg.random_so5(rng),
+        lambda g, o: wilson.global_so5_conjugate(wilson.identity_links(g, 2), o),
+        wilson.LinkFieldError, "conjugating matrix", True, True,
+    ),
+    "gauge_transform": (
+        lambda g, rng: liealg.expm5(
+            np.stack([liealg.random_antisymmetric5(rng) for _ in range(g.n_transitions)])
+        ),
+        lambda g, o: potential.gauge_transform(potential.flat_field(g, 0.1), o),
+        ValueError, "o", True, True,
+    ),
+    "violation_4d_embedded": (
+        lambda g, rng: np.linalg.qr(rng.normal(size=(4, 4)))[0],
+        lambda g, rot: baseline.violation_4d_embedded(
+            lambda x: np.exp(-np.sum(np.square(x), axis=-1)), rot, 0.5, 0.5
+        ),
+        ValueError, "rotation", True, True,
+    ),
+}
+
+
+def _spoil(x, case):
+    """``x`` with one matrix (matrix 6 of a stack) spoilt as ``case`` names."""
+    x = np.array(x)
+    m = x[6] if x.ndim == 3 else x
+    if case.startswith("defect"):
+        m *= np.sqrt(1.0 + float(case[-3:]) * liealg.DEFECT_TOL)  # (s U)^dag (s U) = s^2 I
+    else:
+        m[1, 0] = float(case)
+    return x
+
+
+# case: the end of the refusal message, or None where the input is accepted.
+_VALUE_CASES = {"nan": "defect inf", "inf": "defect inf", "defect-1.1": r"defect 1\.100e-10",
+                "defect-0.9": None}
+
+
+@pytest.mark.parametrize(
+    "site, case",
+    [(site, case) for site, (*_, real, _) in _GATE_SITES.items()
+     for case in ["shape", *_VALUE_CASES] + (["complex", "complex-real"] if real else [])],
+)
+def test_group_gate_at_every_site(small_graph, rng, site, case):
+    make, feed, error, what, real, checks_defects = _GATE_SITES[site]
+    good = make(small_graph, rng)
+    if case == "shape":
+        bad = good[..., :-1, :-1]
+        named = rf"^{what} must have shape \(.*\), got {re.escape(str(bad.shape))}$"
+        with pytest.raises(error, match=named):
+            feed(small_graph, bad)
+    elif case == "complex":
+        with pytest.raises(error, match=f"^{what} must be real$"):
+            feed(small_graph, good + 0.3j * np.eye(good.shape[-1]))
+    elif case == "complex-real":
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            feed(small_graph, good + 0j)
+    elif _VALUE_CASES[case] is None or not checks_defects:
+        feed(small_graph, _spoil(good, case))
+    else:
+        group = "orthogonal" if real else "unitary"
+        with pytest.raises(error, match=f"^{what} is not {group}, {_VALUE_CASES[case]}$"):
+            feed(small_graph, _spoil(good, case))

@@ -40,6 +40,12 @@ from graphgauge import graphlat, liealg, sampler, wilson
         ({"beta": 2.0, "burn_in": 1.0}, "burn_in"),
         ({"beta": 2.0, "n_colors": 2.0}, "n_colors"),
         ({"beta": 2.0, "dims": (2.5, 2, 2, 2)}, "dims"),
+        # These validated, then ran a hot start ("no") or failed inside numpy.
+        ({"beta": 2.0, "hot_start": "no"}, "hot_start"),
+        ({"beta": 2.0, "hot_start": 0.0}, "hot_start"),
+        ({"beta": 2.0, "seed": -1}, "seed"),
+        ({"beta": 2.0, "seed": 1.5}, "seed"),
+        ({"beta": 2.0, "seed": "7"}, "seed"),
     ],
 )
 def test_config_validation_names_offending_field(kwargs, field):

@@ -204,7 +204,7 @@ def _conjugate_with_nan(lf, tmp_path):
         (_with_nan_su, r"link \(3, 2\) is not unitary, defect inf"),
         (_with_nan_so5, "so5 block is not orthogonal"),
         (_load_with_nan, r"link \(0, 3\) is not unitary"),
-        (_gauge_with_nan, "gauge matrices are not unitary, defect inf"),
+        (_gauge_with_nan, "gauge matrix stack is not unitary, defect inf"),
         (_conjugate_with_nan, "conjugating matrix is not orthogonal, defect inf"),
     ],
 )
@@ -336,7 +336,7 @@ def test_action_and_plaquette_make_no_whole_field_copy():
 
 def test_action_rejects_mismatched_graph(small_graph, mid_graph):
     lf = wilson.identity_links(small_graph, 2)
-    with pytest.raises(graphlat.GraphError):
+    with pytest.raises(graphlat.GraphError, match="^LinkField was built on a different graph$"):
         wilson.wilson_action(lf, mid_graph, beta=1.0)
 
 
