@@ -64,6 +64,18 @@ def _integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _enforce(rules, values: dict) -> None:
+    """Raise a ValueError naming the first field whose value fails its rule, given as
+    (field, test, requirement); a test that raises TypeError or ValueError fails."""
+    for field, test, want in rules:
+        try:
+            ok = bool(test(values[field]))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"parameter '{field}' is invalid: need {want}, got {values[field]!r}")
+
+
 def _check_graph(field, graph: "LatticeGraph") -> None:
     """Refuse a link or potential field built on a graph of other extents."""
     if field.graph is not graph and not field.graph.compatible(graph):

@@ -125,7 +125,7 @@ def expm5(a: np.ndarray) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expm5 expects square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("expm5: input has non-finite entries")
+        raise ValueError("expm5 input must be finite")
     norm = np.abs(a).sum(axis=-1).max(axis=-1)
     squarings = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)).astype(int)
     b = a / (2.0 ** squarings)[..., None, None]
@@ -157,10 +157,8 @@ def assemble_components(g: np.ndarray, h: np.ndarray, gens: GeneratorSet) -> np.
         Each independent plane is counted once, with weight 1/2; this is the
         convention under which `project_components` is the exact inverse.
     """
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if g.shape != (4, 4) or h.shape != (4, 4, 4):
-        raise ValueError("assemble_components expects g (4,4) and h (4,4,4)")
+    g = _as_blocks(g, float, ((4, 4),), "g", ValueError)
+    h = _as_blocks(h, float, ((4, 4, 4),), "h", ValueError)
     # Full contraction double counts each plane, hence 0.25 instead of 0.5.
     return np.einsum("ab,bij->aij", g, gens.v) + 0.25 * np.einsum(
         "abc,bcij->aij", h, gens.m
@@ -189,9 +187,7 @@ def project_components(a: np.ndarray, gens: GeneratorSet) -> tuple[np.ndarray, n
         If reassembling (g, h) misses the input by more than 1e-9
         in max norm (symmetric content, nonzero trace, and so on).
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (4, 5, 5):
-        raise ValueError(f"project_components expects shape (4, 5, 5), got {a.shape}")
+    a = _as_blocks(a, float, ((4, 5, 5),), "a", ValueError)
     # Every generator has the same norm; m's antisymmetry makes h antisymmetric.
     norm = trace_pair(gens.v[0], gens.v[0])
     g = np.einsum("aij,bij->ab", a, gens.v) / norm
@@ -482,9 +478,15 @@ def _cm_det(m: np.ndarray) -> np.ndarray:
 
 
 def _as_blocks(x, dtype, shapes, what, error) -> np.ndarray:
-    """``x`` as a ``dtype`` array of a shape in ``shapes``, else ``error`` naming ``what``.
-    A real ``dtype`` refuses a nonzero imaginary part and drops an all-zero one."""
-    x = np.asarray(x)
+    """``x`` as a finite ``dtype`` array of a shape in ``shapes``, else ``error`` naming
+    ``what``.  A real ``dtype`` refuses a nonzero imaginary part and drops an all-zero one."""
+    try:
+        x = np.asarray(x)
+        numeric = x.dtype.kind in "biufc"
+    except (TypeError, ValueError):  # a ragged sequence
+        numeric = False
+    if not numeric:
+        raise error(f"{what} must be numeric")
     if x.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         if (x.imag != 0).any():
             raise error(f"{what} must be real")
@@ -492,12 +494,14 @@ def _as_blocks(x, dtype, shapes, what, error) -> np.ndarray:
     x = x.astype(dtype, copy=False)
     if x.shape not in shapes:
         raise error(f"{what} must have shape {' or '.join(map(str, shapes))}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise error(f"{what} must be finite")
     return x
 
 
 def _as_group(x, dtype, shapes, what, error) -> np.ndarray:
     """`_as_blocks`, then ``error`` unless every matrix is orthogonal (a real
-    ``dtype``) or unitary to within `DEFECT_TOL`; NaN or inf entries never are."""
+    ``dtype``) or unitary to within `DEFECT_TOL`."""
     x = _as_blocks(x, dtype, shapes, what, error)
     defect = unitarity_defect(x).max()
     if defect > DEFECT_TOL:

@@ -34,7 +34,7 @@ MODES = ("poincare", "desitter")
 class PotentialField:
     """Per-transition potential data tied to one graph.  Frozen: the
     attributes cannot be reassigned, and ``g`` and ``h`` are written in place.
-    They must be finite when the field is built.
+    They must be finite when the field is built, and are kept as float arrays.
 
     Attributes
     ----------
@@ -55,14 +55,9 @@ class PotentialField:
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         t = self.graph.n_transitions
-        if np.shape(self.g) != (t, 4, 4) or np.shape(self.h) != (t, 4, 4, 4):
-            raise ValueError(
-                f"g and h must have shapes {(t, 4, 4)} and {(t, 4, 4, 4)}, "
-                f"got {np.shape(self.g)} and {np.shape(self.h)}"
-            )
-        for name in ("g", "h"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} has non-finite entries")
+        for name, shape in (("g", (t, 4, 4)), ("h", (t, 4, 4, 4))):
+            table = liealg._as_blocks(getattr(self, name), float, (shape,), name, ValueError)
+            object.__setattr__(self, name, table)
 
     def entry(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(g, h) tables at transition vertex v."""
@@ -168,15 +163,11 @@ def step_coordinates(
         raise ValueError(f"axis must be an integer 0..3, got {axis!r}")
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (5,):
-        raise ValueError(f"label must have shape (5,), got {y.shape}")
+    y = liealg._as_blocks(y, float, ((5,),), "label", ValueError)
+    g_v = liealg._as_blocks(g_v, float, ((4, 4),), "g_v", ValueError)
+    h_v = liealg._as_blocks(h_v, float, ((4, 4, 4),), "h_v", ValueError)
     if mode == "poincare" and abs(y[4] - 1.0) > 1e-12:
         raise ValueError(f"poincare mode pins the auxiliary component to 1, got {y[4]}")
-    g_v, h_v = np.asarray(g_v, dtype=float), np.asarray(h_v, dtype=float)
-    for name, v, shape in (("g_v", g_v, (4, 4)), ("h_v", h_v, (4, 4, 4))):
-        if v.shape != shape or not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite with shape {shape}, got shape {v.shape}")
     w = y.copy()
     w[:4] = y[:4] + eps * (g_v[axis] * y[4] + 0.5 * (h_v[axis] @ y[:4]))
     if mode == "desitter":
@@ -198,13 +189,8 @@ def relabel_coordinates(labels: np.ndarray, rmap: RelabelMap) -> np.ndarray:
     The auxiliary fifth component is untouched.  Field values never change
     under relabeling; labels are names, not data.
     """
-    chi = np.asarray(rmap.chi, dtype=float)
-    omega = np.asarray(rmap.omega, dtype=float)
-    if chi.shape != (4, 4) or omega.shape != (4,):
-        raise ValueError("relabel map needs chi (4,4) and omega (4,)")
-    for name, v in (("chi", chi), ("omega", omega)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"relabel map {name} has non-finite entries")
+    chi = liealg._as_blocks(rmap.chi, float, ((4, 4),), "chi", ValueError)
+    omega = liealg._as_blocks(rmap.omega, float, ((4,),), "omega", ValueError)
     if abs(np.linalg.det(chi)) < 1e-12:
         raise ValueError("relabel map chi is singular")
     labels = np.asarray(labels, dtype=float)
@@ -251,11 +237,7 @@ def gauge_transform(field: PotentialField, o: np.ndarray) -> PotentialField:
 def lorentz_transform_field(field: PotentialField, lam: np.ndarray) -> PotentialField:
     """Frame change G' = L^T G L of the metric potential at every transition,
     G'_ab = sum_cd L_ca L_db G_cd, for a finite (4, 4) ``lam``; torsion untouched."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (4, 4):
-        raise ValueError(f"lam must be a (4, 4) matrix, got shape {lam.shape}")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("lam has non-finite entries")
+    lam = liealg._as_blocks(lam, float, ((4, 4),), "lam", ValueError)
     g_new = np.einsum("ca,tcd,db->tab", lam, field.g, lam)
     return PotentialField(field.graph, field.eps, g_new, field.h.copy())
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg, wilson
-from .graphlat import GraphError, LatticeGraph, _check_graph, _integer, build_hypercubic
+from .graphlat import GraphError, LatticeGraph, _check_graph, _enforce, _integer, build_hypercubic
 
 SWEEP_ORDERS = ("lexicographic", "checkerboard")
 
@@ -36,13 +36,6 @@ _SWEEP_RULES = (
     ("beta", lambda b: np.isfinite(b) and b >= 0, "a finite value >= 0"),
     ("step_scale", lambda s: 0 < s <= 1, "a value in (0, 1]"),
 )
-
-
-def _enforce(rules, values: dict) -> None:
-    """Raise a ValueError naming the first field whose value fails its rule."""
-    for field, test, want in rules:
-        if not test(values[field]):
-            raise ValueError(f"parameter '{field}' is invalid: need {want}, got {values[field]!r}")
 
 
 @dataclass

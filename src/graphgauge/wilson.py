@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import liealg
-from .graphlat import GraphError, LatticeGraph, _check_graph, _integer
+from .graphlat import GraphError, LatticeGraph, _check_graph, _enforce, _integer
 
 
 class LinkFieldError(ValueError):
@@ -227,8 +227,7 @@ def wilson_action(lf: LinkField, graph: LatticeGraph, beta: float) -> ActionValu
         normalized = beta * sum_p (1 - Re tr su_p / N), from one traversal.
     """
     _check_graph(lf, graph)
-    if not -np.inf < beta < np.inf:
-        raise ValueError(f"beta must be finite, got {beta}")
+    _enforce((("beta", lambda b: -np.inf < b < np.inf, "a finite value"),), {"beta": beta})
     traces = _plaquette_traces(lf, graph)
     n_p = traces.shape[0]
     so5_loop = lf.so5 @ lf.so5 @ lf.so5.T @ lf.so5.T
@@ -337,7 +336,8 @@ def continuum_convergence(
         raise ValueError(f"eps_list must hold finite spacings > 0, got {eps_list}")
     if not 0 < box_extent < np.inf:
         raise ValueError(f"box_extent must be finite and > 0, got {box_extent}")
-    base = np.zeros(4) if base_point is None else np.asarray(base_point, dtype=float)
+    base = np.zeros(4) if base_point is None else base_point
+    base = liealg._as_blocks(base, float, ((4,),), "base_point", ValueError)
     mu, nu = 0, 1
     e_mu, e_nu = np.eye(4)[:2]
     expi = liealg._exp_i_hermitian

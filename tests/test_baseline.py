@@ -190,7 +190,7 @@ def test_rotation_must_be_orthogonal():
 def test_rotation_with_non_finite_entry_rejected(bad):
     rot = _plane_rotation(0.3)
     rot[2, 3] = bad
-    with pytest.raises(ValueError, match="rotation is not orthogonal, defect inf"):
+    with pytest.raises(ValueError, match="^rotation must be finite$"):
         baseline.violation_4d_embedded(_aniso_gauss, rot, 0.2, 1.0)
 
 

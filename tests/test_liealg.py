@@ -346,7 +346,7 @@ def _validate_so5(lf, o):
 
 
 # site: (make a valid input, feed it to the site, error class, what, real, checks defects).
-# A stack is spoilt in its matrix 6 only; the so5 setter checks shape and reality alone.
+# A stack is spoilt in its matrix 6 only; the so5 setter checks no defect.
 _GATE_SITES = {
     "so5-setter": (
         lambda g, rng: liealg.random_so5(rng),
@@ -384,46 +384,145 @@ _GATE_SITES = {
     ),
 }
 
+# case: the gate's refusal after "{what} ", or None where the input is accepted
+# with no warning.  The two complex cases apply to real-dtype sites only.
+_ARRAY_CASES = {"shape": r"must have shape \(.*\), got {shape}", "nan": "must be finite",
+                "inf": "must be finite", "string": "must be numeric",
+                "ragged": "must be numeric", "complex": "must be real", "complex-real": None}
+
+
+def _gate_input(good, case):
+    """``good`` spoilt as ``case`` names: one entry, its last, for NaN and inf."""
+    x = np.array(good)
+    if case in ("nan", "inf"):
+        x.flat[-1] = float(case)
+    return {"shape": x[..., :-1], "string": "abc", "ragged": [[1.0, 2.0], [3.0]],
+            "complex": x + 0.3j, "complex-real": x + 0j}.get(case, x)
+
+
+def _check_gate(feed, good, error, what, case):
+    bad = _gate_input(good, case)
+    if _ARRAY_CASES[case] is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            feed(bad)
+        return
+    want = _ARRAY_CASES[case]
+    if case == "shape":
+        want = want.format(shape=re.escape(str(bad.shape)))
+    with pytest.raises(error, match=f"^{what} {want}$") as info:
+        feed(bad)
+    assert info.type is error
+
 
 def _spoil(x, case):
-    """``x`` with one matrix (matrix 6 of a stack) spoilt as ``case`` names."""
+    """``x`` with one matrix (matrix 6 of a stack) scaled off the group by ``case``."""
     x = np.array(x)
     m = x[6] if x.ndim == 3 else x
-    if case.startswith("defect"):
-        m *= np.sqrt(1.0 + float(case[-3:]) * liealg.DEFECT_TOL)  # (s U)^dag (s U) = s^2 I
-    else:
-        m[1, 0] = float(case)
+    m *= np.sqrt(1.0 + float(case[-3:]) * liealg.DEFECT_TOL)  # (s U)^dag (s U) = s^2 I
     return x
 
 
 # case: the end of the refusal message, or None where the input is accepted.
-_VALUE_CASES = {"nan": "defect inf", "inf": "defect inf", "defect-1.1": r"defect 1\.100e-10",
-                "defect-0.9": None}
+_DEFECT_CASES = {"defect-1.1": r"defect 1\.100e-10", "defect-0.9": None}
 
 
 @pytest.mark.parametrize(
     "site, case",
     [(site, case) for site, (*_, real, _) in _GATE_SITES.items()
-     for case in ["shape", *_VALUE_CASES] + (["complex", "complex-real"] if real else [])],
+     for case in ["shape", "nan", "inf", *_DEFECT_CASES, "string", "ragged"]
+     + (["complex", "complex-real"] if real else [])],
 )
 def test_group_gate_at_every_site(small_graph, rng, site, case):
     make, feed, error, what, real, checks_defects = _GATE_SITES[site]
     good = make(small_graph, rng)
-    if case == "shape":
-        bad = good[..., :-1, :-1]
-        named = rf"^{what} must have shape \(.*\), got {re.escape(str(bad.shape))}$"
-        with pytest.raises(error, match=named):
-            feed(small_graph, bad)
-    elif case == "complex":
-        with pytest.raises(error, match=f"^{what} must be real$"):
-            feed(small_graph, good + 0.3j * np.eye(good.shape[-1]))
-    elif case == "complex-real":
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no ComplexWarning either
-            feed(small_graph, good + 0j)
-    elif _VALUE_CASES[case] is None or not checks_defects:
+    if case in _ARRAY_CASES:
+        _check_gate(lambda x: feed(small_graph, x), good, error, what, case)
+    elif _DEFECT_CASES[case] is None or not checks_defects:
         feed(small_graph, _spoil(good, case))
     else:
         group = "orthogonal" if real else "unitary"
-        with pytest.raises(error, match=f"^{what} is not {group}, {_VALUE_CASES[case]}$"):
+        with pytest.raises(error, match=f"^{what} is not {group}, {_DEFECT_CASES[case]}$"):
             feed(small_graph, _spoil(good, case))
+
+
+def _field_with(graph, name, table):
+    flat = potential.flat_field(graph, 0.1)
+    return potential.PotentialField(graph, 0.1, **{"g": flat.g, "h": flat.h, name: table})
+
+
+_LABEL, _G_V, _H_V = np.array([0.1, 0.2, 0.3, 0.4, 1.0]), np.eye(4), np.zeros((4, 4, 4))
+_SU2 = liealg.sun_generators(2)
+
+# site: (make a valid input, feed it to the site, what); every site is real and
+# refuses with a ValueError.
+_ARRAY_SITES = {
+    "PotentialField-g": (
+        lambda g, gens: potential.flat_field(g, 0.1).g, lambda g, gens, x: _field_with(g, "g", x),
+        "g",
+    ),
+    "PotentialField-h": (
+        lambda g, gens: potential.flat_field(g, 0.1).h, lambda g, gens, x: _field_with(g, "h", x),
+        "h",
+    ),
+    "step_coordinates-label": (
+        lambda g, gens: _LABEL,
+        lambda g, gens, x: potential.step_coordinates(x, 1, _G_V, _H_V, 0.1), "label",
+    ),
+    "step_coordinates-g_v": (
+        lambda g, gens: _G_V,
+        lambda g, gens, x: potential.step_coordinates(_LABEL, 1, x, _H_V, 0.1), "g_v",
+    ),
+    "step_coordinates-h_v": (
+        lambda g, gens: _H_V,
+        lambda g, gens, x: potential.step_coordinates(_LABEL, 1, _G_V, x, 0.1), "h_v",
+    ),
+    "relabel_coordinates-chi": (
+        lambda g, gens: 2.0 * np.eye(4),
+        lambda g, gens, x: potential.relabel_coordinates(
+            np.zeros((3, 5)), potential.RelabelMap(x, np.zeros(4))
+        ),
+        "chi",
+    ),
+    "relabel_coordinates-omega": (
+        lambda g, gens: np.ones(4),
+        lambda g, gens, x: potential.relabel_coordinates(
+            np.zeros((3, 5)), potential.RelabelMap(np.eye(4), x)
+        ),
+        "omega",
+    ),
+    "lorentz_transform_field": (
+        lambda g, gens: np.eye(4),
+        lambda g, gens, x: potential.lorentz_transform_field(potential.flat_field(g, 0.1), x),
+        "lam",
+    ),
+    "assemble_components-g": (
+        lambda g, gens: _G_V, lambda g, gens, x: liealg.assemble_components(x, _H_V, gens), "g",
+    ),
+    "assemble_components-h": (
+        lambda g, gens: _H_V, lambda g, gens, x: liealg.assemble_components(_G_V, x, gens), "h",
+    ),
+    "project_components": (
+        lambda g, gens: liealg.assemble_components(_G_V, _H_V, gens),
+        lambda g, gens, x: liealg.project_components(x, gens), "a",
+    ),
+    "continuum_convergence": (
+        lambda g, gens: np.array([0.3, 0.2, 0.4, 0.1]),
+        lambda g, gens, x: wilson.continuum_convergence(
+            lambda y, mu: _SU2[mu] if mu < 2 else np.zeros((2, 2)), [0.2, 0.1, 0.05],
+            base_point=x,
+        ),
+        "base_point",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ARRAY_CASES))
+@pytest.mark.parametrize("site", list(_ARRAY_SITES))
+def test_array_gate_at_every_site(small_graph, gens, site, case):
+    # A NaN went through project_components, assemble_components and
+    # step_coordinates to NaN output, assemble_components dropped an imaginary
+    # part, and a (1,) base_point was broadcast to all four components.
+    make, feed, what = _ARRAY_SITES[site]
+    _check_gate(lambda x: feed(small_graph, gens, x), make(small_graph, gens), ValueError,
+                what, case)

@@ -43,8 +43,9 @@ def test_random_field_antisymmetric_torsion(small_graph, rng):
 @pytest.mark.parametrize(
     "eps, g_dims, h_dims, message",
     [
-        (0.1, (2, 2, 2, 4), (2, 2, 2, 4), r"got \(128, 4, 4\) and \(128, 4, 4, 4\)$"),
-        (0.1, (2, 2, 2, 2), (2, 2, 2, 4), r"got \(64, 4, 4\) and \(128, 4, 4, 4\)$"),
+        (0.1, (2, 2, 2, 4), (2, 2, 2, 4), r"^g must have shape \(64, 4, 4\), got \(128, 4, 4\)$"),
+        (0.1, (2, 2, 2, 2), (2, 2, 2, 4),
+         r"^h must have shape \(64, 4, 4, 4\), got \(128, 4, 4, 4\)$"),
         (-0.1, (2, 2, 2, 2), (2, 2, 2, 2), r"^eps must be positive and finite, got -0.1$"),
         (np.nan, (2, 2, 2, 2), (2, 2, 2, 2), r"^eps must be positive and finite, got nan$"),
     ],
@@ -99,10 +100,10 @@ def test_potential_field_refuses_non_finite_entries(small_graph, name, bad):
     flat = potential.flat_field(small_graph, 0.1)
     tables = {"g": flat.g, "h": flat.h}
     tables[name].flat[21] = bad
-    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         potential.PotentialField(small_graph, 0.1, tables["g"], tables["h"])
     # Written in place, the entry stays until a field is built from it.
-    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         flat.copy()
 
 
@@ -281,11 +282,12 @@ def test_step_input_validation(rng):
     # label, and a (3, 3) g_v numpy's broadcast error.
     nan_g, inf_h = g_v.copy(), h_v.copy()
     nan_g[0, 1], inf_h[0, 1, 2] = np.nan, np.inf
-    bad = [(np.eye(3), h_v, "g_v"), (np.eye(4)[0], h_v, "g_v"), (nan_g, h_v, "g_v"),
-           (g_v, np.zeros((4, 4)), "h_v"), (g_v, np.zeros((4, 4, 5)), "h_v"), (g_v, inf_h, "h_v")]
-    for g_bad, h_bad, field in bad:
+    bad = [(np.eye(3), h_v, "g_v must have shape"), (np.eye(4)[0], h_v, "g_v must have shape"),
+           (nan_g, h_v, "g_v must be finite"), (g_v, np.zeros((4, 4)), "h_v must have shape"),
+           (g_v, np.zeros((4, 4, 5)), "h_v must have shape"), (g_v, inf_h, "h_v must be finite")]
+    for g_bad, h_bad, want in bad:
         for mode in potential.MODES:
-            with pytest.raises(ValueError, match=f"^{field} must be finite with shape"):
+            with pytest.raises(ValueError, match=f"^{want}"):
                 potential.step_coordinates(y, 0, g_bad, h_bad, 0.1, mode=mode)
     w = potential.step_coordinates(y, np.int64(2), g_v, h_v, 0.1)
     assert np.array_equal(w, [0.0, 0.0, 0.1, 0.0, 1.0])
@@ -331,7 +333,7 @@ def test_relabel_rejects_bad_maps(rng):
         for bad in (np.nan, np.inf):
             parts = {"chi": np.eye(4), "omega": np.zeros(4)}
             parts[name][-1] = bad
-            with pytest.raises(ValueError, match=f"^relabel map {name} has non-finite entries$"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 potential.relabel_coordinates(labels, potential.RelabelMap(**parts))
 
 
@@ -402,7 +404,7 @@ def test_gauge_transform_rejects_nan(small_graph, stacked):
     if stacked:
         o = np.broadcast_to(o, (small_graph.n_transitions, 5, 5)).copy()
     o[..., 3, 1] = np.nan
-    with pytest.raises(ValueError, match="^o is not orthogonal, defect inf$"):
+    with pytest.raises(ValueError, match="^o must be finite$"):
         potential.gauge_transform(field, o)
 
 

@@ -46,6 +46,11 @@ from graphgauge import graphlat, liealg, sampler, wilson
         ({"beta": 2.0, "seed": -1}, "seed"),
         ({"beta": 2.0, "seed": 1.5}, "seed"),
         ({"beta": 2.0, "seed": "7"}, "seed"),
+        # Rules that raised a bare TypeError, naming no field.
+        ({"beta": "x"}, "beta"),
+        ({"beta": None}, "beta"),
+        ({"beta": 2.0, "dims": 4}, "dims"),
+        ({"beta": 2.0, "step_scale": "a"}, "step_scale"),
     ],
 )
 def test_config_validation_names_offending_field(kwargs, field):
@@ -450,6 +455,7 @@ def test_one_plaquette_chain_matches_exact(beta):
         ({"burn_in": 100}, "burn_in"),
         ({"burn_in": 200}, "burn_in"),
         ({"burn_in": 2.0}, "burn_in"),
+        ({"step_scale": None}, "step_scale"),
     ],
 )
 def test_one_plaquette_chain_refuses_bad_input(kwargs, field):

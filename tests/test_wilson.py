@@ -202,10 +202,10 @@ def _conjugate_with_nan(lf, tmp_path):
     "action, message",
     [
         (_with_nan_su, r"link \(3, 2\) is not unitary, defect inf"),
-        (_with_nan_so5, "so5 block is not orthogonal"),
+        (_with_nan_so5, "so5 block must be finite"),
         (_load_with_nan, r"link \(0, 3\) is not unitary"),
-        (_gauge_with_nan, "gauge matrix stack is not unitary, defect inf"),
-        (_conjugate_with_nan, "conjugating matrix is not orthogonal, defect inf"),
+        (_gauge_with_nan, "gauge matrix stack must be finite"),
+        (_conjugate_with_nan, "conjugating matrix must be finite"),
     ],
 )
 def test_validators_reject_nan(small_graph, rng, tmp_path, action, message):
@@ -252,11 +252,13 @@ def test_link_field_stores_so5_rows_as_one_float_block(small_graph, rng):
     wilson.validate_links(sampler.metropolis_sweep(moved, small_graph, 2.0, 0.5, rng)[0])
 
 
-@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf, "1", None])
 def test_wilson_action_refuses_non_finite_beta(small_graph, beta):
-    # NaN used to come back silently as normalized=nan.
+    # NaN used to come back silently as normalized=nan, and "1" or None
+    # raised a bare TypeError from the comparison.
     lf = wilson.identity_links(small_graph, 2)
-    with pytest.raises(ValueError, match=f"^beta must be finite, got {beta}$"):
+    want = f"^parameter 'beta' is invalid: need a finite value, got {re.escape(repr(beta))}$"
+    with pytest.raises(ValueError, match=want):
         wilson.wilson_action(lf, small_graph, beta)
 
 
