@@ -22,7 +22,17 @@ from typing import Callable
 import numpy as np
 
 from . import liealg
-from .graphlat import _integer
+from .graphlat import _enforce, _number, _several
+from .potential import _EPS
+
+# `_enforce` rules (field, accept, requirement) of the sample grid, of the 4d
+# box and of a relabeling; eps is a lattice spacing, as in `potential`.
+_DELTA = ("delta", _number(), "a finite value")
+_WINDOW = ("window", _several(_number(), 2, 2, increasing=True), "two finite values, increasing")
+_GRID_RULES = (_EPS, _DELTA, _WINDOW)
+_BOX = ("box_extent", _number(gt=0), "a finite value > 0")
+_BOX_RULES = (_EPS, _BOX)
+_SHIFT_RULES = (("shift", _number(int), "an integer"),)
 
 
 @dataclass
@@ -50,13 +60,7 @@ class GraphField1D:
 
 
 def _sample_grid(eps: float, delta: float, window: tuple[float, float]) -> np.ndarray:
-    lo, hi = window
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    if not np.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
-        raise ValueError(f"window must be finite and increasing, got {window}")
+    lo, hi = _enforce(_GRID_RULES, {"eps": eps, "delta": delta, "window": window})["window"]
     k_lo = np.ceil((lo - delta) / eps - 1e-12)
     k_hi = np.floor((hi - delta) / eps + 1e-12)
     if not k_hi - k_lo + 1 <= np.iinfo(np.intp).max:  # also an overflow to inf
@@ -69,10 +73,7 @@ def action_1d_embedded(
     f: Callable, density: Callable, eps: float, delta: float, window: tuple[float, float]
 ) -> float:
     """Sum of eps * density(f(k eps + delta)) over all samples in the window."""
-    x = _sample_grid(eps, delta, window)
-    fx = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(fx)):
-        raise ValueError("field evaluation produced non-finite values")
+    fx = sample_on_lattice(f, eps, window, delta).values
     return float(np.sum(eps * np.asarray(density(fx), dtype=float)))
 
 
@@ -100,12 +101,11 @@ def action_1d_graph(gf: GraphField1D, density: Callable) -> float:
 
 def relabel_1d(gf: GraphField1D, shift: int) -> GraphField1D:
     """Shift every index name by an integer.  Values and weights untouched."""
-    if not _integer(shift):
-        raise ValueError(f"shift must be an integer, got {shift!r}")
+    shift = _enforce(_SHIFT_RULES, {"shift": shift})["shift"]
     return GraphField1D(
         values=gf.values.copy(),
         weights=gf.weights.copy(),
-        start_index=gf.start_index + int(shift),
+        start_index=gf.start_index + shift,
     )
 
 
@@ -147,10 +147,7 @@ def violation_sigma_1d(
 
 def _sites_per_axis(eps: float, box_extent: float) -> int:
     """Number m of lattice sites along each axis of the box [-box_extent, box_extent]."""
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if not 0 < box_extent < np.inf:
-        raise ValueError(f"box_extent must be positive and finite, got {box_extent}")
+    _enforce(_BOX_RULES, {"eps": eps, "box_extent": box_extent})
     return int(np.floor(2 * box_extent / eps + 1e-9)) + 1
 
 

@@ -2,8 +2,9 @@
 
 Every experiment runs from a small declarative spec: a kind, a parameter
 dict, and (for randomized kinds) an explicit seed.  Each kind declares its
-parameters once, with a cast and a default; a spec is resolved against that
-table before the run, and the report echoes the resolved table.  Reports carry
+parameters once, with a default and a rule (`graphlat._enforce`'s, mostly the
+library's own); a spec is resolved against that table before the run, and the
+report echoes the values the rules accept.  Reports carry
 the spec, a list of per-measurement records, and a summary with the wall
 time, as JSON or CSV.
 
@@ -29,7 +30,7 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 import numpy as np
 
 from . import baseline, liealg, potential, sampler, wilson
-from .graphlat import build_hypercubic
+from .graphlat import _choice, _enforce, _number, _several, build_hypercubic
 
 
 class SpecError(ValueError):
@@ -50,82 +51,14 @@ class ExperimentReport:
     summary: dict
 
 
-def _cast(name: str, cast, value):
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise SpecError(f"parameter '{name}' is invalid: {err}") from None
-
-
-# float() and int() would also take true, false and "0.05" as numbers.
-def _int(value) -> int:
-    if isinstance(value, (bool, str)) or float(value) != int(value):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not true or false")
+def _integral(value):
+    """``value`` with each integral float, in lists too, as an int: JSON has one number
+    type, so ``3e0`` is the count 3, and a real rule turns 3 back into 3.0."""
+    if isinstance(value, list):
+        return [_integral(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
     return value
-
-
-def _finite(value) -> float:
-    if isinstance(value, (bool, str)):
-        raise ValueError(f"{value!r} is not a number")
-    out = float(value)
-    if not np.isfinite(out):
-        raise ValueError(f"{out} is not finite")
-    return out
-
-
-def _positive(value) -> float:
-    out = _finite(value)
-    if out <= 0:
-        raise ValueError(f"{out} is not positive")
-    return out
-
-
-def _count(value, least: int = 1) -> int:
-    out = _int(value)
-    if out < least:
-        raise ValueError(f"{out} is not >= {least}")
-    return out
-
-
-def _colors(value) -> int:
-    out = _int(value)
-    if out not in liealg.SUPPORTED_N:
-        raise ValueError(f"need one of {liealg.SUPPORTED_N}, got {out}")
-    return out
-
-
-def _positives(value, least: int = 1, exact: bool = False) -> list:
-    out = [_positive(v) for v in value]
-    if len(out) < least or (exact and len(out) > least):
-        raise ValueError(f"need {'' if exact else 'at least '}{least} values, got {out}")
-    return out
-
-
-def _spacings(value, least: int = 1) -> list:
-    out = _positives(value, least)
-    if len(set(out)) < len(out):
-        raise ValueError(f"need distinct spacings, got {out}")
-    return out
-
-
-def _interval(value) -> list:
-    out = [_finite(v) for v in value]
-    if len(out) != 2 or not out[0] < out[1]:
-        raise ValueError(f"need two increasing values, got {out}")
-    return out
-
-
-def _dims(value) -> list:
-    dims = [_int(v) for v in value]
-    if len(dims) != 4 or any(d < 2 for d in dims):
-        raise ValueError(f"need four extents >= 2, got {dims}")
-    return dims
 
 
 def _refinement_slope(eps_list: list, sig: np.ndarray):
@@ -199,12 +132,6 @@ def _gauss(x):
 
 
 _PROFILES_1D = {"kink": _kink, "gauss": _gauss}
-
-
-def _profile(value) -> str:
-    if value not in tuple(_PROFILES_1D):
-        raise ValueError(f"need one of {sorted(_PROFILES_1D)}, got {value!r}")
-    return value
 
 
 def _run_oned_demo(params: dict, seed):
@@ -344,10 +271,6 @@ def _run_continuum_check(params: dict, seed):
 
 def _run_mc_run(params: dict, seed: int):
     cfg = sampler.ChainConfig(seed=seed, **params)
-    try:
-        cfg.validate()
-    except ValueError as err:
-        raise SpecError(str(err)) from None
     series = sampler.run_chain(cfg)
     records = [
         {"sweep": int(s), "avg_plaquette": float(p), "acceptance": float(a)}
@@ -394,52 +317,67 @@ def _run_flatness_check(params: dict, seed: int):
     return records, summary, failures
 
 
-# kind -> (runner, needs_seed, {name: (cast, default)}); a default of None marks a
-# required parameter.  Kinds that draw randomness need a seed to be reproducible.
+# `_enforce` rules (field, accept, requirement) of the parameters no library call
+# takes, and (accept, requirement) pairs; the other rules are the library's own.
+_NUMBER = (_number(), "a finite value")
+_BAND = baseline._WINDOW[1:]  # two finite values, increasing
+_SPACINGS = ("eps_list", _several(potential._EPS[1], 1, distinct=True),
+             "one or more distinct finite spacings > 0")
+
+# kind -> (runner, needs_seed, rules, defaults); a default of None marks a required
+# parameter, and kinds that draw randomness need a seed to be reproducible.
+# mc-run has no rules here: `sampler.ChainConfig.validate` holds its table.
 _EXPERIMENTS = {
-    "covariance-sweep": (_run_covariance_sweep, True, {
-        "dims": (_dims, [2, 2, 2, 2]), "n_colors": (_colors, 2), "n_transforms": (_count, 30),
-        "tol": (_finite, 1e-12),
+    "covariance-sweep": (_run_covariance_sweep, True, (
+        sampler._DIMS, sampler._N_COLORS,
+        ("n_transforms", _number(int, ge=1), "a positive integer"), ("tol", *_NUMBER),
+    ), {"dims": [2, 2, 2, 2], "n_colors": 2, "n_transforms": 30, "tol": 1e-12}),
+    "oned-demo": (_run_oned_demo, False, (
+        _SPACINGS, baseline._DELTA, baseline._WINDOW,
+        ("profile", _choice(tuple(_PROFILES_1D)), f"one of {tuple(_PROFILES_1D)}"),
+    ), {"eps_list": [0.2, 0.1, 0.05], "delta": 0.3, "window": [-6.0, 6.0], "profile": "gauss"}),
+    "embedded-violation": (_run_embedded_violation, False, (
+        _SPACINGS, ("angle_deg", *_NUMBER), baseline._BOX, ("mass", *_NUMBER),
+        ("min_slope", *_NUMBER),
+        ("widths", _several(_number(gt=0), 4, 4), "four finite widths > 0"),
+    ), {"eps_list": [0.2, 0.1], "angle_deg": 30.0, "box_extent": 1.6, "mass": 1.0,
+        "min_slope": 1.5, "widths": [0.25, 0.5, 0.35, 0.42]}),
+    "continuum-check": (_run_continuum_check, False, (
+        *wilson._CONTINUUM_RULES, ("deficit_slope_band", *_BAND), ("remainder_slope_band", *_BAND),
+    ), {"eps_list": [0.2, 0.1, 0.05], "box_extent": 0.4, "deficit_slope_band": [3.8, 4.2],
+        "remainder_slope_band": [5.5, 6.5]}),
+    "mc-run": (_run_mc_run, True, None, {
+        "beta": None, "dims": [2, 2, 2, 2], "n_colors": 2, "sweeps": 100, "burn_in": 20,
+        "step_scale": 0.5, "measure_every": 1, "hot_start": False, "order": "checkerboard",
     }),
-    "oned-demo": (_run_oned_demo, False, {
-        "eps_list": (_spacings, [0.2, 0.1, 0.05]), "delta": (_finite, 0.3),
-        "window": (_interval, [-6.0, 6.0]), "profile": (_profile, "gauss"),
-    }),
-    "embedded-violation": (_run_embedded_violation, False, {
-        "eps_list": (_spacings, [0.2, 0.1]), "angle_deg": (_finite, 30.0),
-        "box_extent": (_positive, 1.6), "mass": (_finite, 1.0), "min_slope": (_finite, 1.5),
-        "widths": (lambda v: _positives(v, 4, exact=True), [0.25, 0.5, 0.35, 0.42]),
-    }),
-    "continuum-check": (_run_continuum_check, False, {
-        "eps_list": (lambda v: _spacings(v, 3), [0.2, 0.1, 0.05]), "box_extent": (_positive, 0.4),
-        "deficit_slope_band": (_interval, [3.8, 4.2]),
-        "remainder_slope_band": (_interval, [5.5, 6.5]),
-    }),
-    "mc-run": (_run_mc_run, True, {
-        "beta": (_finite, None), "dims": (_dims, [2, 2, 2, 2]), "n_colors": (_colors, 2),
-        "sweeps": (_int, 100), "burn_in": (_int, 20), "step_scale": (_finite, 0.5),
-        "measure_every": (_int, 1), "hot_start": (_bool, False), "order": (str, "checkerboard"),
-    }),
-    "flatness-check": (_run_flatness_check, True, {
-        "dims": (_dims, [4, 4, 4, 4]), "eps": (_positive, 0.05), "amplitude": (_positive, 0.5),
-        "flat_tol": (_finite, 5e-3), "min_ratio": (_finite, 10.0),
-    }),
+    "flatness-check": (_run_flatness_check, True, (
+        sampler._DIMS, potential._EPS, ("amplitude", _number(gt=0), "a finite value > 0"),
+        ("flat_tol", *_NUMBER), ("min_ratio", *_NUMBER),
+    ), {"dims": [4, 4, 4, 4], "eps": 0.05, "amplitude": 0.5, "flat_tol": 5e-3, "min_ratio": 10.0}),
 }
 KINDS = tuple(_EXPERIMENTS)
+_SEED_RULES = (sampler._SEED,)
 
 
-def _resolve(kind: str, params: dict) -> dict:
-    """The kind's full parameter table: every value cast, defaults included."""
-    table = _EXPERIMENTS[kind][2]
-    for name in params:
-        if name not in table:
-            raise SpecError(f"parameter '{name}' is invalid: {kind} takes only {list(table)}")
-    resolved = {}
-    for name, (cast, default) in table.items():
-        if name not in params and default is None:
+def _resolve(spec: ExperimentSpec) -> ExperimentSpec:
+    """The spec with its seed and its kind's full parameter table, defaults
+    included, as the rules accept them; a value they refuse is a SpecError."""
+    kind, seed = spec.kind, spec.seed
+    _, _, rules, defaults = _EXPERIMENTS[kind]
+    for name in spec.params:
+        if name not in defaults:
+            raise SpecError(f"parameter '{name}' is invalid: {kind} takes only {list(defaults)}")
+    for name, default in defaults.items():
+        if default is None and name not in spec.params:
             raise SpecError(f"parameter '{name}' is invalid: {kind} requires it")
-        resolved[name] = _cast(name, cast, params.get(name, default))
-    return resolved
+    values = {name: _integral(spec.params.get(name, default)) for name, default in defaults.items()}
+    try:
+        if seed is not None:
+            seed = _enforce(_SEED_RULES, {"seed": _integral(seed)})["seed"]
+        accepted = _enforce(rules, values) if rules else sampler.ChainConfig(**values).validate()
+    except ValueError as err:
+        raise SpecError(str(err)) from None
+    return replace(spec, params={name: accepted[name] for name in defaults}, seed=seed)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -450,13 +388,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     if spec.kind not in _EXPERIMENTS:
         raise SpecError(f"unknown experiment kind '{spec.kind}', expected one of {KINDS}")
-    runner, needs_seed, _ = _EXPERIMENTS[spec.kind]
+    runner, needs_seed, _, _ = _EXPERIMENTS[spec.kind]
     if needs_seed and spec.seed is None:
         raise SpecError(f"kind '{spec.kind}' is randomized: field 'seed' is required")
     if not isinstance(spec.params, dict):
         raise SpecError(f"field 'params' must be a table, got {type(spec.params).__name__}")
-    seed = None if spec.seed is None else _cast("seed", lambda v: _count(v, least=0), spec.seed)
-    spec = replace(spec, params=_resolve(spec.kind, spec.params), seed=seed)
+    spec = _resolve(spec)
 
     start = time.perf_counter()
     records, summary, failures = runner(spec.params, spec.seed)
@@ -585,10 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the standard lattice experiments and write a report.",
     )
     sub = parser.add_subparsers(dest="kind", required=True, metavar="KIND")
-    for kind, (_, _, table) in _EXPERIMENTS.items():
+    for kind, (_, _, _, defaults) in _EXPERIMENTS.items():
         epilog = "parameters (NAME=DEFAULT):" + "".join(
             f"\n  {name}" + (" (required)" if default is None else f"={json.dumps(default)}")
-            for name, (_, default) in table.items()
+            for name, default in defaults.items()
         )
         p = sub.add_parser(kind, help=f"run the {kind} experiment", epilog=epilog,
                            formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -34,6 +34,8 @@ at once and cached on the graph when first used:
 
 from __future__ import annotations
 
+import math
+import numbers
 from enum import IntEnum
 from functools import cached_property
 from itertools import permutations
@@ -64,16 +66,67 @@ def _integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _enforce(rules, values: dict) -> None:
-    """Raise a ValueError naming the first field whose value fails its rule, given as
-    (field, test, requirement); a test that raises TypeError or ValueError fails."""
-    for field, test, want in rules:
+def _enforce(rules, values: dict) -> dict:
+    """The value each rule (field, accept, requirement) makes of ``values[field]``, by
+    field.  ``accept(value, accepted)``, made by one of the rule makers below, converts
+    and tests it, given the values accepted so far; the first to raise TypeError,
+    ValueError or OverflowError is refused with a ValueError naming its field."""
+    accepted = {}
+    for field, accept, want in rules:
         try:
-            ok = bool(test(values[field]))
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise ValueError(f"parameter '{field}' is invalid: need {want}, got {values[field]!r}")
+            accepted[field] = accept(values[field], accepted)
+        except (TypeError, ValueError, OverflowError):
+            got = values[field]
+            raise ValueError(f"parameter '{field}' is invalid: need {want}, got {got!r}") from None
+    return accepted
+
+
+def _number(kind=float, gt=-np.inf, ge=-np.inf, le=np.inf):
+    """A finite real number as a float, or with ``kind`` int a Python or numpy integer as
+    an int, that is > gt, >= ge and <= le; a bound may be a function of the values
+    accepted before it.  A bool, a string or NaN is no number, and a float no integer."""
+    integer = kind is int
+
+    def accept(x, accepted):
+        if isinstance(x, bool) or not (_integer(x) if integer else isinstance(x, numbers.Real)):
+            raise TypeError(x)
+        x = kind(x)
+        gt_, ge_, le_ = (b(accepted) if callable(b) else b for b in (gt, ge, le))
+        if not ((integer or math.isfinite(x)) and gt_ < x and ge_ <= x <= le_):
+            raise ValueError(x)
+        return x
+
+    return accept
+
+
+def _choice(options: tuple):
+    """One of ``options`` (strings, integers or bools), as that option: 2.0 is not 2,
+    nor True 1."""
+
+    def accept(x, accepted):
+        if not isinstance(x, (str, numbers.Integral, np.bool_)):
+            raise TypeError(x)
+        i = options.index(x)
+        if isinstance(x, (bool, np.bool_)) != isinstance(options[i], bool):
+            raise TypeError(x)
+        return options[i]
+
+    return accept
+
+
+def _several(item, least: int, most=None, distinct: bool = False, increasing: bool = False):
+    """A list of ``least`` to ``most`` (None: any number of) values, each as ``item``
+    accepts it, and if asked distinct or increasing."""
+
+    def accept(xs, accepted):
+        out = [item(x, accepted) for x in xs]
+        if not least <= len(out) <= (most or len(out)) or (distinct and len(set(out)) < len(out)):
+            raise ValueError(xs)
+        if increasing and not all(a < b for a, b in zip(out, out[1:])):
+            raise ValueError(xs)
+        return out
+
+    return accept
 
 
 def _check_graph(field, graph: "LatticeGraph") -> None:

@@ -121,7 +121,7 @@ def expm5(a: np.ndarray) -> np.ndarray:
     and the result is squared back up.  A matrix of a stack keeps its own
     squaring count, so it gets exactly the bits it would get alone.
     """
-    a = np.asarray(a)
+    a = _numeric(a, "a", ValueError)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expm5 expects square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -477,9 +477,9 @@ def _cm_det(m: np.ndarray) -> np.ndarray:
     return sum(m[0, j] * (m[1, j - 2] * m[2, j - 1] - m[1, j - 1] * m[2, j - 2]) for j in range(3))
 
 
-def _as_blocks(x, dtype, shapes, what, error) -> np.ndarray:
-    """``x`` as a finite ``dtype`` array of a shape in ``shapes``, else ``error`` naming
-    ``what``.  A real ``dtype`` refuses a nonzero imaginary part and drops an all-zero one."""
+def _numeric(x, what, error) -> np.ndarray:
+    """``x`` as a bool, integer, float or complex array, else ``error`` saying that
+    ``what`` must be numeric: a string is not, nor is a ragged sequence."""
     try:
         x = np.asarray(x)
         numeric = x.dtype.kind in "biufc"
@@ -487,6 +487,13 @@ def _as_blocks(x, dtype, shapes, what, error) -> np.ndarray:
         numeric = False
     if not numeric:
         raise error(f"{what} must be numeric")
+    return x
+
+
+def _as_blocks(x, dtype, shapes, what, error) -> np.ndarray:
+    """``x`` as a finite ``dtype`` array of a shape in ``shapes``, else ``error`` naming
+    ``what``.  A real ``dtype`` refuses a nonzero imaginary part and drops an all-zero one."""
+    x = _numeric(x, what, error)
     if x.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         if (x.imag != 0).any():
             raise error(f"{what} must be real")

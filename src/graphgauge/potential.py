@@ -25,9 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg
-from .graphlat import LatticeGraph, _check_graph, _integer
+from .graphlat import LatticeGraph, _check_graph, _choice, _enforce, _number
 
 MODES = ("poincare", "desitter")
+
+# `_enforce` rules (field, accept, requirement) of the scalar parameters below.
+_EPS = ("eps", _number(gt=0), "a finite value > 0")
+_FIELD_RULES = (_EPS,)
+_SCALE_RULES = (("scale", _number(ge=0), "a finite value >= 0"),)
+_STEP_RULES = (
+    ("mode", _choice(MODES), f"one of {MODES}"),
+    ("axis", _number(int, ge=0, le=3), "an integer in [0, 3]"),
+    ("eps", _number(), "a finite value"),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +62,7 @@ class PotentialField:
     h: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        object.__setattr__(self, "eps", _enforce(_FIELD_RULES, {"eps": self.eps})["eps"])
         t = self.graph.n_transitions
         for name, shape in (("g", (t, 4, 4)), ("h", (t, 4, 4, 4))):
             table = liealg._as_blocks(getattr(self, name), float, (shape,), name, ValueError)
@@ -73,20 +82,19 @@ def flat_field(graph: LatticeGraph, eps: float) -> PotentialField:
     t = graph.n_transitions
     g = np.broadcast_to(np.eye(4), (t, 4, 4)).copy()
     h = np.zeros((t, 4, 4, 4))
-    return PotentialField(graph, float(eps), g, h)
+    return PotentialField(graph, eps, g, h)
 
 
 def random_field(
     graph: LatticeGraph, eps: float, rng: np.random.Generator, scale: float = 1.0
 ) -> PotentialField:
     """Independent uniform entries in +-scale, torsion antisymmetrized."""
-    if not 0 <= scale < np.inf:
-        raise ValueError(f"scale must be finite and >= 0, got {scale}")
+    scale = _enforce(_SCALE_RULES, {"scale": scale})["scale"]
     t = graph.n_transitions
     g = rng.uniform(-scale, scale, size=(t, 4, 4))
     raw = rng.uniform(-scale, scale, size=(t, 4, 4, 4))
     h = raw - np.swapaxes(raw, 2, 3)
-    return PotentialField(graph, float(eps), g, h)
+    return PotentialField(graph, eps, g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +165,7 @@ def step_coordinates(
 
     With g the identity and h zero the step is a pure shift by eps.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if not (_integer(axis) and 0 <= axis <= 3):
-        raise ValueError(f"axis must be an integer 0..3, got {axis!r}")
-    if not np.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
+    _enforce(_STEP_RULES, {"mode": mode, "axis": axis, "eps": eps})
     y = liealg._as_blocks(y, float, ((5,),), "label", ValueError)
     g_v = liealg._as_blocks(g_v, float, ((4, 4),), "g_v", ValueError)
     h_v = liealg._as_blocks(h_v, float, ((4, 4, 4),), "h_v", ValueError)
@@ -193,7 +196,7 @@ def relabel_coordinates(labels: np.ndarray, rmap: RelabelMap) -> np.ndarray:
     omega = liealg._as_blocks(rmap.omega, float, ((4,),), "omega", ValueError)
     if abs(np.linalg.det(chi)) < 1e-12:
         raise ValueError("relabel map chi is singular")
-    labels = np.asarray(labels, dtype=float)
+    labels = np.asarray(liealg._numeric(labels, "labels", ValueError), dtype=float)
     out = labels.copy()
     out[..., :4] = labels[..., :4] @ chi.T + omega
     return out

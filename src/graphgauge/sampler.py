@@ -26,15 +26,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg, wilson
-from .graphlat import GraphError, LatticeGraph, _check_graph, _enforce, _integer, build_hypercubic
+from .graphlat import (
+    GraphError, LatticeGraph, _check_graph, _choice, _enforce, _integer, _number, _several,
+    build_hypercubic,
+)
 
 SWEEP_ORDERS = ("lexicographic", "checkerboard")
 
-# What a sweep needs of its coupling and its step, as (field, test,
-# requirement); `ChainConfig.validate` and `metropolis_sweep` both apply them.
-_SWEEP_RULES = (
-    ("beta", lambda b: np.isfinite(b) and b >= 0, "a finite value >= 0"),
-    ("step_scale", lambda s: 0 < s <= 1, "a value in (0, 1]"),
+# What a chain needs of each field, as `_enforce` rules (field, accept,
+# requirement); the sweeps and the one-plaquette references hold their couplings,
+# steps and orders to the same rules.
+_BETA = ("beta", _number(ge=0), "a finite value >= 0")
+_STEP = ("step_scale", _number(gt=0, le=1), "a value in (0, 1]")
+_DIMS = ("dims", _several(_number(int, ge=2), 4, 4), "four integer extents >= 2")
+_N_COLORS = ("n_colors", _choice(liealg.SUPPORTED_N), f"one of {liealg.SUPPORTED_N}")
+_SEED = ("seed", _number(int, ge=0), "an integer >= 0")
+_SWEEP_RULES = (_BETA, _STEP)
+_ORDER_RULES = (("order", _choice(SWEEP_ORDERS), f"one of {SWEEP_ORDERS}"),)
+_CHAIN_RULES = (
+    _BETA, _N_COLORS, _DIMS,
+    ("sweeps", _number(int, ge=1), "a positive integer"),
+    ("burn_in", _number(int, ge=0, le=lambda v: v["sweeps"] - 1), "an integer in [0, sweeps)"),
+    _STEP,
+    ("measure_every", _number(int, ge=1, le=lambda v: v["sweeps"] - v["burn_in"]),
+     "an integer in [1, sweeps - burn_in]"),
+    *_ORDER_RULES, _SEED, ("hot_start", _choice((False, True)), "a bool"),
+)
+_ONE_PLAQUETTE_RULES = _SWEEP_RULES + (
+    ("n_steps", _number(int, ge=1), "a positive integer"),
+    ("burn_in", _number(int, ge=0, le=lambda v: v["n_steps"] - 1),
+     "an integer in [0, n_steps)"),
 )
 
 
@@ -51,30 +72,12 @@ class ChainConfig:
     hot_start: bool = False
     order: str = "checkerboard"
 
-    def validate(self) -> None:
-        """Raise a ValueError naming the first field the chain cannot honour.  Counts,
-        extents, n_colors and seed must be integers, hot_start a bool, and the
-        schedule must measure a sweep."""
-        s, b = self.sweeps, self.burn_in
-        beta_rule, step_rule = _SWEEP_RULES
-        _enforce(
-            (
-                beta_rule,
-                ("n_colors", lambda v: _integer(v) and v in liealg.SUPPORTED_N,
-                 f"one of {liealg.SUPPORTED_N}"),
-                ("dims", lambda v: len(tuple(v)) == 4 and all(_integer(d) and d >= 2 for d in v),
-                 "four integer extents >= 2"),
-                ("sweeps", lambda v: _integer(v) and v > 0, "a positive integer"),
-                ("burn_in", lambda v: _integer(v) and 0 <= v < s, "an integer in [0, sweeps)"),
-                step_rule,
-                ("measure_every", lambda v: _integer(v) and 1 <= v <= s - b,
-                 "an integer in [1, sweeps - burn_in]"),
-                ("order", lambda v: v in SWEEP_ORDERS, f"one of {SWEEP_ORDERS}"),
-                ("seed", lambda v: _integer(v) and v >= 0, "an integer >= 0"),
-                ("hot_start", lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
-            ),
-            vars(self),
-        )
+    def validate(self) -> dict:
+        """Every field as the chain accepts it (a float beta and step, a list of
+        int extents), else a ValueError naming the first field it cannot honour.
+        Counts, extents, n_colors and seed must be integers, hot_start a bool, and
+        the schedule must measure a sweep."""
+        return _enforce(_CHAIN_RULES, vars(self))
 
 
 @dataclass(eq=False)
@@ -127,11 +130,10 @@ def update_groups(g: LatticeGraph, order: str) -> list:
     minor.  ``checkerboard`` updates each (colour, direction) class of
     `LatticeGraph.event_colors` at once: link (x, mu) shares plaquettes only
     with other directions and with (x +- nu, mu), whose events neighbour x.
+    Any other ``order`` is refused by the rule `ChainConfig.validate` applies.
     """
-    if order == "lexicographic":
+    if _enforce(_ORDER_RULES, {"order": order})["order"] == "lexicographic":
         return [(np.array([e]), d) for e in range(g.n_events) for d in range(1, 5)]
-    if order != "checkerboard":
-        raise ValueError(f"unknown sweep order {order!r}")
     colors = g.event_colors
     return [(np.flatnonzero(colors == c), d) for c in np.unique(colors) for d in range(1, 5)]
 
@@ -148,7 +150,7 @@ def metropolis_sweep(
 
     The input field is not modified: accepted links are written into the
     ``cm`` of a copy, which is returned.  beta = 0 accepts every proposal;
-    beta and step_scale are held to the rules of `ChainConfig.validate`.
+    beta, step_scale and order are held to the rules of `ChainConfig.validate`.
     """
     _enforce(_SWEEP_RULES, {"beta": beta, "step_scale": step_scale})
     _check_graph(lf, g)
@@ -245,14 +247,8 @@ def one_plaquette_chain(
     accept test run per step.  beta and step_scale are held to the rules of
     `ChainConfig.validate`, and the burn-in must leave at least one sample.
     """
-    _enforce(
-        _SWEEP_RULES
-        + (
-            ("n_steps", lambda v: _integer(v) and v >= 1, "a positive integer"),
-            ("burn_in", lambda v: _integer(v) and 0 <= v < n_steps, "an integer in [0, n_steps)"),
-        ),
-        {"beta": beta, "step_scale": step_scale, "n_steps": n_steps, "burn_in": burn_in},
-    )
+    values = {"beta": beta, "step_scale": step_scale, "n_steps": n_steps, "burn_in": burn_in}
+    _enforce(_ONE_PLAQUETTE_RULES, values)
     rng = np.random.default_rng(seed)
     draws = rng.uniform(size=(n_steps, 4))
     angle = 2.0 * step_scale

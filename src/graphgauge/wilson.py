@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import liealg
-from .graphlat import GraphError, LatticeGraph, _check_graph, _enforce, _integer
+from .graphlat import GraphError, LatticeGraph, _check_graph, _enforce, _integer, _number, _several
 
 
 class LinkFieldError(ValueError):
@@ -33,6 +33,15 @@ class LinkFieldError(ValueError):
 
 
 _SO5_SHAPES = ((5, 5),)  # the shapes an so5 or conjugating block may take
+
+# `_enforce` rules (field, accept, requirement) of the action's coupling and of
+# the continuum check's spacings and box.
+_ACTION_RULES = (("beta", _number(), "a finite value"),)
+_CONTINUUM_RULES = (
+    ("eps_list", _several(_number(gt=0), 3, distinct=True),
+     "three or more distinct finite spacings > 0"),
+    ("box_extent", _number(gt=0), "a finite value > 0"),
+)
 
 
 class LinkField:
@@ -227,7 +236,7 @@ def wilson_action(lf: LinkField, graph: LatticeGraph, beta: float) -> ActionValu
         normalized = beta * sum_p (1 - Re tr su_p / N), from one traversal.
     """
     _check_graph(lf, graph)
-    _enforce((("beta", lambda b: -np.inf < b < np.inf, "a finite value"),), {"beta": beta})
+    _enforce(_ACTION_RULES, {"beta": beta})
     traces = _plaquette_traces(lf, graph)
     n_p = traces.shape[0]
     so5_loop = lf.so5 @ lf.so5 @ lf.so5.T @ lf.so5.T
@@ -330,12 +339,8 @@ def continuum_convergence(
     higher corrections, such as constant field strength in a commuting
     family, converge faster still.
     """
-    if len(eps_list) < 3 or len(set(eps_list)) < len(eps_list):
-        raise ValueError(f"need at least three distinct spacings to fit slopes, got {eps_list}")
-    if not all(0 < eps < np.inf for eps in eps_list):
-        raise ValueError(f"eps_list must hold finite spacings > 0, got {eps_list}")
-    if not 0 < box_extent < np.inf:
-        raise ValueError(f"box_extent must be finite and > 0, got {box_extent}")
+    sizes = _enforce(_CONTINUUM_RULES, {"eps_list": eps_list, "box_extent": box_extent})
+    eps_list, box_extent = sizes["eps_list"], sizes["box_extent"]
     base = np.zeros(4) if base_point is None else base_point
     base = liealg._as_blocks(base, float, ((4,),), "base_point", ValueError)
     mu, nu = 0, 1

@@ -42,14 +42,18 @@ def test_sample_grid_validation():
     with pytest.raises(ValueError, match="eps"):
         baseline._sample_grid(0.0, 0.0, (0.0, 1.0))
     for window in ((1.0, 0.0), (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
-        with pytest.raises(ValueError, match="^window must be finite and increasing"):
+        with pytest.raises(ValueError, match="^parameter 'window' is invalid: need "):
             baseline._sample_grid(0.1, 0.0, window)
     # NaN used to fail inside numpy's int conversion, an infinite eps as a
     # non-finite field value, and an infinite delta with an OverflowError.
     bad = [(np.nan, 0.0, "eps"), (np.inf, 0.0, "eps"), (0.1, np.inf, "delta"), (0.1, np.nan, "delta")]
     for eps, delta, field in bad:
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        with pytest.raises(ValueError, match=f"^parameter '{field}' is invalid: need "):
             baseline._sample_grid(eps, delta, (0.0, 1.0))
+    # A string spacing or window end raised a bare TypeError, naming nothing.
+    for eps, window, field in (("a", (0.0, 1.0), "eps"), (0.1, ("a", 1), "window")):
+        with pytest.raises(ValueError, match=f"^parameter '{field}' is invalid: need "):
+            baseline.sample_on_lattice(_kink, eps, window)
     # A grid numpy cannot hold used to fail with "Maximum allowed size exceeded".
     for eps in (1e-300, 5e-324):
         with pytest.raises(ValueError, match=r"^eps .* too small"):
@@ -89,7 +93,7 @@ def test_relabel_leaves_action_bit_identical():
 def test_relabel_refuses_non_integer_shift(shift):
     # 1.5 used to shift by 1, True by 1 and "2" by 2, silently.
     gf = baseline.sample_on_lattice(_kink, 0.1, (-3.0, 3.0))
-    with pytest.raises(ValueError, match="^shift must be an integer"):
+    with pytest.raises(ValueError, match="^parameter 'shift' is invalid: need an integer, got "):
         baseline.relabel_1d(gf, shift)
 
 
@@ -240,15 +244,15 @@ def test_embedded_action_evaluates_each_grid_point_once():
     assert sum(int(np.prod(shape[:-1])) for shape in shapes) <= (m + 1) ** 4
 
 
-@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.1])
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.1, "a"])
 def test_embedded_violation_rejects_bad_eps(eps):
-    with pytest.raises(ValueError, match="eps must be positive and finite"):
+    with pytest.raises(ValueError, match="^parameter 'eps' is invalid: need "):
         baseline.violation_4d_embedded(_aniso_gauss, np.eye(4), eps, 1.0)
 
 
-@pytest.mark.parametrize("box_extent", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("box_extent", [np.nan, np.inf, 0.0, -1.0, None])
 def test_embedded_violation_rejects_bad_box_extent(box_extent):
-    with pytest.raises(ValueError, match="box_extent must be positive and finite"):
+    with pytest.raises(ValueError, match="^parameter 'box_extent' is invalid: need "):
         baseline.violation_4d_embedded(_aniso_gauss, np.eye(4), 0.2, box_extent)
 
 

@@ -362,21 +362,23 @@ def test_help_lists_parameter_table(kind, capsys):
         _run([kind, "--help"])
     assert info.value.code == 0
     out = capsys.readouterr().out
-    table = cli._EXPERIMENTS[kind][2]
-    for name, (_, default) in table.items():
+    for name, default in cli._EXPERIMENTS[kind][3].items():
         assert f"\n  {name}{_shown(default)}\n" in out
     assert ("\n  beta (required)\n" in out) == (kind == "mc-run")
 
 
 def test_readme_parameter_table_matches_registry():
+    # The check column is the requirement of each parameter's one rule: mc-run's
+    # are the chain's own.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    rows = re.findall(r"^\| `([a-z-]+)` \| `(\w+)` \| (`[^`]*`|required) \|", readme, re.M)
-    documented = {(kind, name): default.strip("`") for kind, name, default in rows}
-    declared = {
-        (kind, name): "required" if default is None else json.dumps(default)
-        for kind, (_, _, table) in cli._EXPERIMENTS.items()
-        for name, (_, default) in table.items()
-    }
+    rows = re.findall(r"^\| `([a-z-]+)` \| `(\w+)` \| (`[^`]*`|required) \| (.+) \|$", readme, re.M)
+    documented = {(kind, name): (default.strip("`"), check) for kind, name, default, check in rows}
+    declared = {}
+    for kind, (_, _, rules, defaults) in cli._EXPERIMENTS.items():
+        wants = {field: want for field, _, want in rules or sampler._CHAIN_RULES}
+        for name, default in defaults.items():
+            shown = "required" if default is None else json.dumps(default)
+            declared[(kind, name)] = (shown, wants[name])
     assert len(rows) == len(documented)
     assert documented == declared
 

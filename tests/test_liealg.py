@@ -139,6 +139,9 @@ def test_expm5_rejects_bad_input():
         liealg.expm5(np.zeros((5, 4)))
     with pytest.raises(ValueError):
         liealg.expm5(np.full((5, 5), np.nan))
+    # A string was refused for its shape, (), not for what it holds.
+    with pytest.raises(ValueError, match="^a must be numeric$"):
+        liealg.expm5("abc")
 
 
 def test_assemble_project_round_trip(gens, rng):

@@ -11,11 +11,12 @@ seeded accept decision is unchanged.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from graphgauge import liealg, potential, sampler, wilson
+from graphgauge import cli, liealg, potential, sampler, wilson
 from graphgauge.graphlat import build_hypercubic
 
 
@@ -181,3 +182,34 @@ def test_snapshot_bytes_pinned(dims, tmp_path):
     assert np.float64(loaded.eps).tobytes() == np.float64(field.eps).tobytes()
     assert loaded.g.tobytes() == field.g.tobytes()
     assert loaded.h.tobytes() == field.h.tobytes()
+
+
+# SHA-256 of each README command's JSON report at seed 1 (spec, records and
+# summary, `wall_time_s` dropped, keys sorted), recorded with the per-kind cast
+# helpers that preceded the shared parameter rules.
+CLI_REPORTS = {
+    ("covariance-sweep", "--seed", "1", "--param", "n_transforms=30"):
+        "a4461c541506842d3bd51d35130bcead6cc64772132f3fa2a938fabb47de7b29",
+    ("oned-demo", "--param", "profile=kink", "--param", "delta=0.05"):
+        "b0cc2b1767535a5ed2fa2cedd5e2f16feb83ecac0ac8ea1befbea0e1c749b99b",
+    ("embedded-violation", "--param", "eps_list=[0.2,0.1]"):
+        "668e23b9be787bd80ba26ac27f5f95d9a19d0477498af3d258fb0e2d5fc3843f",
+    ("continuum-check",):
+        "2a4b66036b34d6123527b58001f0dfe50759ec975a4cb1fef6a547b3f90060d4",
+    ("mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "sweeps=200"):
+        "b79b487bfb3ea90ce65973d52834ca5ed5466a1e0fe7cb8b8c2fae9f5a2b282e",
+    ("flatness-check", "--seed", "1"):
+        "db2326fe5d2db7b5fce2b6a18cc7ad19009cd6cda87e5725a1c3c2cf830f2d59",
+}
+
+
+def _report_digest(argv, out) -> str:
+    assert cli.main(list(argv) + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    del report["summary"]["wall_time_s"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(CLI_REPORTS), ids=lambda argv: argv[0])
+def test_cli_reports_pinned(argv, tmp_path):
+    assert _report_digest(argv, tmp_path / "report.json") == CLI_REPORTS[argv]

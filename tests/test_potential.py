@@ -46,10 +46,15 @@ def test_random_field_antisymmetric_torsion(small_graph, rng):
         (0.1, (2, 2, 2, 4), (2, 2, 2, 4), r"^g must have shape \(64, 4, 4\), got \(128, 4, 4\)$"),
         (0.1, (2, 2, 2, 2), (2, 2, 2, 4),
          r"^h must have shape \(64, 4, 4, 4\), got \(128, 4, 4, 4\)$"),
-        (-0.1, (2, 2, 2, 2), (2, 2, 2, 2), r"^eps must be positive and finite, got -0.1$"),
-        (np.nan, (2, 2, 2, 2), (2, 2, 2, 2), r"^eps must be positive and finite, got nan$"),
+        (-0.1, (2, 2, 2, 2), (2, 2, 2, 2),
+         r"^parameter 'eps' is invalid: need a finite value > 0, got -0.1$"),
+        (np.nan, (2, 2, 2, 2), (2, 2, 2, 2),
+         r"^parameter 'eps' is invalid: need a finite value > 0, got nan$"),
+        # None raised a bare TypeError from the comparison.
+        (None, (2, 2, 2, 2), (2, 2, 2, 2),
+         r"^parameter 'eps' is invalid: need a finite value > 0, got None$"),
     ],
-    ids=["other-graph", "h-of-other-graph", "negative-eps", "nan-eps"],
+    ids=["other-graph", "h-of-other-graph", "negative-eps", "nan-eps", "none-eps"],
 )
 def test_potential_field_refuses_bad_eps_or_shapes(small_graph, eps, g_dims, h_dims, message):
     # Tables of a 2x2x2x4 graph went through flatness_residual on 2^4, which
@@ -107,10 +112,12 @@ def test_potential_field_refuses_non_finite_entries(small_graph, name, bad):
         flat.copy()
 
 
-@pytest.mark.parametrize("scale", [np.nan, np.inf, -0.5])
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -0.5, "1"])
 def test_random_field_refuses_bad_scale(small_graph, rng, scale):
-    # numpy used to raise "high - low range exceeds valid bounds", naming no field.
-    with pytest.raises(ValueError, match=f"^scale must be finite and >= 0, got {scale}$"):
+    # numpy used to raise "high - low range exceeds valid bounds", naming no
+    # field, and "1" a bare TypeError.
+    want = f"need a finite value >= 0, got {re.escape(repr(scale))}$"
+    with pytest.raises(ValueError, match="^parameter 'scale' is invalid: " + want):
         potential.random_field(small_graph, 0.1, rng, scale=scale)
 
 
@@ -120,6 +127,17 @@ def test_nonpositive_eps_rejected(small_graph, rng, eps):
         potential.flat_field(small_graph, eps)
     with pytest.raises(ValueError, match="eps"):
         potential.random_field(small_graph, eps, rng)
+
+
+@pytest.mark.parametrize("eps", ["0.05", True])
+def test_field_makers_hand_eps_to_the_field_rule(small_graph, rng, eps):
+    # Both makers cast eps with float() first, so "0.05" and True were fields.
+    with pytest.raises(ValueError, match="^parameter 'eps' is invalid: need "):
+        potential.flat_field(small_graph, eps)
+    with pytest.raises(ValueError, match="^parameter 'eps' is invalid: need "):
+        potential.random_field(small_graph, eps, rng)
+    # An integer spacing is a number, and is stored as a float.
+    assert type(potential.flat_field(small_graph, 1).eps) is float
 
 
 def test_entry_indexes_by_vertex(small_graph, rng):
@@ -273,10 +291,11 @@ def test_step_input_validation(rng):
     # NaN eps used to return a NaN label, axis 1.0 an IndexError and True a
     # broadcast error.
     for axis in (1.0, True, "1", None):
-        with pytest.raises(ValueError, match="^axis must be an integer"):
+        with pytest.raises(ValueError, match="^parameter 'axis' is invalid: need "):
             potential.step_coordinates(y, axis, g_v, h_v, 0.1)
-    for eps in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="^eps must be finite"):
+    # "a" raised numpy's "ufunc 'isfinite' not supported", naming nothing.
+    for eps in (np.nan, np.inf, -np.inf, "a"):
+        with pytest.raises(ValueError, match="^parameter 'eps' is invalid: need "):
             potential.step_coordinates(y, 0, g_v, h_v, eps)
     # An h_v of shape (4, 4) used to return (0.1, 0, 0, 0, 1), a NaN g_v a NaN
     # label, and a (3, 3) g_v numpy's broadcast error.
@@ -335,6 +354,9 @@ def test_relabel_rejects_bad_maps(rng):
             parts[name][-1] = bad
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 potential.relabel_coordinates(labels, potential.RelabelMap(**parts))
+    # Ragged labels reached numpy's "inhomogeneous shape" error, naming nothing.
+    with pytest.raises(ValueError, match="^labels must be numeric$"):
+        potential.relabel_coordinates([[1, 2], [3]], potential.RelabelMap(np.eye(4), np.zeros(4)))
 
 
 def test_relabel_commutes_with_stepping(rng):
@@ -589,7 +611,7 @@ def test_load_rejects_non_finite_eps(small_graph, rng, tmp_path, eps):
     path = tmp_path / "field.txt"
     potential.save_field(field, path)
     path.write_text(path.read_text().replace("eps=0.1 ", f"eps={eps} "))
-    with pytest.raises(ValueError, match=f"^eps must be positive and finite, got {eps}$"):
+    with pytest.raises(ValueError, match=f"^parameter 'eps' is invalid: need .*, got {eps}$"):
         potential.load_field(path, small_graph)
 
 

@@ -51,6 +51,9 @@ from graphgauge import graphlat, liealg, sampler, wilson
         ({"beta": None}, "beta"),
         ({"beta": 2.0, "dims": 4}, "dims"),
         ({"beta": 2.0, "step_scale": "a"}, "step_scale"),
+        # A bool is not a coupling or a step, though comparisons take it for 1.
+        ({"beta": True}, "beta"),
+        ({"beta": 2.0, "step_scale": True}, "step_scale"),
     ],
 )
 def test_config_validation_names_offending_field(kwargs, field):
@@ -326,6 +329,7 @@ def test_checkerboard_drift_stays_unitary():
         (2.0, 0.0, "step_scale"),
         (2.0, 1.5, "step_scale"),
         (2.0, np.nan, "step_scale"),
+        (True, 0.5, "beta"),
     ],
 )
 def test_sweep_refuses_bad_coupling(small_graph, rng, beta, step_scale, field):
@@ -333,6 +337,13 @@ def test_sweep_refuses_bad_coupling(small_graph, rng, beta, step_scale, field):
     lf = wilson.identity_links(small_graph, 2)
     with pytest.raises(ValueError, match=f"^parameter '{field}' is invalid: need "):
         sampler.metropolis_sweep(lf, small_graph, beta, step_scale, rng)
+
+
+def test_sweep_refuses_unknown_order_by_the_chain_rule(small_graph, rng):
+    # The sweep had its own "unknown sweep order" message.
+    lf = wilson.identity_links(small_graph, 2)
+    with pytest.raises(ValueError, match="^parameter 'order' is invalid: need one of "):
+        sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, rng, order="spiral")
 
 
 def test_sweep_does_not_modify_input(small_graph, rng):
@@ -428,6 +439,9 @@ def test_exact_reference_matches_bessel_ratio(beta):
 def test_exact_reference_validation():
     with pytest.raises(ValueError, match="beta"):
         sampler.single_plaquette_exact(-0.5)
+    # True integrated at beta = 1, though the command line refuses beta=true.
+    with pytest.raises(ValueError, match="^parameter 'beta' is invalid: need "):
+        sampler.single_plaquette_exact(True)
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0])

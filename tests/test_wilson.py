@@ -631,12 +631,15 @@ def test_continuum_requires_distinct_spacings():
         ([0.1, 0.05, 0.025], -1.0, "box_extent"),
         ([0.1, 0.05, 0.025], 0.0, "box_extent"),
         ([0.1, 0.05, 0.025], np.nan, "box_extent"),
+        # Strings raised a bare TypeError, naming nothing.
+        ("abc", 0.2, "eps_list"),
+        ([0.1, 0.05, 0.025], "1", "box_extent"),
     ],
 )
 def test_continuum_refuses_non_positive_sizes(eps_list, box_extent, field):
     # A negative box or spacing gave a NaN slope, and a NaN spacing failed
     # inside numpy's float-to-integer conversion.
-    with pytest.raises(ValueError, match=f"^{field} must "):
+    with pytest.raises(ValueError, match=f"^parameter '{field}' is invalid: need "):
         wilson.continuum_convergence(_constant_noncommuting, eps_list, box_extent=box_extent)
 
 
