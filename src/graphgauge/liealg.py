@@ -34,10 +34,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphlat import _choice, _enforce, _number
+
 GEN_SCALE = 1.0 / np.sqrt(2.0)
 
 # Group sizes N of the SU(N) blocks: the ones with a generator basis below.
 SUPPORTED_N = (2, 3)
+
+# `_enforce` rules (field, accept, requirement) of the samplers' scalars: N, which
+# `sampler` applies to n_colors as well, the half-width of a uniform draw and the
+# size of a stack (None for one draw).
+_N = ("n", _choice(SUPPORTED_N), f"one of {SUPPORTED_N}")
+_SCALE = ("scale", _number(ge=0), "a finite value >= 0")
+_STACK = _number(int, ge=0)
+_COUNT = ("count", lambda x, accepted: None if x is None else _STACK(x, accepted),
+          "None or an integer >= 0")
 
 # Basis index order for the six independent planes among the first four axes.
 PLANE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -230,14 +241,9 @@ _GELLMANN = np.array(
 )
 
 
-def _check_n(n: int) -> None:
-    if n not in SUPPORTED_N:
-        raise ValueError(f"unsupported group size N={n}, expected one of {SUPPORTED_N}")
-
-
 def sun_generators(n: int) -> np.ndarray:
     """Hermitian traceless basis of su(N): Pauli/2 for N=2, Gell-Mann/2 for N=3."""
-    _check_n(n)
+    n = _enforce((_N,), {"n": n})["n"]
     return (_PAULI if n == 2 else _GELLMANN) / 2.0
 
 
@@ -249,7 +255,7 @@ def haar_random_sun(n: int, rng: np.random.Generator, count: int | None = None) 
     A stack consumes the generator exactly as ``count`` single draws would,
     so it holds the same matrices in the same order.
     """
-    _check_n(n)
+    n, count = _enforce((_N, _COUNT), {"n": n, "count": count}).values()
     lead = () if count is None else (count,)
     parts = rng.standard_normal(lead + (2, n, n))
     z = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
@@ -271,7 +277,9 @@ def random_sun_near_identity(
     closed form by `_exp_i_angles`; a stack holds the matrices its single
     draws give, bit for bit.
     """
-    _check_n(n)
+    n, scale, count = _enforce(
+        (_N, _SCALE, _COUNT), {"n": n, "scale": scale, "count": count}
+    ).values()
     lead = () if count is None else (count,)
     theta = rng.uniform(-scale, scale, size=lead + (n * n - 1,))
     return _exp_i_angles(theta)
@@ -442,6 +450,7 @@ def _exp_i_hermitian(herm: np.ndarray) -> np.ndarray:
 
 def random_antisymmetric5(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Random antisymmetric 5x5 with independent entries uniform in +-scale."""
+    scale = _enforce((_SCALE,), {"scale": scale})["scale"]
     upper = np.triu(rng.uniform(-scale, scale, size=(5, 5)), k=1)
     return upper - upper.T
 

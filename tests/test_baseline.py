@@ -104,7 +104,34 @@ def test_zero_offset_sigma_is_exactly_zero():
 
 def test_quadrature_reference_gauss():
     rep = baseline.violation_sigma_1d(_gauss, _identity, 0.1, 0.05, (0.0, 8.0))
-    assert abs(rep.reference - 0.5 * np.sqrt(np.pi)) < 1e-9
+    assert abs(rep.reference - 0.5 * np.sqrt(np.pi)) < 1e-13
+    assert rep.extras["quad_error"] < 1e-10
+
+
+@pytest.mark.parametrize("window", [(-6.0, 6.0), (-1.0, 3.7)])
+def test_quadrature_reference_kink(window):
+    # (-6, 6) is oned-demo's window, with the kink at its midpoint; in (-1, 3.7)
+    # no bisection lands on the kink, and the panels around it must shrink.
+    lo, hi = window
+    rep = baseline.violation_sigma_1d(_kink, _half_square, 0.1, 0.05, window)
+    assert abs(rep.reference - 0.25 * (2.0 - np.exp(2.0 * lo) - np.exp(-2.0 * hi))) < 1e-13
+    assert rep.extras["quad_error"] < 1e-10
+
+
+def test_quadrature_stops_at_its_panel_limit():
+    # 1e5 radians on [0, 1]: no panel of 200 meets its share of the tolerance.
+    # Every round is one call on a 1d array of whole panels, at most 2 x 200
+    # panels are evaluated, and the estimate reports the tolerance missed.
+    sizes = []
+
+    def wave(x):
+        sizes.append(x.shape)
+        return np.cos(1e5 * x)
+
+    _, error = baseline._gauss_kronrod(wave, 0.0, 1.0)
+    assert all(len(shape) == 1 and shape[0] % 15 == 0 for shape in sizes)
+    assert sum(shape[0] for shape in sizes) <= 2 * 200 * 15
+    assert error > 1e-13
 
 
 def test_kink_sigma_shrinks_quadratically():

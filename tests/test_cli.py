@@ -3,13 +3,13 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate  # noqa: F401  loaded before graphgauge: see the lazy-import test
 
 from graphgauge import baseline, cli, sampler
 
@@ -439,35 +439,32 @@ def test_module_entry_point_runs_clean(tmp_path):
     assert json.loads(proc.stdout)["summary"]["status"] == "ok"
 
 
-# Run in a fresh interpreter: scipy must stay unloaded through the import, a
-# sweep and every kind but oned-demo, then load for the two quadratures.
-_LAZY_SCIPY_SCRIPT = """
+# Run in a fresh interpreter with scipy blocked: `import scipy` raises there, and
+# the sentinel stays in sys.modules only if nothing imported scipy or a submodule.
+_NO_SCIPY_SCRIPT = """
 import json, sys
+sys.modules["scipy"] = None
 import numpy as np
-import graphgauge
-from graphgauge import baseline, cli, graphlat, sampler, wilson
-g = graphlat.build_hypercubic((2, 2, 2, 2))
-sampler.metropolis_sweep(wilson.identity_links(g, 2), g, 2.0, 0.5, np.random.default_rng(0))
+from graphgauge import baseline, cli, sampler
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv + ["--out", "report.json"]) == 0
-unloaded = "scipy" not in sys.modules
-assert cli.main(["oned-demo", "--out", "oned.json"]) == 0
 rep = baseline.violation_sigma_1d(lambda x: np.exp(-x * x), lambda v: v, 0.1, 0.05, (0.0, 8.0))
 print(json.dumps({
-    "unloaded": unloaded,
-    "oned": cli.load_report("oned.json").records,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                    and sys.modules[m] is not None),
     "exact": sampler.single_plaquette_exact(2.0),
     "violation": vars(rep),
 }))
 """
 
 
-def test_scipy_loads_only_for_the_quadrature_references(tmp_path):
+def test_runtime_needs_no_scipy(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    argv = [shlex.split(line)[1:] for line in re.findall(r"^graphgauge .+$", readme, re.M)]
+    assert {a[0] for a in argv} == set(cli.KINDS) and len(argv) == 6
     src = Path(__file__).resolve().parents[1] / "src"
-    argv = [a for a in _SMOKE_ARGV if a[0] != "oned-demo"]
-    assert {a[0] for a in argv} == set(cli.KINDS) - {"oned-demo"}
     proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT, json.dumps(argv)],
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(argv)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
@@ -475,12 +472,8 @@ def test_scipy_loads_only_for_the_quadrature_references(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["unloaded"]
-    # The same values, to the last bit, as in this process, where scipy was
-    # loaded before graphgauge was imported.
-    here = str(tmp_path / "here.json")
-    assert _run(["oned-demo", "--out", here]) == 0
-    assert json.dumps(got["oned"]) == json.dumps(cli.load_report(here).records)
+    assert got["scipy"] == []
+    # The same values, to the last bit, as in this process.
     assert got["exact"] == sampler.single_plaquette_exact(2.0)
     want = baseline.violation_sigma_1d(lambda x: np.exp(-x * x), lambda v: v, 0.1, 0.05, (0.0, 8.0))
     assert json.dumps(got["violation"]) == json.dumps(vars(want))

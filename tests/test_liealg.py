@@ -226,8 +226,30 @@ def test_unsupported_group_size_rejected(rng):
         lambda: liealg.haar_random_sun(4, rng),
         lambda: liealg.random_sun_near_identity(4, 0.1, rng),
     ):
-        with pytest.raises(ValueError, match="N=4"):
+        want = r"^parameter 'n' is invalid: need one of \(2, 3\), got 4$"
+        with pytest.raises(ValueError, match=want):
             draw()
+
+
+@pytest.mark.parametrize(
+    "draw, field",
+    [
+        (lambda rng: liealg.haar_random_sun(2, rng, count=2.5), "count"),
+        (lambda rng: liealg.haar_random_sun(2, rng, count=-1), "count"),
+        (lambda rng: liealg.random_sun_near_identity(2, 0.1, rng, count=True), "count"),
+        (lambda rng: liealg.random_sun_near_identity(2, "a", rng), "scale"),
+        (lambda rng: liealg.random_sun_near_identity(2, np.nan, rng), "scale"),
+        (lambda rng: liealg.random_so5(rng, np.nan), "scale"),
+        (lambda rng: liealg.random_antisymmetric5(rng, -1.0), "scale"),
+        (lambda rng: liealg.sun_generators(2.0), "n"),
+        (lambda rng: liealg.haar_random_sun(True, rng), "n"),
+    ],
+)
+def test_sampler_scalars_refused_by_their_rules(rng, draw, field):
+    # A bare TypeError, numpy's OverflowError or "high - low < 0" named nothing,
+    # and sun_generators took the N = 2.0 that ChainConfig refuses.
+    with pytest.raises(ValueError, match=f"^parameter '{field}' is invalid: need "):
+        draw(rng)
 
 
 def test_haar_trace_moments(rng):

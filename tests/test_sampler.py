@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import iv
+from scipy.special import ive
 
 from graphgauge import graphlat, liealg, sampler, wilson
 
@@ -427,13 +427,21 @@ def test_average_plaquette_ignores_so5_block(small_graph, rng):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 8.0, 1000.0, 1e4, 1e6])
 def test_exact_reference_matches_bessel_ratio(beta):
     # Independent closed form: the SU(2) one-plaquette average is a ratio
-    # of modified Bessel functions, I_2(beta) / I_1(beta).
+    # of modified Bessel functions, I_2(beta) / I_1(beta), here scaled by
+    # e^-beta so that neither overflows.
     got = sampler.single_plaquette_exact(beta)
-    want = float(iv(2.0, beta) / iv(1.0, beta))
+    want = float(ive(2.0, beta) / ive(1.0, beta))
     assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [1e300, np.finfo(float).max])
+def test_exact_reference_at_the_largest_couplings(beta):
+    # I_2 / I_1 = 1 - 3 / (2 beta) + ... is 1.0 in floating point here, and the
+    # weight neither overflows nor underflows to 0 / 0.
+    assert sampler.single_plaquette_exact(beta) == 1.0
 
 
 def test_exact_reference_validation():
@@ -470,6 +478,9 @@ def test_one_plaquette_chain_matches_exact(beta):
         ({"burn_in": 200}, "burn_in"),
         ({"burn_in": 2.0}, "burn_in"),
         ({"step_scale": None}, "step_scale"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
     ],
 )
 def test_one_plaquette_chain_refuses_bad_input(kwargs, field):
