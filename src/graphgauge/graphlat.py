@@ -66,18 +66,18 @@ def _integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _enforce(rules, values: dict) -> dict:
+def _enforce(rules, values: dict, error=ValueError) -> dict:
     """The value each rule (field, accept, requirement) makes of ``values[field]``, by
     field.  ``accept(value, accepted)``, made by one of the rule makers below, converts
     and tests it, given the values accepted so far; the first to raise TypeError,
-    ValueError or OverflowError is refused with a ValueError naming its field."""
+    ValueError or OverflowError is refused with ``error``, a ValueError, naming its field."""
     accepted = {}
     for field, accept, want in rules:
         try:
             accepted[field] = accept(values[field], accepted)
         except (TypeError, ValueError, OverflowError):
             got = values[field]
-            raise ValueError(f"parameter '{field}' is invalid: need {want}, got {got!r}") from None
+            raise error(f"parameter '{field}' is invalid: need {want}, got {got!r}") from None
     return accepted
 
 
@@ -229,12 +229,6 @@ class LatticeGraph:
         col = _label_col(label)
         self._vertices(v, (Role.EVENT, Role.TRANSITION), "is an action vertex, labels do not apply")
         return self._nbr[v, col] if isinstance(v, np.ndarray) else int(self._nbr[v, col])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """All neighbors of v, without labels (actions included)."""
-        if self.role(v) == Role.ACTION:
-            return self.action_transitions(v)
-        return tuple(self._nbr[v].tolist())
 
     def action_transitions(self, v: int) -> tuple[int, int, int, int]:
         """The four transitions of an action vertex, in loop order."""

@@ -50,6 +50,13 @@ _STACK = _number(int, ge=0)
 _COUNT = ("count", lambda x, accepted: None if x is None else _STACK(x, accepted),
           "None or an integer >= 0")
 
+# Matrices per pass of the batched kernels (`unitarity_defect`, and `wilson`'s
+# traces, `validate_links` and gauge rotation); no bit depends on it.  Passes keep
+# temporaries under glibc's heap-trim edge (4096 SU(3) blocks faulted 1,120 pages
+# per 8^4 gauge rotation plus actions, 2048 0-1), and halve `validate_links` at
+# 8^4 SU(3) against one pass.  Smaller passes pay in dispatch.
+_CHUNK = 2048
+
 # Basis index order for the six independent planes among the first four axes.
 PLANE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -285,7 +292,7 @@ def random_sun_near_identity(
     return _exp_i_angles(theta)
 
 
-def _cm_product(a: np.ndarray, b: np.ndarray, dagger: str = "") -> np.ndarray:
+def _cm_product(a: np.ndarray, b: np.ndarray, dagger: str = "", out=None, tmp=None) -> np.ndarray:
     """Matrix product on component-major stacks of shape (N, N, ...).
 
     Entry [i, j, ...] of the result is sum_k a[i, k, ...] b[k, j, ...],
@@ -293,15 +300,17 @@ def _cm_product(a: np.ndarray, b: np.ndarray, dagger: str = "") -> np.ndarray:
     the whole stack and no (N, N, N, ...) temporary is built.  ``dagger``
     names the factors to conjugate-transpose first: "a", "b" or "".  A stack
     of 2x2 or 3x3 blocks costs a few elementwise calls, where a stacked ``@``
-    pays one dispatch per block.
+    pays one dispatch per block.  ``out`` and ``tmp``, C-contiguous arrays of
+    the result's shape, take the result and each step's product in place of
+    fresh arrays; the operations and their order are the same.
     """
     if "a" in dagger:
         a = np.conj(a).swapaxes(0, 1)
     if "b" in dagger:
         b = np.conj(b).swapaxes(0, 1)
-    out = np.multiply(a[:, 0, None], b[None, 0], order="C")
+    out = np.multiply(a[:, 0, None], b[None, 0], out=out, order="C")
     for k in range(1, a.shape[1]):
-        out += a[:, k, None] * b[None, k]
+        out += np.multiply(a[:, k, None], b[None, k], out=tmp)
     return out
 
 
@@ -468,15 +477,21 @@ DEFECT_TOL = 1e-10
 def unitarity_defect(u: np.ndarray):
     """Max-norm distance of u^dag u from the identity, per matrix of a stack.
 
-    A non-finite defect (a NaN or inf entry) reads as inf, so every
-    ``defect > tol`` check rejects it.
+    The Gram products are formed `_CHUNK` matrices at a time.  A non-finite
+    defect (a NaN or inf entry) reads as inf, so every ``defect > tol`` check
+    rejects it.
     """
-    u = np.moveaxis(np.asarray(u), (-2, -1), (0, 1))  # component-major view
-    with np.errstate(invalid="ignore"):
-        gram = _cm_product(u, u, "a")
-        gram[np.diag_indices(len(u))] -= 1
-        defect = np.abs(gram).max(axis=(0, 1))
-    return np.nan_to_num(defect, nan=np.inf, posinf=np.inf)
+    u = np.asarray(u)
+    n = u.shape[-1]
+    stack = u.reshape(-1, n, n)
+    defect = np.empty(len(stack))
+    for start in range(0, len(stack), _CHUNK):
+        part = stack[start:start + _CHUNK].transpose(1, 2, 0)  # component-major view
+        with np.errstate(invalid="ignore"):
+            gram = _cm_product(part, part, "a")
+            gram.reshape(n * n, -1)[::n + 1] -= 1  # the diagonal
+            np.abs(gram).max(axis=(0, 1), out=defect[start:start + _CHUNK])
+    return np.nan_to_num(defect.reshape(u.shape[:-2]), nan=np.inf, posinf=np.inf)
 
 
 def _cm_det(m: np.ndarray) -> np.ndarray:

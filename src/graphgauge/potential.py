@@ -68,11 +68,6 @@ class PotentialField:
             table = liealg._as_blocks(getattr(self, name), float, (shape,), name, ValueError)
             object.__setattr__(self, name, table)
 
-    def entry(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """(g, h) tables at transition vertex v."""
-        i = self.graph.transition_offset(v)
-        return self.g[i], self.h[i]
-
     def copy(self) -> "PotentialField":
         return PotentialField(self.graph, self.eps, self.g.copy(), self.h.copy())
 

@@ -17,6 +17,9 @@ Within a group, the proposals are closed-form SU(N) exponentials
 (`liealg.random_sun_near_identity`), the proposed links and the staples are
 component-major products (`liealg._cm_product`), and dS is the elementwise
 sum Re tr((U' - U) S) = Re sum (U' - U) o S^T: no product is formed for it.
+The sweep calls `staple_sum` and `liealg.random_sun_near_identity` once per
+group through their modules, so a tracer that wraps them sees every group;
+`staple_sum` works in buffers kept per graph (`wilson._scratch`).
 
 The one-plaquette SU(2) model has an exact reference, `single_plaquette_exact`:
 a class-function average on the circle, summed by the trapezoid rule, which
@@ -44,7 +47,7 @@ SWEEP_ORDERS = ("lexicographic", "checkerboard")
 _BETA = ("beta", _number(ge=0), "a finite value >= 0")
 _STEP = ("step_scale", _number(gt=0, le=1), "a value in (0, 1]")
 _DIMS = ("dims", _several(_number(int, ge=2), 4, 4), "four integer extents >= 2")
-_N_COLORS = ("n_colors", *liealg._N[1:])
+_N_COLORS = wilson._N_COLORS
 _SEED = ("seed", _number(int, ge=0), "an integer >= 0")
 _SWEEP_RULES = (_BETA, _STEP)
 _ORDER_RULES = (("order", _choice(SWEEP_ORDERS), f"one of {SWEEP_ORDERS}"),)
@@ -113,7 +116,7 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
     if not (_integer(direction) and 1 <= direction <= 4):
         raise GraphError(f"direction must be one of 1..4, got {direction!r}")
     ev = np.asarray(events)
-    if not np.issubdtype(ev.dtype, np.integer):
+    if ev.dtype.kind not in "iu":
         raise GraphError(f"events must be integer event ids, got dtype {ev.dtype}")
     if ev.size and (ev.min() < 0 or ev.max() >= g.n_events):
         raise GraphError(f"events must lie in [0, {g.n_events}), got {ev.min()}..{ev.max()}")
@@ -121,11 +124,16 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
     # (event, staple pair, upper/lower, leg) offsets to (upper/lower, leg, event,
     # pair) legs: each leg is one contiguous block, and pairs are summed last.
     idx = g.staple_table[ev.reshape(-1), direction - 1].reshape(-1, 3, 2, 3)
-    legs = np.take(u, idx.transpose(2, 3, 0, 1), axis=2)
+    m = len(idx)
+    legs, inner, upper, lower, tmp = wilson._scratch(
+        g, "staples", n, ((n, n, 2, 3, m, 3),) + ((n, n, m, 3),) * 4)
+    np.take(u, idx.transpose(2, 3, 0, 1), axis=2, out=legs, mode="clip")
     (a, b, c), (la, lb, lc) = legs.transpose(2, 3, 0, 1, 4, 5)
-    upper = liealg._cm_product(a, liealg._cm_product(c, b), "b")
-    lower = liealg._cm_product(liealg._cm_product(lb, la), lc, "a")
-    staples = (upper + lower).sum(axis=-1)
+    cb = liealg._cm_product(c, b, out=inner, tmp=tmp)
+    liealg._cm_product(a, cb, "b", out=upper, tmp=tmp)
+    ba = liealg._cm_product(lb, la, out=inner, tmp=tmp)
+    liealg._cm_product(ba, lc, "a", out=lower, tmp=tmp)
+    staples = np.add(upper, lower, out=upper).sum(axis=-1)
     return staples.transpose(2, 0, 1).reshape(ev.shape + (n, n))
 
 

@@ -34,19 +34,20 @@ def test_vertex_degrees(small_graph):
     """Events see 8 transitions; transitions see 2 events and 6 actions;
     actions see exactly their 4 loop transitions."""
     g = small_graph
+    labels = [s * d for d in range(1, 5) for s in (1, -1)]
     for v in range(g.n_events):
-        nbrs = g.neighbors(v)
-        assert len(nbrs) == 8
+        nbrs = [g.neighbor(v, label) for label in labels]
+        assert len(set(nbrs)) == 8
         assert all(g.role(w) == Role.TRANSITION for w in nbrs)
     for v in range(g.n_events, g.n_events + g.n_transitions):
-        nbrs = g.neighbors(v)
-        assert len(nbrs) == 8
+        nbrs = [g.neighbor(v, label) for label in labels]
+        assert len(set(nbrs)) == 8
         roles = [g.role(w) for w in nbrs]
         assert roles.count(Role.EVENT) == 2
         assert roles.count(Role.ACTION) == 6
     for v in range(g.n_events + g.n_transitions, g.n_vertices):
-        nbrs = g.neighbors(v)
-        assert len(nbrs) == 4
+        nbrs = g.action_transitions(v)
+        assert len(set(nbrs)) == 4
         assert all(g.role(w) == Role.TRANSITION for w in nbrs)
 
 

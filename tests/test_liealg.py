@@ -134,6 +134,25 @@ def test_defects_of_non_finite_matrices_are_infinite(bad):
     assert np.array_equal(liealg.unitarity_defect(u), [0.0, np.inf, 0.0])
 
 
+def test_defects_of_a_stack_over_several_passes(rng, monkeypatch):
+    # (E, 4, 3, 3) links spanning two passes of liealg._CHUNK, with a NaN, an
+    # inf and a finite defect in the second: every defect is the one its matrix
+    # gets alone and the one a single pass gives, and the stack keeps its shape.
+    events = liealg._CHUNK // 4 + 3
+    u = liealg.haar_random_sun(3, rng, count=4 * events).reshape(events, 4, 3, 3)
+    u[-1, 2, 0, 1] = np.nan
+    u[-2, 1, 1, 1] = np.inf
+    u[-3, 0] *= 1.0 + 1e-6
+    got = liealg.unitarity_defect(u)
+    assert got.shape == (events, 4)
+    assert got[-1, 2] == np.inf and got[-2, 1] == np.inf
+    assert np.isfinite(got).sum() == got.size - 2 and got[-3, 0] > liealg.DEFECT_TOL
+    alone = [liealg.unitarity_defect(m) for m in u.reshape(-1, 3, 3)]
+    assert np.array_equal(got.ravel(), alone)
+    monkeypatch.setattr(liealg, "_CHUNK", got.size)
+    assert np.array_equal(liealg.unitarity_defect(u), got)
+
+
 def test_expm5_rejects_bad_input():
     with pytest.raises(ValueError):
         liealg.expm5(np.zeros((5, 4)))

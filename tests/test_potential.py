@@ -140,14 +140,6 @@ def test_field_makers_hand_eps_to_the_field_rule(small_graph, rng, eps):
     assert type(potential.flat_field(small_graph, 1).eps) is float
 
 
-def test_entry_indexes_by_vertex(small_graph, rng):
-    field = potential.random_field(small_graph, 0.1, rng)
-    v = small_graph.n_events + 5
-    g_v, h_v = field.entry(v)
-    assert np.array_equal(g_v, field.g[5])
-    assert np.array_equal(h_v, field.h[5])
-
-
 def test_copy_is_independent(small_graph, rng):
     field = potential.random_field(small_graph, 0.1, rng)
     dup = field.copy()
@@ -162,18 +154,11 @@ def test_copy_is_independent(small_graph, rng):
 
 def test_assemble_decompose_round_trip(small_graph, gens, rng):
     field = potential.random_field(small_graph, 0.1, rng)
-    for v in range(small_graph.n_events, small_graph.n_events + 10):
-        a = liealg.assemble_components(*field.entry(v), gens)
+    for i in range(10):
+        a = liealg.assemble_components(field.g[i], field.h[i], gens)
         g_back, h_back = liealg.project_components(a, gens)
-        i = small_graph.transition_offset(v)
         np.testing.assert_allclose(g_back, field.g[i], atol=1e-12)
         np.testing.assert_allclose(h_back, field.h[i], atol=1e-12)
-
-
-def test_assemble_rejects_event_vertex(small_graph, rng):
-    field = potential.random_field(small_graph, 0.1, rng)
-    with pytest.raises(graphlat.GraphError):
-        field.entry(0)
 
 
 def test_transport_generator_layout(rng):

@@ -1,9 +1,13 @@
 """Tests for the Metropolis sampler and its exact references."""
 
 import ast
+import gc
 import inspect
+import sys
 import textwrap
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -376,6 +380,150 @@ def test_sweep_makes_no_whole_field_copy_per_group():
     finally:
         tracemalloc.stop()
     assert peak < 6 * lf.su.nbytes
+
+
+def test_sweep_calls_the_traced_kernels_once_per_group(small_graph, monkeypatch):
+    # The benchmark's traced coverage sees a sweep only through the module
+    # attributes sampler.staple_sum and liealg.random_sun_near_identity: a sweep
+    # that stopped calling them would pass here only if this test changed.
+    lf = wilson.random_links(small_graph, 2, np.random.default_rng(5))
+    want, want_acc = sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(6))
+    calls = {"staple_sum": 0, "random_sun_near_identity": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sampler, "staple_sum")
+    counted(liealg, "random_sun_near_identity")
+    got, acc = sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(6))
+    groups = len(sampler.update_groups(small_graph, "checkerboard"))
+    assert groups == 8
+    assert calls == {"staple_sum": groups, "random_sun_near_identity": groups}
+    assert acc == want_acc and np.array_equal(got.cm, want.cm)
+
+
+# ---------------------------------------------------------------------------
+# the kernels' scratch buffers (wilson._scratch) cannot be seen from outside
+# ---------------------------------------------------------------------------
+
+
+def _chain(g, n, order, seed):
+    """A seeded chain as a generator: it yields after each sweep, so chains can be
+    interleaved, and returns its acceptances, plaquettes and final links."""
+    rng = np.random.default_rng(seed)
+    lf = wilson.random_links(g, n, rng)
+    record = []
+    for _ in range(3):
+        lf, acc = sampler.metropolis_sweep(lf, g, 5.7, 0.5, rng, order)
+        record.append((acc, sampler.average_plaquette(lf, g)))
+        yield
+    return record, lf.cm.tobytes()
+
+
+def _run_all(chains):
+    """Step the chains round robin, one sweep each, until all are done."""
+    results = [None] * len(chains)
+    live = dict(enumerate(chains))
+    while live:
+        for i, chain in list(live.items()):
+            try:
+                next(chain)
+            except StopIteration as done:
+                results[i] = done.value
+                del live[i]
+    return results
+
+
+def test_interleaved_chains_match_chains_run_alone():
+    # SU(2) and SU(3) chains on one graph and an SU(3) chain on a second graph of
+    # the same extents; the odd extent gives groups of several sizes, and the
+    # lexicographic chain groups of one link.
+    dims = (2, 3, 2, 2)
+    g, twin = graphlat.build_hypercubic(dims), graphlat.build_hypercubic(dims)
+
+    def chains():
+        return [_chain(g, 2, "checkerboard", 1), _chain(g, 3, "lexicographic", 2),
+                _chain(twin, 3, "checkerboard", 3)]
+
+    alone = [_run_all([chain])[0] for chain in chains()]
+    assert _run_all(chains()) == alone
+
+
+def test_kernel_results_share_no_memory(rng):
+    g = graphlat.build_hypercubic((2, 2, 2, 2))
+    fields = [wilson.random_links(g, 3, rng) for _ in range(2)]
+    first = sampler.staple_sum(fields[0], g, np.arange(8), 1)
+    kept = first.copy()
+    second = sampler.staple_sum(fields[1], g, np.arange(4, 16), 2)
+    traces = [wilson._plaquette_traces(lf, g) for lf in fields]
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(traces[0], traces[1])
+    assert np.array_equal(traces[0], wilson._plaquette_traces(fields[0], g))
+    results = [first, second, *traces]
+    # Each (kernel, N) keeps (shapes, buffer, arrays cut from it).
+    scratch = [buf for _, buf, _ in wilson._SCRATCH.graphs[g].values()]
+    assert len(scratch) == 2
+    for i, mine in enumerate(results):
+        for theirs in results[i + 1:] + scratch:
+            assert not np.shares_memory(mine, theirs)
+
+
+def test_scratch_does_not_keep_a_graph_alive():
+    g = graphlat.build_hypercubic((2, 2, 2, 2))
+    lf = wilson.random_links(g, 2, np.random.default_rng(0))
+    sampler.metropolis_sweep(lf, g, 2.0, 0.5, np.random.default_rng(1))
+    sampler.average_plaquette(lf, g)
+    assert g in wilson._SCRATCH.graphs
+    ref = weakref.ref(g)
+    del g, lf
+    gc.collect()
+    assert ref() is None
+
+
+def test_threads_reproduce_serial_chains():
+    # Three SU(3) chains in three threads on one shared graph, so shared buffers
+    # would collide; a short switch interval makes the threads interleave within
+    # sweeps.
+    g = graphlat.build_hypercubic((2, 3, 2, 2))
+    seeds = (4, 5, 6)
+    serial = [_run_all([_chain(g, 3, "checkerboard", seed)])[0] for seed in seeds]
+    threaded = [None] * len(seeds)
+
+    def run(i, seed):
+        threaded[i] = _run_all([_chain(g, 3, "checkerboard", seed)])[0]
+
+    threads = [threading.Thread(target=run, args=(i, s)) for i, s in enumerate(seeds)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threaded == serial
+
+
+def test_scratch_stays_bounded_over_call_sizes():
+    # 50 staple sums of distinct sizes, in shuffled order: one buffer, kept at the
+    # largest size asked for.
+    g = graphlat.build_hypercubic((4, 4, 4, 4))
+    lf = wilson.random_links(g, 2, np.random.default_rng(0))
+    for count in np.random.default_rng(1).permutation(np.arange(1, 51)):
+        sampler.staple_sum(lf, g, np.arange(count), 1)
+    kept = wilson._SCRATCH.graphs[g]
+    assert list(kept) == [("staples", 2)]
+    # Per event, 6 staples of 3 legs, and four products (three and a temporary)
+    # of one leg per staple pair.
+    assert kept["staples", 2][1].size == 50 * (6 * 3 + 4 * 3) * 2 * 2
 
 
 @pytest.mark.parametrize("field_dims, graph_dims", [((4, 4, 4, 4), (2, 2, 2, 2)),

@@ -32,15 +32,25 @@ def test_identity_action_exact(small_graph, n):
 
 
 def test_unsupported_color_count_rejected(small_graph):
-    with pytest.raises(wilson.LinkFieldError, match="N=4"):
+    # N is held to liealg's rule before the shape test, so the refusal names it,
+    # also for blocks that have the shape N asks for.
+    need = r"^parameter 'n_colors' is invalid: need one of \(2, 3\), got "
+    with pytest.raises(wilson.LinkFieldError, match=need + "4$"):
         wilson.identity_links(small_graph, 4)
+    su = np.broadcast_to(np.eye(4, dtype=complex), (small_graph.n_events, 4, 4, 4))
+    with pytest.raises(wilson.LinkFieldError, match=need + "4$"):
+        wilson.LinkField(small_graph, 4, su, np.eye(5))
+    su = np.broadcast_to(np.eye(2, dtype=complex), (small_graph.n_events, 4, 2, 2))
+    with pytest.raises(wilson.LinkFieldError, match=need + r"2\.0$"):
+        wilson.LinkField(small_graph, 2.0, su, np.eye(5))
+    assert type(wilson.LinkField(small_graph, np.int64(2), su, np.eye(5)).n_colors) is int
 
 
 def test_identity_links_refuses_before_allocating(small_graph):
     # One complex 10^4 x 10^4 identity block alone would take 1.6 GB.
     tracemalloc.start()
     try:
-        with pytest.raises(wilson.LinkFieldError, match="N=10000"):
+        with pytest.raises(wilson.LinkFieldError, match="^parameter 'n_colors' .* got 10000$"):
             wilson.identity_links(small_graph, 10_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -54,7 +64,6 @@ def test_identity_links_refuses_before_allocating(small_graph):
         ((2, 2, 2, 2), 2, (2, 2, 2, 2), 3),  # 3x3 blocks read as SU(2)
         ((3, 3, 2, 2), 3, (3, 3, 2, 2), 2),  # 2x2 blocks read as SU(3)
         ((2, 2, 2, 2), 2, (2, 2, 2, 4), 2),  # blocks of another lattice
-        ((2, 2, 2, 2), 4, (2, 2, 2, 2), 4),  # an unsupported N
     ],
 )
 def test_link_field_refuses_blocks_of_the_wrong_shape(dims, n, block_dims, block_n):
@@ -159,6 +168,28 @@ def test_validate_reports_first_bad_link(small_graph, rng):
     with pytest.raises(
         wilson.LinkFieldError, match=r"^link \(2, 4\) is not unitary, defect 3\.000e\+00$"
     ):
+        wilson.validate_links(lf)
+
+
+def test_validate_reports_first_bad_link_across_passes(small_graph, rng, monkeypatch):
+    # In passes of 5 links, a determinant fault in the third pass is named before
+    # a defect in the fourth, and that before a NaN link in the last.
+    monkeypatch.setattr(liealg, "_CHUNK", 5)
+    lf = wilson.random_links(small_graph, 3, rng)
+    wilson.validate_links(lf)
+    lf.su[15, 3, 0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nan_link = r"^link \(15, 4\) is not unitary, defect inf$"
+        with pytest.raises(wilson.LinkFieldError, match=nan_link):
+            wilson.validate_links(lf)
+    lf.su[4, 0] *= 1.5
+    with pytest.raises(
+        wilson.LinkFieldError, match=r"^link \(4, 1\) is not unitary, defect 1\.250e\+00$"
+    ):
+        wilson.validate_links(lf)
+    lf.su[3, 0] = 1.0j * lf.su[3, 0]
+    with pytest.raises(wilson.LinkFieldError, match=r"^link \(3, 1\) determinant is not 1$"):
         wilson.validate_links(lf)
 
 
@@ -518,12 +549,15 @@ def test_kernel_bits_do_not_depend_on_the_pass_size(dims, n, monkeypatch):
                 wilson.local_gauge_links(lf, w).cm)
 
     traces, action, rotated = kernels()
+    defects = liealg.unitarity_defect(lf.su)
     for chunk in (1, 7, 4096):
-        monkeypatch.setattr(wilson, "_CHUNK", chunk)
+        monkeypatch.setattr(liealg, "_CHUNK", chunk)
         got = kernels()
         assert np.array_equal(got[0], traces), chunk
         assert got[1] == action, chunk
         assert np.array_equal(got[2], rotated), chunk
+        assert np.array_equal(liealg.unitarity_defect(lf.su), defects), chunk
+        wilson.validate_links(lf)
 
 
 def test_local_gauge_rejects_nonunitary(small_graph, rng):
