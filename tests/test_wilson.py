@@ -32,14 +32,10 @@ def test_identity_action_exact(small_graph, n):
 
 
 def test_unsupported_color_count_rejected(small_graph):
-    # N is held to liealg's rule before the shape test, so the refusal names it,
-    # also for blocks that have the shape N asks for.
+    # N is held to liealg's rule before the shape test, so the refusal names it.
     need = r"^parameter 'n_colors' is invalid: need one of \(2, 3\), got "
     with pytest.raises(wilson.LinkFieldError, match=need + "4$"):
         wilson.identity_links(small_graph, 4)
-    su = np.broadcast_to(np.eye(4, dtype=complex), (small_graph.n_events, 4, 4, 4))
-    with pytest.raises(wilson.LinkFieldError, match=need + "4$"):
-        wilson.LinkField(small_graph, 4, su, np.eye(5))
     su = np.broadcast_to(np.eye(2, dtype=complex), (small_graph.n_events, 4, 2, 2))
     with pytest.raises(wilson.LinkFieldError, match=need + r"2\.0$"):
         wilson.LinkField(small_graph, 2.0, su, np.eye(5))
@@ -64,15 +60,20 @@ def test_identity_links_refuses_before_allocating(small_graph):
         ((2, 2, 2, 2), 2, (2, 2, 2, 2), 3),  # 3x3 blocks read as SU(2)
         ((3, 3, 2, 2), 3, (3, 3, 2, 2), 2),  # 2x2 blocks read as SU(3)
         ((2, 2, 2, 2), 2, (2, 2, 2, 4), 2),  # blocks of another lattice
+        ((2, 2, 2, 2), 4, (2, 2, 2, 2), 4),  # an unsupported N
     ],
 )
 def test_link_field_refuses_blocks_of_the_wrong_shape(dims, n, block_dims, block_n):
     # 3x3 blocks used to read as SU(2) links, giving a finite action, and 2x2
-    # blocks as SU(3) failed with a bare IndexError in the first kernel.
+    # blocks as SU(3) failed with a bare IndexError in the first kernel. An
+    # unsupported N is refused by liealg's rule first, whatever the blocks.
     g = graphlat.build_hypercubic(dims)
     eye = np.eye(block_n, dtype=complex)
     su = np.broadcast_to(eye, (graphlat.build_hypercubic(block_dims).n_events, 4) + eye.shape)
-    with pytest.raises(wilson.LinkFieldError, match=rf"^su must have shape .* for N={n}$"):
+    need = rf"^su must have shape .* for N={n}$"
+    if n not in (2, 3):
+        need = rf"^parameter 'n_colors' is invalid: need one of \(2, 3\), got {n}$"
+    with pytest.raises(wilson.LinkFieldError, match=need):
         wilson.LinkField(g, n, su, np.eye(5))
     with pytest.raises(wilson.LinkFieldError, match="^su must have shape"):
         wilson.LinkField(g, 2, su.reshape(-1, block_n, block_n), np.eye(5))
