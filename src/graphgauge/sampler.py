@@ -7,19 +7,22 @@ plaquettes that contain the link, through the usual staple sum; the shared
 so5 block contributes the same constant to every configuration and never
 enters a difference.
 
-A sweep updates its links group by group (`update_groups`); each group
-draws its proposals and its accept thresholds as one batch, so a seeded
-chain is reproducible bit for bit.  The default `checkerboard` order has 8
+A sweep draws the proposals of all its links, in sweep order, and then
+one accept threshold per link, so a seeded chain is reproducible bit for
+bit.  It then updates its links group by group (`update_groups`), each
+group reading its slice of both.  The default `checkerboard` order has 8
 groups at all-even extents and 16 at the odd ones tried; `lexicographic`,
 one link per group, is the reference.
 
-Within a group, the proposals are closed-form SU(N) exponentials
-(`liealg.random_sun_near_identity`), the proposed links and the staples are
-component-major products (`liealg._cm_product`), and dS is the elementwise
-sum Re tr((U' - U) S) = Re sum (U' - U) o S^T: no product is formed for it.
-The sweep calls `staple_sum` and `liealg.random_sun_near_identity` once per
-group through their modules, so a tracer that wraps them sees every group;
-`staple_sum` works in buffers kept per graph (`wilson._scratch`).
+The proposals are closed-form SU(N) exponentials
+(`liealg.random_sun_near_identity`), drawn in passes of `_PROPOSAL_PASS`
+links into a component-major buffer; within a group, the proposed links
+and the staples are component-major products (`liealg._cm_product`), and
+dS is the elementwise sum Re tr((U' - U) S) = Re sum (U' - U) o S^T: no
+product is formed for it.  The sweep calls `liealg.random_sun_near_identity`
+once per pass and `staple_sum` once per group through their modules, so a
+tracer that wraps them sees every call; the proposals and `staple_sum` work
+in buffers kept per graph (`wilson._scratch`).
 
 The one-plaquette SU(2) model has an exact reference, `single_plaquette_exact`:
 a class-function average on the circle, summed by the trapezoid rule, which
@@ -40,6 +43,13 @@ from .graphlat import (
 )
 
 SWEEP_ORDERS = ("lexicographic", "checkerboard")
+
+# Proposals per `liealg.random_sun_near_identity` call of a sweep; no bit depends
+# on it, since a stack is drawn on the stream of its single draws.  Passes keep
+# the exponentials' temporaries under glibc's heap-trim edge: at 4^4 SU(3) one
+# call of 1024 made 336 minor faults, passes of 512 still 116-136 a sweep plus
+# plaquette, passes of 256 none.
+_PROPOSAL_PASS = 256
 
 # What a chain needs of each field, as `_enforce` rules (field, accept,
 # requirement); the sweeps and the one-plaquette references hold their couplings,
@@ -118,22 +128,26 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
     ev = np.asarray(events)
     if ev.dtype.kind not in "iu":
         raise GraphError(f"events must be integer event ids, got dtype {ev.dtype}")
-    if ev.size and (ev.min() < 0 or ev.max() >= g.n_events):
+    # Read as unsigned, a negative id is huge, so one reduction tests both ends.
+    if ev.size and ev.view(ev.dtype.str.replace("i", "u")).max() >= g.n_events:
         raise GraphError(f"events must lie in [0, {g.n_events}), got {ev.min()}..{ev.max()}")
     n, u = lf.n_colors, lf.cm
-    # (event, staple pair, upper/lower, leg) offsets to (upper/lower, leg, event,
-    # pair) legs: each leg is one contiguous block, and pairs are summed last.
+    # (event, staple pair, upper/lower, leg) offsets to (upper/lower, leg, pair,
+    # event) legs: each leg is one contiguous block, and the three pairs are
+    # summed by two elementwise adds in the order a reduction over them takes.
     idx = g.staple_table[ev.reshape(-1), direction - 1].reshape(-1, 3, 2, 3)
     m = len(idx)
     legs, inner, upper, lower, tmp = wilson._scratch(
-        g, "staples", n, ((n, n, 2, 3, m, 3),) + ((n, n, m, 3),) * 4)
-    np.take(u, idx.transpose(2, 3, 0, 1), axis=2, out=legs, mode="clip")
+        g, "staples", n, ((n, n, 2, 3, 3, m),) + ((n, n, 3, m),) * 4)
+    np.take(u, idx.transpose(2, 3, 1, 0), axis=2, out=legs, mode="clip")
     (a, b, c), (la, lb, lc) = legs.transpose(2, 3, 0, 1, 4, 5)
     cb = liealg._cm_product(c, b, out=inner, tmp=tmp)
     liealg._cm_product(a, cb, "b", out=upper, tmp=tmp)
     ba = liealg._cm_product(lb, la, out=inner, tmp=tmp)
     liealg._cm_product(ba, lc, "a", out=lower, tmp=tmp)
-    staples = np.add(upper, lower, out=upper).sum(axis=-1)
+    pairs = np.add(upper, lower, out=upper)
+    staples = np.add(pairs[:, :, 0], pairs[:, :, 1])
+    staples += pairs[:, :, 2]
     return staples.transpose(2, 0, 1).reshape(ev.shape + (n, n))
 
 
@@ -168,22 +182,30 @@ def metropolis_sweep(
     """
     _enforce(_SWEEP_RULES, {"beta": beta, "step_scale": step_scale})
     _check_graph(lf, g)
-    n = lf.n_colors
+    groups = update_groups(g, order)
+    n, total = lf.n_colors, g.n_transitions
     out = lf.copy()
     u = out.cm
-    accepted = 0
-    for events, d in update_groups(g, order):
+    # Every proposal of the sweep, in sweep order, then every accept threshold.
+    (proposals,) = wilson._scratch(g, "proposals", n, ((n, n, total),))
+    for start in range(0, total, _PROPOSAL_PASS):
+        x = liealg.random_sun_near_identity(
+            n, 2.0 * step_scale, rng, count=min(_PROPOSAL_PASS, total - start))
+        proposals[:, :, start:start + len(x)] = x.transpose(1, 2, 0)
+    thresholds = rng.uniform(size=total)
+    accepted = stop = 0
+    for events, d in groups:
+        start, stop = stop, stop + len(events)
         links = 4 * events + (d - 1)
-        x = liealg.random_sun_near_identity(n, 2.0 * step_scale, rng, count=len(events))
         old_u = u[:, :, links]
-        new_u = liealg._cm_product(x.transpose(1, 2, 0), old_u)
+        new_u = liealg._cm_product(proposals[:, :, start:stop], old_u)
         staple = staple_sum(out, g, events, d).transpose(1, 2, 0)
         # Re tr((U' - U) S) is the sum of (U' - U) o S^T: no product is formed.
         d_s = -(beta / n) * np.einsum("ije,jie->e", new_u - old_u, staple).real
-        accept = rng.uniform(size=len(events)) < np.exp(np.minimum(-d_s, 0.0))
+        accept = thresholds[start:stop] < np.exp(np.minimum(-d_s, 0.0))
         u[:, :, links[accept]] = new_u[:, :, accept]
         accepted += int(np.count_nonzero(accept))
-    return out, accepted / g.n_transitions
+    return out, accepted / total
 
 
 def average_plaquette(lf: wilson.LinkField, g: LatticeGraph) -> float:

@@ -16,9 +16,10 @@ Per-plaquette traces are reduced in sorted order (pairwise summation on the
 sorted array), which makes the floating point result invariant under any
 relabeling or automorphism of the graph, bit for bit.
 
-The trace kernel and the sampler's staple sum work in buffers kept per graph
-and thread (`_scratch`): fresh ones, freed at glibc's heap-trim edge, faulted
-about 480 pages in again per 4^4 SU(3) sweep plus plaquette.  No bit moves.
+The trace kernel, the gauge rotation and the sampler's proposals and staple
+sum work in buffers kept per graph and thread (`_scratch`): fresh ones, freed
+at glibc's heap-trim edge, faulted about 480 pages in again per 4^4 SU(3)
+sweep plus plaquette.  No bit moves.
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ class LinkField:
 
 
 def identity_links(graph: LatticeGraph, n_colors: int, so5: np.ndarray | None = None) -> LinkField:
-    # A zero-stride placeholder, so an unsupported N is refused before any allocation.
+    # N is held to its rule first, and then a zero-stride placeholder stands in
+    # for the field, so an unsupported N is refused before any allocation.
+    n_colors = _enforce((_N_COLORS,), {"n_colors": n_colors}, LinkFieldError)["n_colors"]
     placeholder = np.broadcast_to(0j, (graph.n_events, 4, n_colors, n_colors))
     lf = LinkField(graph, n_colors, placeholder, np.eye(5) if so5 is None else so5)
     lf.cm[...] = np.eye(n_colors)[:, :, None]
@@ -119,8 +122,8 @@ def random_links(
 def pure_gauge_links(graph: LatticeGraph, n_colors: int, rng: np.random.Generator) -> LinkField:
     """Links of the form U(x, d) = W(x) W(x + d)^dag for random site matrices W,
     with the identity so5 block."""
-    w = liealg.haar_random_sun(n_colors, rng, count=graph.n_events)
-    return local_gauge_links(identity_links(graph, n_colors), w)
+    lf = identity_links(graph, n_colors)  # refuses an unsupported N by its field name
+    return local_gauge_links(lf, liealg.haar_random_sun(lf.n_colors, rng, count=graph.n_events))
 
 
 def validate_links(lf: LinkField) -> None:
@@ -293,9 +296,14 @@ def local_gauge_links(lf: LinkField, omegas: np.ndarray) -> LinkField:
     out = LinkField(lf.graph, n, np.empty_like(lf.su), lf.so5.copy())
     u, moved_u = lf.cm.reshape(n, n, -1, 4), out.cm.reshape(n, n, -1, 4)
     sites = max(liealg._CHUNK // 4, 1)
+    # Each pass's W(x), copied along the direction axis: a stride-0 W would run
+    # numpy's inner loops 4 elements at a time.
+    (w_x,) = _scratch(lf.graph, "gauge", n, ((n, n, min(sites, len(fwd)), 4),))
     for start in range(0, len(fwd), sites):
         part = slice(start, start + sites)
-        moved = liealg._cm_product(w[:, :, part, None], u[:, :, part])
+        w_part = w_x[:, :, :len(fwd[part])]
+        w_part[...] = w[:, :, part, None]
+        moved = liealg._cm_product(w_part, u[:, :, part])
         moved_u[:, :, part] = liealg._cm_product(moved, w[:, :, fwd[part]], "b")
     return out
 

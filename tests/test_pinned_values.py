@@ -7,7 +7,10 @@ floats are compared through ``float.hex`` and link arrays through the
 SHA-256 of their little-endian complex128 bytes.  The chain, one-plaquette
 and gauge-link pins were re-recorded once, for the closed-form proposals
 and the component-major products, which move their last bits only: every
-seeded accept decision is unchanged.
+seeded accept decision is unchanged.  The chain and ``mc-run`` pins were
+re-recorded once more when a sweep began to draw all its proposals and then
+all its accept thresholds, in place of both per group: that reorders the
+random stream, so they are new samples of the same chain.
 """
 
 import hashlib
@@ -37,17 +40,17 @@ def test_wilson_action_pinned(su3_field):
 
 
 CHAINS = {
+    # Recorded from the sweep that draws every proposal of the sweep, in sweep
+    # order, and then every accept threshold.
     "lexicographic": (
-        ["0x1.997b479b2cc78p-3", "0x1.0eedc337c443ap-2", "0x1.3c2a608d2afe8p-2", "0x1.432eb4dca501dp-2"],
-        ["0x1.4000000000000p-1", "0x1.4000000000000p-1", "0x1.2000000000000p-1", "0x1.7000000000000p-1"],
-        "5fa08034c82419b125aaa8f2c895114440a8df9f70972c38b1ad1c632b2ab2b2",
+        ["0x1.b405102331af5p-3", "0x1.3c8950cdc1655p-2", "0x1.4879ef92c0c15p-2", "0x1.619067b0eb458p-2"],
+        ["0x1.4000000000000p-1", "0x1.3000000000000p-1", "0x1.4800000000000p-1", "0x1.4800000000000p-1"],
+        "9b11e4494d6cc68d155dc9e2b8504e320e2ff512a9bff7647a9a173decd9be03",
     ),
-    # Recorded from the grouped sweep, which draws randomness per (parity,
-    # direction) group.
     "checkerboard": (
-        ["0x1.9a17448f980abp-3", "0x1.096391ecf04edp-2", "0x1.4e4a253ddcfd4p-2", "0x1.408ede36209d3p-2"],
-        ["0x1.4800000000000p-1", "0x1.8800000000000p-1", "0x1.5000000000000p-1", "0x1.5000000000000p-1"],
-        "b1ec5370cd1ef36b2d9311423f225584496dc0cebce8ce481f7135cf4add7480",
+        ["0x1.e7c56b5de6ec8p-3", "0x1.42679d1001b06p-2", "0x1.64b923fc58438p-2", "0x1.685a38ba687ebp-2"],
+        ["0x1.4800000000000p-1", "0x1.f000000000000p-2", "0x1.2000000000000p-1", "0x1.5000000000000p-1"],
+        "ff5140d39145f6148aeb97b03c281d57174b713b3105ae22d354c380689f3252",
     ),
 }
 
@@ -186,7 +189,8 @@ def test_snapshot_bytes_pinned(dims, tmp_path):
 
 # SHA-256 of each README command's JSON report at seed 1 (spec, records and
 # summary, `wall_time_s` dropped, keys sorted), recorded with the per-kind cast
-# helpers that preceded the shared parameter rules.
+# helpers that preceded the shared parameter rules; `mc-run`'s re-recorded with
+# the chain pins above.
 CLI_REPORTS = {
     ("covariance-sweep", "--seed", "1", "--param", "n_transforms=30"):
         "a4461c541506842d3bd51d35130bcead6cc64772132f3fa2a938fabb47de7b29",
@@ -197,7 +201,7 @@ CLI_REPORTS = {
     ("continuum-check",):
         "2a4b66036b34d6123527b58001f0dfe50759ec975a4cb1fef6a547b3f90060d4",
     ("mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "sweeps=200"):
-        "b79b487bfb3ea90ce65973d52834ca5ed5466a1e0fe7cb8b8c2fae9f5a2b282e",
+        "5cc0366839718142cc7d85f16446cee313ca02db688b99cf900b7566e5c3db55",
     ("flatness-check", "--seed", "1"):
         "db2326fe5d2db7b5fce2b6a18cc7ad19009cd6cda87e5725a1c3c2cf830f2d59",
 }

@@ -88,6 +88,9 @@ def test_staple_sum_identity_links(small_graph):
         (16, 1, "events"),
         (np.array([1.0]), 1, "events"),
         (np.array([True, False]), 1, "events"),
+        # One reduction of the ids read as unsigned finds a negative id anywhere.
+        (np.array([3, -2], dtype=np.int8), 1, "events"),
+        (np.array([[0, 16]], dtype=np.uint64), 1, "events"),
     ],
 )
 def test_staple_sum_refuses_bad_index(small_graph, events, direction, field):
@@ -274,17 +277,20 @@ def test_sweep_orders_agree_at_odd_extent():
 
 def _reference_sweep(lf, g, beta, step_scale, rng, order):
     """The sweep written with stacked products: x U for the proposal and the
-    trace of (U' - U) S for dS."""
+    trace of (U' - U) S for dS.  It draws the sweep's proposals as one stack,
+    then its accept thresholds as one block, and the groups read them in turn."""
     out = lf.copy()
     n = lf.n_colors
-    accepted = 0
+    x = liealg.random_sun_near_identity(n, 2.0 * step_scale, rng, count=g.n_transitions)
+    thresholds = rng.uniform(size=g.n_transitions)
+    accepted = stop = 0
     for events, d in sampler.update_groups(g, order):
-        x = liealg.random_sun_near_identity(n, 2.0 * step_scale, rng, count=len(events))
+        start, stop = stop, stop + len(events)
         old_u = out.su[events, d - 1]
-        new_u = x @ old_u
+        new_u = x[start:stop] @ old_u
         staple = sampler.staple_sum(out, g, events, d)
         d_s = -(beta / n) * np.trace((new_u - old_u) @ staple, axis1=-2, axis2=-1).real
-        accept = rng.uniform(size=len(events)) < np.exp(np.minimum(-d_s, 0.0))
+        accept = thresholds[start:stop] < np.exp(np.minimum(-d_s, 0.0))
         out.su[events[accept], d - 1] = new_u[accept]
         accepted += int(np.count_nonzero(accept))
     return out, accepted / g.n_transitions
@@ -386,6 +392,8 @@ def test_sweep_calls_the_traced_kernels_once_per_group(small_graph, monkeypatch)
     # The benchmark's traced coverage sees a sweep only through the module
     # attributes sampler.staple_sum and liealg.random_sun_near_identity: a sweep
     # that stopped calling them would pass here only if this test changed.
+    # staple_sum runs once per group and the proposals once per pass; the 64
+    # links of 2^4 are one pass.
     lf = wilson.random_links(small_graph, 2, np.random.default_rng(5))
     want, want_acc = sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(6))
     calls = {"staple_sum": 0, "random_sun_near_identity": 0}
@@ -403,9 +411,38 @@ def test_sweep_calls_the_traced_kernels_once_per_group(small_graph, monkeypatch)
     counted(liealg, "random_sun_near_identity")
     got, acc = sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(6))
     groups = len(sampler.update_groups(small_graph, "checkerboard"))
-    assert groups == 8
-    assert calls == {"staple_sum": groups, "random_sun_near_identity": groups}
+    assert groups == 8 and small_graph.n_transitions <= sampler._PROPOSAL_PASS
+    assert calls == {"staple_sum": groups, "random_sun_near_identity": 1}
     assert acc == want_acc and np.array_equal(got.cm, want.cm)
+    monkeypatch.setattr(sampler, "_PROPOSAL_PASS", 10)
+    calls.update(staple_sum=0, random_sun_near_identity=0)
+    sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(6))
+    assert calls == {"staple_sum": groups, "random_sun_near_identity": 7}
+
+
+@pytest.mark.parametrize("n", liealg.SUPPORTED_N)
+def test_sweep_bits_do_not_depend_on_the_proposal_pass(n, monkeypatch):
+    # A stack of proposals is drawn on the stream of its single draws, so passes
+    # of one link, of 7 (which straddle every group boundary of 2x3x2x2) and one
+    # pass of the whole sweep give the same chain and leave the same generator.
+    g = graphlat.build_hypercubic((2, 3, 2, 2))
+
+    def chains():
+        runs = []
+        for order in sampler.SWEEP_ORDERS:
+            rng = np.random.default_rng(31)
+            lf = wilson.random_links(g, n, rng)
+            accs = []
+            for _ in range(3):
+                lf, acc = sampler.metropolis_sweep(lf, g, 5.7, 0.5, rng, order)
+                accs.append(acc)
+            runs.append((accs, lf.cm.tobytes(), rng.bit_generator.state))
+        return runs
+
+    want = chains()
+    for size in (1, 7, g.n_transitions + 1):
+        monkeypatch.setattr(sampler, "_PROPOSAL_PASS", size)
+        assert chains() == want, size
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,12 @@ def test_unsupported_color_count_rejected(small_graph):
     need = r"^parameter 'n_colors' is invalid: need one of \(2, 3\), got "
     with pytest.raises(wilson.LinkFieldError, match=need + "4$"):
         wilson.identity_links(small_graph, 4)
+    # These reached np.broadcast_to first, whose TypeError named nothing.
+    for bad, shown in ((2.0, r"2\.0"), ("3", "'3'"), (None, "None")):
+        for make in (wilson.identity_links, wilson.pure_gauge_links, wilson.random_links):
+            args = (np.random.default_rng(0),) if make is not wilson.identity_links else ()
+            with pytest.raises(wilson.LinkFieldError, match=need + shown + "$"):
+                make(small_graph, bad, *args)
     su = np.broadcast_to(np.eye(2, dtype=complex), (small_graph.n_events, 4, 2, 2))
     with pytest.raises(wilson.LinkFieldError, match=need + r"2\.0$"):
         wilson.LinkField(small_graph, 2.0, su, np.eye(5))
