@@ -128,8 +128,10 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
     ev = np.asarray(events)
     if ev.dtype.kind not in "iu":
         raise GraphError(f"events must be integer event ids, got dtype {ev.dtype}")
-    # Read as unsigned, a negative id is huge, so one reduction tests both ends.
-    if ev.size and ev.view(ev.dtype.str.replace("i", "u")).max() >= g.n_events:
+    # Widened to 64 bits and read as unsigned, a negative id is at least 2^63,
+    # so one reduction tests both ends.  Read at its own width, an int8 -1 is
+    # only 255, which a lattice of more than 255 events would let through.
+    if ev.size and ev.astype(np.int64, copy=False).view(np.uint64).max() >= g.n_events:
         raise GraphError(f"events must lie in [0, {g.n_events}), got {ev.min()}..{ev.max()}")
     n, u = lf.n_colors, lf.cm
     # (event, staple pair, upper/lower, leg) offsets to (upper/lower, leg, pair,

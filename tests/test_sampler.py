@@ -99,6 +99,30 @@ def test_staple_sum_refuses_bad_index(small_graph, events, direction, field):
         sampler.staple_sum(lf, small_graph, events, direction)
 
 
+@pytest.mark.parametrize(
+    "events",
+    # On 4^4 (256 events) a narrow negative id read as unsigned at its own
+    # width lands in range (int8 -1 is 255) and would wrap to another link.
+    [
+        np.array([-1], dtype=np.int8),
+        np.array([3, -128], dtype=np.int8),
+        np.array([-1], dtype=np.int16),
+        np.array([-1], dtype=np.int32),
+        np.int8(-1),
+        np.array([256], dtype=np.uint16),
+    ],
+    ids=["int8-1", "int8-128", "int16-1", "int32-1", "int8-scalar", "uint16-256"],
+)
+def test_staple_sum_refuses_narrow_negative_ids_on_a_large_graph(events):
+    g = graphlat.build_hypercubic((4, 4, 4, 4))
+    lf = wilson.identity_links(g, 2)
+    with pytest.raises(graphlat.GraphError, match="^events must"):
+        sampler.staple_sum(lf, g, events, 1)
+    # The largest id of each narrow dtype that is in range still passes.
+    assert sampler.staple_sum(lf, g, np.array([127], np.int8), 1).shape == (1, 2, 2)
+    assert sampler.staple_sum(lf, g, np.array([255], np.uint8), 1).shape == (1, 2, 2)
+
+
 @pytest.mark.parametrize("dims, n", [((4, 4, 4, 4), 3), ((2, 3, 4, 5), 2)])
 def test_staple_stack_matches_single_calls(dims, n):
     g = graphlat.build_hypercubic(dims)
