@@ -214,25 +214,27 @@ def _embedded_action_4d(
 ) -> float:
     """Scalar action on a cubic lattice with axes rotated by ``rot``.
 
-    Sites sit at rot @ (-box_extent + eps * n) for integer vectors n with
-    every component in [0, m), so that each component of -box_extent + eps * n
-    lies in [-box_extent, box_extent].  The density is the forward difference
-    kinetic term along the four (rotated) axes plus a mass term, weighted by
-    the cell volume eps^4; a non-finite total raises ValueError.
+    Sites sit at rot @ (-box_extent + eps * n) for n in [0, m)^4, so every unrotated
+    coordinate lies in [-box_extent, box_extent].  The density is the forward difference
+    kinetic term along the four rotated axes plus a mass term, weighted by the cell
+    volume eps^4; a non-finite total raises ValueError.
 
-    The forward neighbour of site n along axis mu is site n + e_mu, so the
-    field is evaluated once on the (m+1)^4 index grid 0 <= n_mu <= m and
-    the differences are slices of it.  To bound memory the grid streams
-    along axis 0 in a window of two (m+1)^3 slabs: the next slab holds the
-    mu = 0 neighbours, and the current slab shifted by one along axis mu
-    holds the others.  The density is summed over the m^4 sites only.
+    The forward neighbour of site n along axis mu is site n + e_mu, so the field is
+    evaluated once on the (m+1)^4 index grid 0 <= n_mu <= m and the differences are
+    slices of it.  To bound memory the grid streams along axis 0 in a window of two
+    (m+1)^3 slabs: the next slab holds the mu = 0 neighbours, the current one shifted by
+    one along axis mu the others; the density is summed over the m^4 sites only.
+    ``field_fn`` gets each slab as an (m+1, m+1, m+1, 4) view of coordinate-major
+    memory; it must return the leading shape and not keep the view.
     """
     m = _sites_per_axis(eps, box_extent)
     pos = -box_extent + eps * np.arange(m + 1)
     tail = np.stack(np.meshgrid(pos, pos, pos, indexing="ij"), axis=-1) @ rot[:, 1:].T
+    tail = np.ascontiguousarray(np.moveaxis(tail, -1, 0))
 
     def slab(x0):
-        return np.asarray(field_fn(tail + x0 * rot[:, 0]), dtype=float)
+        points = tail + (x0 * rot[:, 0])[:, None, None, None]
+        return np.asarray(field_fn(np.moveaxis(points, 0, -1)), dtype=float)
 
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -258,11 +260,11 @@ def violation_4d_embedded(
 ) -> ViolationReport:
     """sigma = S(rotated lattice) - S(axis-aligned lattice) for a scalar field.
 
-    The identity rotation gives sigma = 0.0 exactly (same computation twice).
-    For a smooth anisotropic field the finite-difference stencil picks up a
-    rotation-dependent eps^2 error, so |sigma| shrinks quadratically under
-    refinement.  eps and box_extent must be positive and finite, and a
-    non-finite action raises ValueError.
+    The identity rotation gives sigma = 0.0 exactly (same computation twice).  For a
+    smooth anisotropic field the finite-difference stencil picks up a rotation-dependent
+    eps^2 error, so |sigma| shrinks quadratically under refinement.  eps and box_extent
+    must be positive and finite; a non-finite action raises ValueError.  ``field_fn``
+    maps (..., 4) points to (...) values, one slab view at a time that it must not keep.
     """
     rot = liealg._as_group(rotation, float, ((4, 4),), "rotation", ValueError)
     s_rot = _embedded_action_4d(field_fn, rot, eps, box_extent, mass)

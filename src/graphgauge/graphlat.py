@@ -152,6 +152,8 @@ class LatticeGraph:
             raise GraphError(f"periodic graph needs every extent >= 2, got dims={dims}")
         self.dims = tuple(int(d) for d in dims)
         self._build()
+        # Per sweep order, the read-only groups `sampler.update_groups` builds on first use.
+        self.sweep_groups = {}
 
     # -- construction -------------------------------------------------------
 

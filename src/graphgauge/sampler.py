@@ -162,10 +162,15 @@ def update_groups(g: LatticeGraph, order: str) -> list:
     with other directions and with (x +- nu, mu), whose events neighbour x.
     Any other ``order`` is refused by the rule `ChainConfig.validate` applies.
     """
-    if _enforce(_ORDER_RULES, {"order": order})["order"] == "lexicographic":
-        return [(np.array([e]), d) for e in range(g.n_events) for d in range(1, 5)]
-    colors = g.event_colors
-    return [(np.flatnonzero(colors == c), d) for c in np.unique(colors) for d in range(1, 5)]
+    order = _enforce(_ORDER_RULES, {"order": order})["order"]
+    if order not in g.sweep_groups:
+        # Lexicographic order treats every event as a colour of its own.
+        colors = g.event_colors if order == "checkerboard" else np.arange(g.n_events)
+        events = np.argsort(colors, kind="stable")
+        events.flags.writeable = False
+        classes = np.split(events, np.flatnonzero(np.diff(colors[events])) + 1)
+        g.sweep_groups[order] = [(ev, d) for ev in classes for d in range(1, 5)]
+    return g.sweep_groups[order]
 
 
 def metropolis_sweep(

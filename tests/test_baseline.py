@@ -271,6 +271,45 @@ def test_embedded_action_evaluates_each_grid_point_once():
     assert sum(int(np.prod(shape[:-1])) for shape in shapes) <= (m + 1) ** 4
 
 
+@pytest.mark.parametrize("theta_deg", [0.0, 30.0])
+def test_embedded_slabs_hold_the_row_major_points_bit_for_bit(theta_deg):
+    # Each slab handed to the field equals tail + x0 * rot[:, 0] on the row-major
+    # (m+1, m+1, m+1, 4) grid, the form the coordinate-major slabs replaced.
+    rot = _plane_rotation(np.deg2rad(theta_deg))
+    seen = []
+
+    def recorded(x):
+        seen.append(np.array(x))
+        return _aniso_gauss(x)
+
+    baseline._embedded_action_4d(recorded, rot, 0.2, 1.0, 1.0)
+    m = baseline._sites_per_axis(0.2, 1.0)
+    pos = -1.0 + 0.2 * np.arange(m + 1)
+    tail = np.stack(np.meshgrid(pos, pos, pos, indexing="ij"), axis=-1) @ rot[:, 1:].T
+    assert len(seen) == m + 1
+    for x0, points in zip(pos, seen):
+        assert np.array_equal(points.view(np.int64), (tail + x0 * rot[:, 0]).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "field_fn",
+    [
+        pytest.param(lambda x: x[..., 0], id="returns-a-view"),
+        pytest.param(lambda x: np.exp(-np.sum(np.square(x, out=x), axis=-1)), id="writes-its-input"),
+    ],
+)
+@pytest.mark.parametrize("theta_deg", [0.0, 30.0])
+def test_embedded_action_survives_fields_that_alias_their_points(field_fn, theta_deg):
+    # A field may return a view of its points or overwrite them; neither may
+    # leak into another slab, the stencil or the next call.
+    rot = _plane_rotation(np.deg2rad(theta_deg))
+    fast = baseline._embedded_action_4d(field_fn, rot, 0.2, 1.0, 0.7)
+    # The reference evaluates the field twice on one array, so it gets a copy.
+    slow = _five_point_action(lambda x: field_fn(x.copy()), rot, 0.2, 1.0, 0.7)
+    assert abs(fast - slow) <= 1e-12 * abs(slow)
+    assert baseline._embedded_action_4d(field_fn, rot, 0.2, 1.0, 0.7) == fast
+
+
 @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.1, "a"])
 def test_embedded_violation_rejects_bad_eps(eps):
     with pytest.raises(ValueError, match="^parameter 'eps' is invalid: need "):

@@ -189,6 +189,33 @@ def test_update_groups_cover_links_once(dims):
         assert not group & staples
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (4, 4, 4, 4), (3, 3, 5, 2)])
+def test_update_groups_are_cached_read_only_and_free_the_graph(dims):
+    # The groups a graph keeps equal a fresh build in today's order, and the
+    # cache holds nothing that keeps its graph alive.
+    g = graphlat.build_hypercubic(dims)
+    colors = g.event_colors
+    fresh = {
+        "lexicographic": [(np.array([e]), d) for e in range(g.n_events) for d in range(1, 5)],
+        "checkerboard": [
+            (np.flatnonzero(colors == c), d) for c in np.unique(colors) for d in range(1, 5)
+        ],
+    }
+    for order, expected in fresh.items():
+        groups = sampler.update_groups(g, order)
+        assert sampler.update_groups(g, order) is groups
+        assert [d for _, d in groups] == [d for _, d in expected]
+        for (events, _), (ref, _) in zip(groups, expected, strict=True):
+            assert events.dtype == ref.dtype and np.array_equal(events, ref)
+            assert not events.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                events[0] = 0
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
 def test_checkerboard_runs_at_odd_extent():
     cfg = sampler.ChainConfig(beta=2.0, dims=(3, 2, 2, 2), sweeps=4, burn_in=1, seed=2)
     assert cfg.order == "checkerboard"
@@ -545,6 +572,38 @@ def test_scratch_does_not_keep_a_graph_alive():
     del g, lf
     gc.collect()
     assert ref() is None
+
+
+def test_threads_share_update_groups_of_a_fresh_graph():
+    # Four threads ask a fresh graph for its groups at once, so they race to fill
+    # the cache; each must get groups equal to a serial build.
+    expected = {
+        order: [(events.tolist(), d) for events, d in
+                sampler.update_groups(graphlat.build_hypercubic((2, 2, 2, 2)), order)]
+        for order in ("checkerboard", "lexicographic")
+    }
+    results = []
+
+    def run(g, barrier):
+        barrier.wait(timeout=60)
+        for order in expected:
+            got = [(events.tolist(), d) for events, d in sampler.update_groups(g, order)]
+            results.append(got == expected[order])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            g, barrier = graphlat.build_hypercubic((2, 2, 2, 2)), threading.Barrier(4)
+            threads = [threading.Thread(target=run, args=(g, barrier)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 160
 
 
 def test_threads_reproduce_serial_chains():
