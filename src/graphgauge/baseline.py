@@ -276,11 +276,9 @@ def violation_4d_embedded(
         [[sx * box_extent for sx in signs] for signs in np.ndindex(2, 2, 2, 2)]
     ) * 2.0 - box_extent
     phi_c = np.asarray(field_fn(corners), dtype=float)
-    grad_c = np.zeros_like(phi_c)
-    for mu in range(4):
-        step = np.zeros(4)
-        step[mu] = eps
-        grad_c += 0.5 * ((np.asarray(field_fn(corners + step), dtype=float) - phi_c) / eps) ** 2
+    # The forward neighbour of every corner along each axis, as one (4, 16, 4) stack.
+    phi_n = np.asarray(field_fn(corners + eps * np.eye(4)[:, None]), dtype=float)
+    grad_c = np.sum(0.5 * ((phi_n - phi_c) / eps) ** 2, axis=0)
     dens_c = float(np.max(grad_c + 0.5 * mass * mass * phi_c * phi_c))
     n_boundary = m**4 - max(m - 2, 0) ** 4
 

@@ -226,15 +226,16 @@ def _run_embedded_violation(params: dict, seed):
 
 
 def _demo_potential(x, mu: int) -> np.ndarray:
-    """Smooth su(2)-valued vector potential with noncommuting components."""
+    """Smooth su(2)-valued potential, noncommuting components, at (..., 4) points."""
     t1, t2, t3 = liealg.sun_generators(2)
+    x0, x1, x2, x3 = (np.asarray(x)[..., i, None, None] for i in range(4))
     if mu == 0:
-        return 0.4 * np.sin(x[1]) * t1 + 0.3 * np.cos(x[2]) * t2
+        return 0.4 * np.sin(x1) * t1 + 0.3 * np.cos(x2) * t2
     if mu == 1:
-        return 0.5 * np.sin(x[0] + x[2]) * t3 + 0.2 * np.cos(x[1]) * t1
+        return 0.5 * np.sin(x0 + x2) * t3 + 0.2 * np.cos(x1) * t1
     if mu == 2:
-        return 0.3 * np.sin(x[3]) * t2
-    return 0.25 * np.cos(x[0]) * t3
+        return 0.3 * np.sin(x3) * t2
+    return 0.25 * np.cos(x0) * t3
 
 
 def _run_continuum_check(params: dict, seed):

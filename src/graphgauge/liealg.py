@@ -25,7 +25,8 @@ paths avoid numpy's stacked ``@``, which pays about one dispatch per 2x2 or
 * `random_sun_near_identity` builds its proposals exp(i theta.T) in closed
   form (`_exp_i_angles`): cos(r/2) + i sin(r/2) n.sigma for SU(2), and the
   Cayley-Hamilton exponential of Morningstar and Peardon for SU(3).  The
-  ``eigh`` route, `_exp_i_hermitian`, stays for general Hermitian matrices.
+  ``eigh`` route, `_exp_i_hermitian`, stays for general Hermitian matrices:
+  `wilson.continuum_convergence` calls it once per leg stack of a spacing.
 """
 
 from __future__ import annotations

@@ -42,14 +42,16 @@ class LinkFieldError(ValueError):
 _SO5_SHAPES = ((5, 5),)  # the shapes an so5 or conjugating block may take
 _N_COLORS = ("n_colors", *liealg._N[1:])  # liealg's rule for N, as a field's
 
-# `_enforce` rules (field, accept, requirement) of the action's coupling and of
-# the continuum check's spacings and box.
+# `_enforce` rules (field, accept, requirement) of the action's coupling, of the
+# continuum check's spacings and box, and of a field strength's plane.
 _ACTION_RULES = (("beta", _number(), "a finite value"),)
 _CONTINUUM_RULES = (
     ("eps_list", _several(_number(gt=0), 3, distinct=True),
      "three or more distinct finite spacings > 0"),
     ("box_extent", _number(gt=0), "a finite value > 0"),
 )
+_PLANE_RULES = (("plane", _several(_number(int, ge=0, le=3), 2, 2, distinct=True),
+                  "two distinct integer axes in 0..3"),)
 
 
 class LinkField:
@@ -331,25 +333,27 @@ class ConvergenceReport:
     remainder_slope: float
 
 
+def _spread(points: np.ndarray, values) -> np.ndarray:
+    """A function's matrices at a (..., 4) stack of points, one (N, N) spread over it."""
+    return np.broadcast_to(values, points.shape[:-1] + np.shape(values)[-2:])
+
+
 def finite_difference_field_strength(
     potential_fn: Callable[[np.ndarray, int], np.ndarray],
     x: np.ndarray,
     plane: tuple[int, int],
 ) -> np.ndarray:
-    """F_{mu nu}(x) = d_mu A_nu - d_nu A_mu + i [A_mu, A_nu], central derivatives
-    with step 1e-6."""
-    mu, nu = plane
+    """F_{mu nu}(x) = d_mu A_nu - d_nu A_mu + i [A_mu, A_nu] at a (..., 4) stack of
+    points, central derivatives with step 1e-6; ``plane`` is two distinct axes 0..3."""
+    mu, nu = _enforce(_PLANE_RULES, {"plane": plane})["plane"]
     step = 1e-6
     e_mu, e_nu = np.eye(4)[[mu, nu]]
-    d_mu_a_nu = (potential_fn(x + step * e_mu, nu) - potential_fn(x - step * e_mu, nu)) / (
-        2 * step
+    d_mu_a_nu, d_nu_a_mu = (
+        (potential_fn(x + step * e, m) - potential_fn(x - step * e, m)) / (2 * step)
+        for e, m in ((e_mu, nu), (e_nu, mu))
     )
-    d_nu_a_mu = (potential_fn(x + step * e_nu, mu) - potential_fn(x - step * e_nu, mu)) / (
-        2 * step
-    )
-    a_mu = potential_fn(x, mu)
-    a_nu = potential_fn(x, nu)
-    return d_mu_a_nu - d_nu_a_mu + 1j * (a_mu @ a_nu - a_nu @ a_mu)
+    a_mu, a_nu = potential_fn(x, mu), potential_fn(x, nu)
+    return _spread(x, d_mu_a_nu - d_nu_a_mu + 1j * (a_mu @ a_nu - a_nu @ a_mu))
 
 
 def continuum_convergence(
@@ -369,6 +373,10 @@ def continuum_convergence(
     ``field_strength_fn`` if given and otherwise from central finite
     differences of the potential.
 
+    ``potential_fn(x, mu)`` and ``field_strength_fn(x)`` take a (..., 4) stack of
+    points, as `baseline.violation_4d_embedded`'s ``field_fn`` does, and return a
+    (..., N, N) stack or one (N, N) for all; a spacing is one call per leg.
+
     The remainder (deficit minus prediction, box mean) scales as eps^6 for
     generic smooth potentials.  Configurations whose loop exponent has no
     higher corrections, such as constant field strength in a commuting
@@ -378,37 +386,29 @@ def continuum_convergence(
     eps_list, box_extent = sizes["eps_list"], sizes["box_extent"]
     base = np.zeros(4) if base_point is None else base_point
     base = liealg._as_blocks(base, float, ((4,),), "base_point", ValueError)
-    mu, nu = 0, 1
     e_mu, e_nu = np.eye(4)[:2]
-    expi = liealg._exp_i_hermitian
 
-    deficits = []
-    predictions = []
+    deficits, predictions = [], []
     for eps in eps_list:
         n_side = max(1, round(box_extent / eps))
-        defs = []
-        preds = []
-        for j in range(n_side):
-            for k in range(n_side):
-                anchor = base + eps * j * e_mu + eps * k * e_nu
-                u1 = expi(eps * potential_fn(anchor + 0.5 * eps * e_mu, mu))
-                u2 = expi(eps * potential_fn(anchor + eps * e_mu + 0.5 * eps * e_nu, nu))
-                u3 = expi(eps * potential_fn(anchor + 0.5 * eps * e_mu + eps * e_nu, mu))
-                u4 = expi(eps * potential_fn(anchor + 0.5 * eps * e_nu, nu))
-                loop = u1 @ u2 @ u3.conj().T @ u4.conj().T
-                defs.append(loop.shape[-1] - float(np.trace(loop).real))
-                center = anchor + 0.5 * eps * (e_mu + e_nu)
-                if field_strength_fn is not None:
-                    f = field_strength_fn(center)
-                else:
-                    f = finite_difference_field_strength(potential_fn, center, (mu, nu))
-                preds.append(0.5 * eps**4 * float(np.trace(f @ f).real))
-        deficits.append(float(np.mean(defs)))
-        predictions.append(float(np.mean(preds)))
+        j, k = np.divmod(np.arange(n_side * n_side)[:, None], n_side)
+        anchor = base + eps * j * e_mu + eps * k * e_nu
+        half = 0.5 * eps
+        mids = (anchor + half * e_mu, anchor + eps * e_mu + half * e_nu,
+                anchor + half * e_mu + eps * e_nu, anchor + half * e_nu)
+        u1, u2, u3, u4 = (liealg._exp_i_hermitian(eps * _spread(x, potential_fn(x, mu)))
+                          for x, mu in zip(mids, (0, 1, 0, 1)))
+        loop = u1 @ u2 @ u3.conj().transpose(0, 2, 1) @ u4.conj().transpose(0, 2, 1)
+        deficits.append(float(np.mean(loop.shape[-1] - np.trace(loop, axis1=-2, axis2=-1).real)))
+        center = anchor + half * (e_mu + e_nu)
+        if field_strength_fn is not None:
+            f = _spread(center, field_strength_fn(center))
+        else:
+            f = finite_difference_field_strength(potential_fn, center, (0, 1))
+        predictions.append(float(np.mean(0.5 * eps**4 * np.trace(f @ f, axis1=-2, axis2=-1).real)))
 
     eps_arr = np.asarray(eps_list, dtype=float)
-    deficit = np.asarray(deficits)
-    predicted = np.asarray(predictions)
+    deficit, predicted = np.asarray(deficits), np.asarray(predictions)
     remainder = np.abs(deficit - predicted)
 
     def _slope(vals):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graphgauge import graphlat, liealg, potential, sampler, wilson
+from graphgauge import cli, graphlat, liealg, potential, sampler, wilson
 
 _PAULI1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -609,6 +609,10 @@ def _constant_noncommuting(x, mu):
     return np.zeros((2, 2), dtype=complex)
 
 
+def _su3_pair(x, mu):
+    return liealg.sun_generators(3)[mu] if mu < 2 else np.zeros((3, 3), dtype=complex)
+
+
 def test_continuum_deficit_constant_field_strength():
     # A_0 and A_1 constant but noncommuting: F = i [A_0, A_1] = -sigma_3 / 2,
     # tr F^2 = 1/2, so the predicted deficit is eps^4 / 4 per plaquette.
@@ -628,12 +632,8 @@ def test_continuum_deficit_su3_reads_n_from_links():
     # so the prediction is eps^4 / 4, as for SU(2); a deficit taken against
     # N = 2 would read about -1 instead.
     t = liealg.sun_generators(3)
-
-    def pot(x, mu):
-        return t[mu] if mu < 2 else np.zeros((3, 3), dtype=complex)
-
     report = wilson.continuum_convergence(
-        pot, eps_list=[0.2, 0.1, 0.05], field_strength_fn=lambda x: -t[2]
+        _su3_pair, eps_list=[0.2, 0.1, 0.05], field_strength_fn=lambda x: -t[2]
     )
     assert abs(report.deficit[-1] / report.predicted[-1] - 1.0) <= 0.05
     assert 3.8 <= report.deficit_slope <= 4.2
@@ -682,6 +682,105 @@ def test_continuum_refuses_non_positive_sizes(eps_list, box_extent, field):
     # inside numpy's float-to-integer conversion.
     with pytest.raises(ValueError, match=f"^parameter '{field}' is invalid: need "):
         wilson.continuum_convergence(_constant_noncommuting, eps_list, box_extent=box_extent)
+
+
+def _continuum_per_plaquette(potential_fn, eps_list, box_extent, base, field_strength_fn):
+    """The slow reference for `continuum_convergence`: every plaquette alone, one
+    point per potential call and one ``eigh`` exponential per link, the field
+    strength by central differences at one point when no function is given."""
+    e_mu, e_nu = np.eye(4)[:2]
+    expi, step = liealg._exp_i_hermitian, 1e-6
+    deficits, predictions = [], []
+    for eps in eps_list:
+        n_side = max(1, round(box_extent / eps))
+        defs, preds = [], []
+        for j in range(n_side):
+            for k in range(n_side):
+                anchor = base + eps * j * e_mu + eps * k * e_nu
+                u1 = expi(eps * potential_fn(anchor + 0.5 * eps * e_mu, 0))
+                u2 = expi(eps * potential_fn(anchor + eps * e_mu + 0.5 * eps * e_nu, 1))
+                u3 = expi(eps * potential_fn(anchor + 0.5 * eps * e_mu + eps * e_nu, 0))
+                u4 = expi(eps * potential_fn(anchor + 0.5 * eps * e_nu, 1))
+                loop = u1 @ u2 @ u3.conj().T @ u4.conj().T
+                defs.append(loop.shape[-1] - float(np.trace(loop).real))
+                x = anchor + 0.5 * eps * (e_mu + e_nu)
+                if field_strength_fn is not None:
+                    f = field_strength_fn(x)
+                else:
+                    diff_0_a_1 = potential_fn(x + step * e_mu, 1) - potential_fn(x - step * e_mu, 1)
+                    diff_1_a_0 = potential_fn(x + step * e_nu, 0) - potential_fn(x - step * e_nu, 0)
+                    a_0, a_1 = potential_fn(x, 0), potential_fn(x, 1)
+                    f = diff_0_a_1 / (2 * step) - diff_1_a_0 / (2 * step)
+                    f = f + 1j * (a_0 @ a_1 - a_1 @ a_0)
+                preds.append(0.5 * eps**4 * float(np.trace(f @ f).real))
+        deficits.append(float(np.mean(defs)))
+        predictions.append(float(np.mean(preds)))
+    return np.asarray(deficits), np.asarray(predictions)
+
+
+_CLI_BASE = np.array([0.3, 0.2, 0.4, 0.1])
+
+
+@pytest.mark.parametrize(
+    "potential_fn, box_extent, base, field_strength_fn",
+    [
+        (cli._demo_potential, 0.4, _CLI_BASE, None),
+        # n_side 4, 9 and 18.
+        (cli._demo_potential, 0.9, _CLI_BASE, None),
+        (_constant_noncommuting, 0.2, np.zeros(4), lambda x: -0.5 * _PAULI3),
+        (_constant_noncommuting, 0.2, np.zeros(4), None),
+        (_su3_pair, 0.2, np.zeros(4), lambda x: -liealg.sun_generators(3)[2]),
+        (_su3_pair, 0.2, np.zeros(4), None),
+    ],
+    ids=["cli-box0.4", "cli-box0.9", "su2-field", "su2-differences", "su3-field",
+         "su3-differences"],
+)
+def test_continuum_stacks_match_the_per_plaquette_reference(
+    potential_fn, box_extent, base, field_strength_fn
+):
+    eps_list = [0.2, 0.1, 0.05]
+    report = wilson.continuum_convergence(
+        potential_fn, eps_list, box_extent=box_extent, base_point=base,
+        field_strength_fn=field_strength_fn,
+    )
+    deficit, predicted = _continuum_per_plaquette(
+        potential_fn, eps_list, box_extent, base, field_strength_fn
+    )
+    assert np.array_equal(report.deficit, deficit)
+    assert np.array_equal(report.predicted, predicted)
+
+
+@pytest.mark.parametrize("box_extent", [0.2, 0.4, 0.9])
+@pytest.mark.parametrize("with_field_strength", [True, False])
+def test_continuum_calls_the_potential_once_per_leg_stack(box_extent, with_field_strength):
+    # Four legs, and six more calls for the finite differences, per spacing, each
+    # on a stack of all n_side^2 plaquettes; the per-plaquette loop made n_side^2
+    # times as many calls.
+    eps_list = [0.2, 0.1, 0.05]
+    stacks = []
+
+    def pot(x, mu):
+        stacks.append(x.shape)
+        return cli._demo_potential(x, mu)
+
+    fs = (lambda x: -0.5 * _PAULI3) if with_field_strength else None
+    wilson.continuum_convergence(
+        pot, eps_list, box_extent=box_extent, base_point=_CLI_BASE, field_strength_fn=fs
+    )
+    per_spacing = 4 if with_field_strength else 10
+    assert stacks == [
+        (max(1, round(box_extent / eps)) ** 2, 4) for eps in eps_list for _ in range(per_spacing)
+    ]
+
+
+@pytest.mark.parametrize(
+    "plane", [(0, 0), (-1, 0), (0, 7), (0.0, 1)], ids=["same", "negative", "past-3", "float"]
+)
+def test_finite_difference_field_strength_refuses_bad_planes(plane):
+    # (0, 0) gave a zero field strength, (-1, 0) differentiated along axis 3 but
+    # called the potential with mu = -1, and the others raised a bare IndexError.
+    with pytest.raises(ValueError, match="^parameter 'plane' is invalid: need "):
+        wilson.finite_difference_field_strength(cli._demo_potential, _CLI_BASE, plane)
 
 
 def test_finite_difference_field_strength_linear_abelian():
