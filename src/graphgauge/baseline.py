@@ -8,6 +8,7 @@ helpers measure.  The graph formulation stores fields against vertices with
 no embedding at all, so the corresponding transformations act on labels or
 frames only and leave its action bit-for-bit alone; sigma is the size of
 the asymmetry the embedded formulation carries and the graph one does not.
+The 4d stencil takes two passes per neighbour (`_embedded_action_4d`).
 
 The 1d pair is also constructed so that the graph-side action with weights
 g_k = eps and samples f_k = f(k eps) reproduces the embedded sum exactly,
@@ -225,27 +226,34 @@ def _embedded_action_4d(
     (m+1)^3 slabs: the next slab holds the mu = 0 neighbours, the current one shifted by
     one along axis mu the others; the density is summed over the m^4 sites only.
     ``field_fn`` gets each slab as an (m+1, m+1, m+1, 4) view of coordinate-major
-    memory; it must return the leading shape and not keep the view.
+    memory; it must return the leading shape and not keep the view.  Each difference
+    takes two passes, into a kept buffer and its sum of squares by ``np.einsum``
+    (numpy's loop, not BLAS); m^2 / 2 and 1 / (2 eps^2) scale each slab's sums once.
     """
     m = _sites_per_axis(eps, box_extent)
     pos = -box_extent + eps * np.arange(m + 1)
     tail = np.stack(np.meshgrid(pos, pos, pos, indexing="ij"), axis=-1) @ rot[:, 1:].T
     tail = np.ascontiguousarray(np.moveaxis(tail, -1, 0))
+    # Two point buffers in turn: a field may return a view of the slab it is given.
+    points = np.empty((2,) + tail.shape)
+    phi, diff = np.empty((2, m, m, m))
 
-    def slab(x0):
-        points = tail + (x0 * rot[:, 0])[:, None, None, None]
-        return np.asarray(field_fn(np.moveaxis(points, 0, -1)), dtype=float)
+    def slab(k):
+        np.add(tail, (pos[k] * rot[:, 0])[:, None, None, None], out=points[k % 2])
+        return np.asarray(field_fn(np.moveaxis(points[k % 2], 0, -1)), dtype=float)
 
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        nxt = slab(pos[0])
-        for x0 in pos[1:]:
-            cur, nxt = nxt, slab(x0)
-            phi = cur[:m, :m, :m]
-            dens = 0.5 * (mass * mass) * phi * phi
+        nxt = slab(0)
+        for k in range(1, m + 1):
+            cur, nxt = nxt, slab(k)
+            phi[...] = cur[:m, :m, :m]
+            kinetic = 0.0
             for phin in (nxt[:m, :m, :m], cur[1:, :m, :m], cur[:m, 1:, :m], cur[:m, :m, 1:]):
-                dens = dens + 0.5 * ((phin - phi) / eps) ** 2
-            total += float(np.sum(dens))
+                np.subtract(phin, phi, out=diff)
+                kinetic += np.einsum("ijk,ijk->", diff, diff)
+            mass_term = np.einsum("ijk,ijk->", phi, phi)
+            total += float(0.5 * (mass * mass) * mass_term + 0.5 / (eps * eps) * kinetic)
     if not np.isfinite(total):
         raise ValueError("field evaluation produced non-finite values")
     return eps**4 * total

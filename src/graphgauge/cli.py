@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -185,7 +186,11 @@ def _run_embedded_violation(params: dict, seed):
     box_extent, mass, w = params["box_extent"], params["mass"], np.asarray(params["widths"])
 
     def field_fn(x):
-        return np.exp(-0.5 * np.sum((x / w) ** 2, axis=-1))
+        # Plane by plane, in a last-axis sum's order: a slab's planes are contiguous.
+        s = (x[..., 0] / w[0]) ** 2
+        for k in range(1, 4):
+            s += (x[..., k] / w[k]) ** 2
+        return np.exp(-0.5 * s)
 
     theta = np.deg2rad(angle_deg)
     rot = np.eye(4)
@@ -544,9 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: `--param` appends to a copy of its default list.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         params: dict = {}
         if args.config is not None:

@@ -310,15 +310,20 @@ class LatticeGraph:
 
     @cached_property
     def staple_table(self) -> np.ndarray:
-        """(E, 4, 6, 3) storage offsets: entry [e, mu-1, i, j] is leg j of staple i
-        through link (e, mu).  For each nu != mu in order, the upper staple walks
-        (+nu, -mu, -nu) from x + mu and the lower one (-nu, -mu, +nu)."""
+        """(4, 6, 3, E) storage offsets: entry [mu-1, k, i, e] is slot k of staple pair
+        i through link (e, mu).  Pair i takes the i-th nu != mu: its upper staple walks
+        (+nu, -mu, -nu) from x + mu over legs (A, B, C), its lower one (-nu, -mu, +nu)
+        over (A', B', C').  The slots are (C, B', B, A', A, C'), so that C B and B' A'
+        are one product of slots 0-1 by slots 2-3."""
         walks = [
             self.path_offsets((s * nu, -mu, -s * nu), self.forward_sites[:, mu - 1])
             for mu, nu in permutations(range(1, 5), 2)
             for s in (1, -1)
         ]
-        return np.stack(walks, axis=1).reshape(self.n_events, 4, 6, 3)
+        # (event, mu, pair, upper/lower, leg) to (mu, slot, pair, event).
+        table = np.stack(walks, axis=1).reshape(self.n_events, 4, 3, 2, 3)
+        slots = table[:, :, :, [0, 1, 0, 1, 0, 1], [2, 1, 1, 0, 0, 2]]
+        return np.ascontiguousarray(slots.transpose(1, 3, 2, 0))
 
     # -- snapshots -----------------------------------------------------------
 

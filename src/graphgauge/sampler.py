@@ -16,13 +16,14 @@ one link per group, is the reference.
 
 The proposals are closed-form SU(N) exponentials
 (`liealg.random_sun_near_identity`), drawn in passes of `_PROPOSAL_PASS`
-links into a component-major buffer; within a group, the proposed links
-and the staples are component-major products (`liealg._cm_product`), and
-dS is the elementwise sum Re tr((U' - U) S) = Re sum (U' - U) o S^T: no
-product is formed for it.  The sweep calls `liealg.random_sun_near_identity`
-once per pass and `staple_sum` once per group through their modules, so a
-tracer that wraps them sees every call; the proposals and `staple_sum` work
-in buffers kept per graph (`wilson._scratch`).
+links into a component-major buffer.  A link changes only in its own group,
+so every U' = X U and U' - U of a sweep is formed at once; each group makes
+its staple sum, dS, the accept test and the scatter.  dS is the elementwise
+sum Re tr((U' - U) S) = Re sum (U' - U) o S^T: no product is formed for it.
+The sweep calls `liealg.random_sun_near_identity` once per pass and
+`staple_sum` once per group through their modules, so a tracer that wraps
+them sees every call; the proposals, U', U' - U and `staple_sum` work in
+buffers kept per graph (`wilson._scratch`).
 
 The one-plaquette SU(2) model has an exact reference, `single_plaquette_exact`:
 a class-function average on the circle, summed by the trapezoid rule, which
@@ -118,9 +119,10 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
 
     The Metropolis change of the normalized action from replacing link U by
     U' is -(beta / N) Re tr((U' - U) staple_sum).  The legs are gathered from
-    ``lf.cm``.  Each staple is two `liealg._cm_product` calls: A (C B)^dag for
-    the upper staples and (B A)^dag C for the lower ones, legs in
-    `LatticeGraph.staple_table` order.
+    ``lf.cm`` by one `np.take` of the `LatticeGraph.staple_table` slots.  The
+    staples are A (C B)^dag (upper) and (B' A')^dag C' (lower): one
+    `liealg._cm_product` forms C B and B' A' of every pair, and one more each
+    the upper and the lower staples.
     """
     _check_graph(lf, g)
     if not (_integer(direction) and 1 <= direction <= 4):
@@ -134,19 +136,17 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
     if ev.size and ev.astype(np.int64, copy=False).view(np.uint64).max() >= g.n_events:
         raise GraphError(f"events must lie in [0, {g.n_events}), got {ev.min()}..{ev.max()}")
     n, u = lf.n_colors, lf.cm
-    # (event, staple pair, upper/lower, leg) offsets to (upper/lower, leg, pair,
-    # event) legs: each leg is one contiguous block, and the three pairs are
-    # summed by two elementwise adds in the order a reduction over them takes.
-    idx = g.staple_table[ev.reshape(-1), direction - 1].reshape(-1, 3, 2, 3)
-    m = len(idx)
+    # (slot, pair, event) legs: each slot is one contiguous block, and the three
+    # pairs are summed by two elementwise adds in the order a reduction over them takes.
+    idx = g.staple_table[direction - 1][:, :, ev.reshape(-1)]
+    m = idx.shape[-1]
     legs, inner, upper, lower, tmp = wilson._scratch(
-        g, "staples", n, ((n, n, 2, 3, 3, m),) + ((n, n, 3, m),) * 4)
-    np.take(u, idx.transpose(2, 3, 1, 0), axis=2, out=legs, mode="clip")
-    (a, b, c), (la, lb, lc) = legs.transpose(2, 3, 0, 1, 4, 5)
-    cb = liealg._cm_product(c, b, out=inner, tmp=tmp)
-    liealg._cm_product(a, cb, "b", out=upper, tmp=tmp)
-    ba = liealg._cm_product(lb, la, out=inner, tmp=tmp)
-    liealg._cm_product(ba, lc, "a", out=lower, tmp=tmp)
+        g, "staples", n, ((n, n, 6, 3, m), (n, n, 2, 3, m), (n, n, 3, m), (n, n, 3, m),
+                          (2, n, n, 3, m)))
+    np.take(u, idx, axis=2, out=legs, mode="clip")
+    liealg._cm_product(legs[:, :, 0:2], legs[:, :, 2:4], out=inner, tmp=tmp.reshape(inner.shape))
+    liealg._cm_product(legs[:, :, 4], inner[:, :, 0], "b", out=upper, tmp=tmp[0])
+    liealg._cm_product(inner[:, :, 1], legs[:, :, 5], "a", out=lower, tmp=tmp[0])
     pairs = np.add(upper, lower, out=upper)
     staples = np.add(pairs[:, :, 0], pairs[:, :, 1])
     staples += pairs[:, :, 2]
@@ -194,23 +194,26 @@ def metropolis_sweep(
     out = lf.copy()
     u = out.cm
     # Every proposal of the sweep, in sweep order, then every accept threshold.
-    (proposals,) = wilson._scratch(g, "proposals", n, ((n, n, total),))
+    proposals, new_u, change = wilson._scratch(g, "proposals", n, ((n, n, total),) * 3)
     for start in range(0, total, _PROPOSAL_PASS):
         x = liealg.random_sun_near_identity(
             n, 2.0 * step_scale, rng, count=min(_PROPOSAL_PASS, total - start))
         proposals[:, :, start:start + len(x)] = x.transpose(1, 2, 0)
     thresholds = rng.uniform(size=total)
+    # A link changes only in its own group, so every U' = X U and U' - U of the
+    # sweep is formed from the links it starts with.
+    links = [4 * events + (d - 1) for events, d in groups]
+    old_u = u[:, :, np.concatenate(links)]
+    liealg._cm_product(proposals, old_u, out=new_u, tmp=change)
+    np.subtract(new_u, old_u, out=change)
     accepted = stop = 0
-    for events, d in groups:
+    for (events, d), group in zip(groups, links):
         start, stop = stop, stop + len(events)
-        links = 4 * events + (d - 1)
-        old_u = u[:, :, links]
-        new_u = liealg._cm_product(proposals[:, :, start:stop], old_u)
         staple = staple_sum(out, g, events, d).transpose(1, 2, 0)
         # Re tr((U' - U) S) is the sum of (U' - U) o S^T: no product is formed.
-        d_s = -(beta / n) * np.einsum("ije,jie->e", new_u - old_u, staple).real
+        d_s = -(beta / n) * np.einsum("ije,jie->e", change[:, :, start:stop], staple).real
         accept = thresholds[start:stop] < np.exp(np.minimum(-d_s, 0.0))
-        u[:, :, links[accept]] = new_u[:, :, accept]
+        u[:, :, group[accept]] = new_u[:, :, start:stop][:, :, accept]
         accepted += int(np.count_nonzero(accept))
     return out, accepted / total
 

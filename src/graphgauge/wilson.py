@@ -45,10 +45,22 @@ _N_COLORS = ("n_colors", *liealg._N[1:])  # liealg's rule for N, as a field's
 # `_enforce` rules (field, accept, requirement) of the action's coupling, of the
 # continuum check's spacings and box, and of a field strength's plane.
 _ACTION_RULES = (("beta", _number(), "a finite value"),)
+
+
+def _tiled(box, accepted):
+    """The box, if every spacing tiles it: else two spacings average different areas."""
+    ratios = accepted["box_extent"] / np.asarray(accepted["eps_list"])
+    if np.any(np.abs(ratios - np.round(ratios)) > 1e-9 * ratios):
+        raise ValueError(box)
+    return accepted["box_extent"]
+
+
 _CONTINUUM_RULES = (
     ("eps_list", _several(_number(gt=0), 3, distinct=True),
      "three or more distinct finite spacings > 0"),
     ("box_extent", _number(gt=0), "a finite value > 0"),
+    ("box_extent", _tiled,
+     "a finite value > 0 that every spacing tiles: box_extent / eps an integer"),
 )
 _PLANE_RULES = (("plane", _several(_number(int, ge=0, le=3), 2, 2, distinct=True),
                   "two distinct integer axes in 0..3"),)
@@ -344,8 +356,10 @@ def finite_difference_field_strength(
     plane: tuple[int, int],
 ) -> np.ndarray:
     """F_{mu nu}(x) = d_mu A_nu - d_nu A_mu + i [A_mu, A_nu] at a (..., 4) stack of
-    points, central derivatives with step 1e-6; ``plane`` is two distinct axes 0..3."""
+    points, central derivatives with step 1e-6; ``plane`` is two distinct axes 0..3.
+    A point stack of another shape, or with a non-finite coordinate, is refused."""
     mu, nu = _enforce(_PLANE_RULES, {"plane": plane})["plane"]
+    x = liealg._as_blocks(x, float, (np.shape(x)[:-1] + (4,),), "x", ValueError)
     step = 1e-6
     e_mu, e_nu = np.eye(4)[[mu, nu]]
     d_mu_a_nu, d_nu_a_mu = (
@@ -366,7 +380,8 @@ def continuum_convergence(
     """Deficit of midpoint-sampled plaquettes against the leading field term.
 
     For each spacing, the box ``[0, box_extent]^2`` in the (0, 1) plane is
-    tiled with eps-sized plaquettes anchored at ``base_point``.  Links are
+    tiled with eps-sized plaquettes anchored at ``base_point``; a box that some
+    spacing does not tile is refused.  Links are
     U = exp(i eps A(midpoint)); the per-plaquette deficit is
     N - Re tr(loop), with N read off the link matrices, and the prediction is
     (eps^4 / 2) tr(F^2) with F at the plaquette center, from
@@ -390,7 +405,7 @@ def continuum_convergence(
 
     deficits, predictions = [], []
     for eps in eps_list:
-        n_side = max(1, round(box_extent / eps))
+        n_side = round(box_extent / eps)
         j, k = np.divmod(np.arange(n_side * n_side)[:, None], n_side)
         anchor = base + eps * j * e_mu + eps * k * e_nu
         half = 0.5 * eps

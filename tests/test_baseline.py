@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from graphgauge import baseline
+from graphgauge import baseline, cli
 
 
 def _gauss(x):
@@ -256,6 +256,75 @@ def test_embedded_action_matches_five_point_reference(box_extent, m, theta_deg):
     fast = baseline._embedded_action_4d(_aniso_gauss, rot, 0.2, box_extent, 0.7)
     slow = _five_point_action(_aniso_gauss, rot, 0.2, box_extent, 0.7)
     assert abs(fast - slow) <= 1e-12 * abs(slow)
+
+
+def _five_operation_action(field_fn, rot, eps, box_extent, mass):
+    # The streamed slabs with the stencil written one operation at a time: per
+    # site the mass term, then for each neighbour a difference, a division, a
+    # square, a halving and an add, summed per slab.
+    m = baseline._sites_per_axis(eps, box_extent)
+    pos = -box_extent + eps * np.arange(m + 1)
+    tail = np.stack(np.meshgrid(pos, pos, pos, indexing="ij"), axis=-1) @ rot[:, 1:].T
+    tail = np.ascontiguousarray(np.moveaxis(tail, -1, 0))
+
+    def slab(x0):
+        points = tail + (x0 * rot[:, 0])[:, None, None, None]
+        return np.asarray(field_fn(np.moveaxis(points, 0, -1)), dtype=float)
+
+    total = 0.0
+    nxt = slab(pos[0])
+    for x0 in pos[1:]:
+        cur, nxt = nxt, slab(x0)
+        phi = cur[:m, :m, :m]
+        dens = 0.5 * (mass * mass) * phi * phi
+        for phin in (nxt[:m, :m, :m], cur[1:, :m, :m], cur[:m, 1:, :m], cur[:m, :m, 1:]):
+            dens = dens + 0.5 * ((phin - phi) / eps) ** 2
+        total += float(np.sum(dens))
+    return eps**4 * total
+
+
+class _Captured(Exception):
+    pass
+
+
+def _cli_case(monkeypatch):
+    """The field, box and mass the CLI's embedded-violation hands the baseline at
+    its defaults, caught at its first call."""
+
+    def capture(field_fn, rotation, eps, box_extent, mass):
+        raise _Captured(field_fn, box_extent, mass)
+
+    monkeypatch.setattr(baseline, "violation_4d_embedded", capture)
+    params = cli._resolve(cli.ExperimentSpec("embedded-violation")).params
+    with pytest.raises(_Captured) as got:
+        cli._run_embedded_violation(params, None)
+    return got.value.args
+
+
+def test_cli_field_keeps_the_bits_of_its_last_axis_sum(monkeypatch):
+    # The CLI's field sums plane by plane, as a last-axis sum of the same terms
+    # does, on coordinate-major slabs and on row-major stacks alike.
+    field_fn, _, _ = _cli_case(monkeypatch)
+    w = np.asarray(cli._EXPERIMENTS["embedded-violation"][3]["widths"])
+    rng = np.random.default_rng(3)
+    for x in (np.moveaxis(rng.normal(size=(4, 9, 9, 9)), 0, -1), rng.normal(size=(4, 16, 4))):
+        assert np.array_equal(field_fn(x), np.exp(-0.5 * np.sum((x / w) ** 2, axis=-1)))
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1])
+@pytest.mark.parametrize("theta_deg", [0.0, 30.0])
+@pytest.mark.parametrize("kind", ["cli", "a2"])
+def test_embedded_action_matches_the_five_operation_stencil(kind, theta_deg, eps, monkeypatch):
+    # The two-pass stencil sums squares by einsum and scales once per slab, so
+    # it moves only the last bits: the CLI's field and box, and A2's.
+    if kind == "cli":
+        field_fn, box_extent, mass = _cli_case(monkeypatch)
+    else:
+        field_fn, box_extent, mass = _aniso_gauss, 2.0, 1.0
+    rot = _plane_rotation(np.deg2rad(theta_deg))
+    fast = baseline._embedded_action_4d(field_fn, rot, eps, box_extent, mass)
+    slow = _five_operation_action(field_fn, rot, eps, box_extent, mass)
+    assert abs(fast - slow) <= 1e-13 * abs(slow)
 
 
 def test_embedded_action_evaluates_each_grid_point_once():

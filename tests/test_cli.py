@@ -155,6 +155,18 @@ def test_missing_required_parameter(capsys):
     assert "'beta'" in err
 
 
+def test_one_parser_per_process_keeps_no_params_between_calls(capsys, tmp_path):
+    # main builds its parser once; a --param of one call must not reach the next,
+    # so mc-run without beta is still refused after a call that gave one.
+    out = tmp_path / "r.json"
+    argv = ["mc-run", "--seed", "1", "--param", "beta=1.0", "--param", "sweeps=2",
+            "--param", "burn_in=0", "--out", str(out)]
+    assert _run(argv) == 0
+    assert _run(["mc-run", "--seed", "1", "--out", str(out)]) == 2
+    assert "parameter 'beta' is invalid" in capsys.readouterr().err
+    assert cli._parser() is cli._parser()
+
+
 def test_randomized_kind_requires_seed(capsys):
     assert _run(["covariance-sweep"]) == 2
     err = capsys.readouterr().err
@@ -332,6 +344,8 @@ def test_embedded_violation_rejects_non_finite_values(value, field, capsys, tmp_
         (["continuum-check", "--param", "eps_list=[0.2,0.2,0.2]"], "eps_list"),
         # A negative amplitude is a noise scale `random_field` refuses mid-run.
         (["flatness-check", "--seed", "1", "--param", "amplitude=-0.5"], "amplitude"),
+        # A box the spacings do not tile averaged 0.8 at eps 0.2 but 0.9 at 0.1.
+        (["continuum-check", "--param", "box_extent=0.9"], "box_extent"),
     ],
 )
 def test_unusable_params_rejected_at_spec_time(argv, field, capsys, tmp_path):

@@ -282,19 +282,18 @@ def _loop_reference(dims):
             corners.append((s, c1, shift(c1, nu, +1), c3))
             planes.append((mu, nu))
             act_trans.append((tr(s, mu), tr(c1, nu), tr(c3, mu), tr(s, nu)))
-    sites = np.empty((n, 4, 6, 3), dtype=np.int64)
-    dirs = np.empty((n, 4, 6, 3), dtype=np.int64)
+    # Staple table [mu-1, slot, pair, site]: pair i takes the i-th nu != mu, with
+    # upper legs (A, B, C) and lower legs (A', B', C') in slots (C, B', B, A', A, C').
+    sites = np.empty((4, 6, 3, n), dtype=np.int64)
+    dirs = np.empty((4, 6, 3, n), dtype=np.int64)
     for s in range(n):
         for mu in range(1, 5):
-            i = 0
-            for nu in range(1, 5):
-                if nu == mu:
-                    continue
+            for i, nu in enumerate(d for d in range(1, 5) if d != mu):
                 x_pmu, x_mnu = shift(s, mu, +1), shift(s, nu, -1)
-                sites[s, mu - 1, i] = (x_pmu, shift(s, nu, +1), s)
-                sites[s, mu - 1, i + 1] = (shift(x_pmu, nu, -1), x_mnu, x_mnu)
-                dirs[s, mu - 1, i : i + 2] = (nu - 1, mu - 1, nu - 1)
-                i += 2
+                a, b, c = x_pmu, shift(s, nu, +1), s
+                a_low, b_low, c_low = shift(x_pmu, nu, -1), x_mnu, x_mnu
+                sites[mu - 1, :, i, s] = (c, b_low, b, a_low, a, c_low)
+                dirs[mu - 1, :, i, s] = (nu - 1, mu - 1, mu - 1, nu - 1, nu - 1, nu - 1)
     parity = np.array([sum(coords(s)) % 2 for s in range(n)], dtype=np.int8)
     forward = np.array([[shift(s, d, +1) for d in range(1, 5)] for s in range(n)])
     return {

@@ -190,14 +190,15 @@ def test_snapshot_bytes_pinned(dims, tmp_path):
 # SHA-256 of each README command's JSON report at seed 1 (spec, records and
 # summary, `wall_time_s` dropped, keys sorted), recorded with the per-kind cast
 # helpers that preceded the shared parameter rules; `mc-run`'s re-recorded with
-# the chain pins above.
+# the chain pins above, `embedded-violation`'s with the two-pass stencil (largest
+# relative change of a report float 2.2e-13, on records.1.sigma).
 CLI_REPORTS = {
     ("covariance-sweep", "--seed", "1", "--param", "n_transforms=30"):
         "a4461c541506842d3bd51d35130bcead6cc64772132f3fa2a938fabb47de7b29",
     ("oned-demo", "--param", "profile=kink", "--param", "delta=0.05"):
         "b0cc2b1767535a5ed2fa2cedd5e2f16feb83ecac0ac8ea1befbea0e1c749b99b",
     ("embedded-violation", "--param", "eps_list=[0.2,0.1]"):
-        "668e23b9be787bd80ba26ac27f5f95d9a19d0477498af3d258fb0e2d5fc3843f",
+        "2639dbd04c18971656512a8d40d46038bcd06684f7cc598fa4025f256200b784",
     ("continuum-check",):
         "2a4b66036b34d6123527b58001f0dfe50759ec975a4cb1fef6a547b3f90060d4",
     ("mc-run", "--seed", "1", "--param", "beta=2.0", "--param", "sweeps=200"):

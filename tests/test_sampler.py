@@ -3,6 +3,7 @@
 import ast
 import gc
 import inspect
+import itertools
 import sys
 import textwrap
 import threading
@@ -135,6 +136,41 @@ def test_staple_stack_matches_single_calls(dims, n):
         assert np.array_equal(stack, singles)
 
 
+def _four_product_staples(lf, g, events, direction):
+    """The staple sum as four `_cm_product` calls, on an (event, direction, staple,
+    leg) table walked here: C B and A (C B)^dag for the upper staples, B' A' and
+    (B' A')^dag C' for the lower ones, and the three pairs added in order."""
+    n, ev = lf.n_colors, np.asarray(events)
+    walks = [
+        g.path_offsets((s * nu, -mu, -s * nu), g.forward_sites[:, mu - 1])
+        for mu, nu in itertools.permutations(range(1, 5), 2)
+        for s in (1, -1)
+    ]
+    table = np.stack(walks, axis=1).reshape(g.n_events, 4, 6, 3)
+    idx = table[ev.reshape(-1), direction - 1].reshape(-1, 3, 2, 3)
+    legs = lf.cm[:, :, idx.transpose(2, 3, 1, 0)]
+    (a, b, c), (la, lb, lc) = legs.transpose(2, 3, 0, 1, 4, 5)
+    upper = liealg._cm_product(a, liealg._cm_product(c, b), "b")
+    lower = liealg._cm_product(liealg._cm_product(lb, la), lc, "a")
+    pairs = upper + lower
+    staples = pairs[:, :, 0] + pairs[:, :, 1]
+    staples += pairs[:, :, 2]
+    return staples.transpose(2, 0, 1).reshape(ev.shape + (n, n))
+
+
+@pytest.mark.parametrize("dims, n", [((2, 2, 2, 2), 2), ((3, 2, 2, 2), 3), ((4, 4, 4, 4), 3)])
+def test_staple_sum_matches_the_four_product_reference(dims, n):
+    # One np.take of the slot table and the stacked inner products keep the bits
+    # of the four-product staple sum.
+    g = graphlat.build_hypercubic(dims)
+    lf = wilson.random_links(g, n, np.random.default_rng(12))
+    for events in (np.arange(g.n_events), 5, np.int8(3), np.arange(6).reshape(2, 3)):
+        for d in range(1, 5):
+            fast = sampler.staple_sum(lf, g, events, d)
+            slow = _four_product_staples(lf, g, events, d)
+            assert fast.shape == slow.shape and np.array_equal(fast, slow)
+
+
 def test_link_action_delta_matches_global_recompute(small_graph, rng):
     # The staple shortcut used by metropolis_sweep must agree with the full
     # action difference for arbitrary single-link replacements.  This
@@ -185,7 +221,7 @@ def test_update_groups_cover_links_once(dims):
         assert len(set(g.event_colors[events].tolist())) == 1
         # Storage offsets of the group's links and of all their staples.
         group = set(g.transition_offset(g.neighbor(events, d)).tolist())
-        staples = set(offsets[events, d - 1].ravel().tolist())
+        staples = set(offsets[d - 1][..., events].ravel().tolist())
         assert not group & staples
 
 
@@ -357,6 +393,50 @@ def test_sweep_matches_reference_sweep(n, order):
         slow, want = _reference_sweep(slow, g, 2.5, 0.5, np.random.default_rng(seed), order)
         assert acc == want
         np.testing.assert_allclose(fast.su, slow.su, rtol=0, atol=1e-13)
+
+
+def _per_group_sweep(lf, g, beta, step_scale, rng, order):
+    """The sweep with each group gathering its own links and forming its own U' = X U
+    and U' - U: the same proposal passes and thresholds, read group by group."""
+    n, total = lf.n_colors, g.n_transitions
+    out = lf.copy()
+    u = out.cm
+    proposals = np.empty((n, n, total), dtype=complex)
+    for start in range(0, total, sampler._PROPOSAL_PASS):
+        x = liealg.random_sun_near_identity(
+            n, 2.0 * step_scale, rng, count=min(sampler._PROPOSAL_PASS, total - start))
+        proposals[:, :, start:start + len(x)] = x.transpose(1, 2, 0)
+    thresholds = rng.uniform(size=total)
+    accepted = stop = 0
+    for events, d in sampler.update_groups(g, order):
+        start, stop = stop, stop + len(events)
+        links = 4 * events + (d - 1)
+        old_u = u[:, :, links]
+        new_u = liealg._cm_product(proposals[:, :, start:stop], old_u)
+        staple = sampler.staple_sum(out, g, events, d).transpose(1, 2, 0)
+        d_s = -(beta / n) * np.einsum("ije,jie->e", new_u - old_u, staple).real
+        accept = thresholds[start:stop] < np.exp(np.minimum(-d_s, 0.0))
+        u[:, :, links[accept]] = new_u[:, :, accept]
+        accepted += int(np.count_nonzero(accept))
+    return out, accepted / total
+
+
+@pytest.mark.parametrize("order", sampler.SWEEP_ORDERS)
+@pytest.mark.parametrize("dims", [(3, 2, 2, 2), (4, 4, 4, 4)])
+def test_sweep_matches_the_per_group_loop_bit_for_bit(dims, order):
+    # Hoisting U' and U' - U out of the group loop keeps every bit of an SU(3)
+    # hot chain, which no pin covers, and leaves the generator where it was.
+    g = graphlat.build_hypercubic(dims)
+    runs = []
+    for sweep in (sampler.metropolis_sweep, _per_group_sweep):
+        rng = np.random.default_rng(21)
+        lf = wilson.random_links(g, 3, rng)
+        accs = []
+        for _ in range(10):
+            lf, acc = sweep(lf, g, 5.7, 0.5, rng, order)
+            accs.append(acc)
+        runs.append((accs, lf.cm.tobytes(), rng.bit_generator.state))
+    assert runs[0] == runs[1]
 
 
 def test_hot_kernels_form_no_stacked_products():
@@ -641,9 +721,10 @@ def test_scratch_stays_bounded_over_call_sizes():
         sampler.staple_sum(lf, g, np.arange(count), 1)
     kept = wilson._SCRATCH.graphs[g]
     assert list(kept) == [("staples", 2)]
-    # Per event, 6 staples of 3 legs, and four products (three and a temporary)
-    # of one leg per staple pair.
-    assert kept["staples", 2][1].size == 50 * (6 * 3 + 4 * 3) * 2 * 2
+    # Per event: 6 slots of 3 legs; the inner products of both halves of each
+    # pair and their temporary, 2 legs a pair each; the upper and the lower
+    # staples, 1 leg a pair each.
+    assert kept["staples", 2][1].size == 50 * (6 * 3 + 2 * 2 * 3 + 2 * 3) * 2 * 2
 
 
 @pytest.mark.parametrize("field_dims, graph_dims", [((4, 4, 4, 4), (2, 2, 2, 2)),

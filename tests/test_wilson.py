@@ -684,6 +684,16 @@ def test_continuum_refuses_non_positive_sizes(eps_list, box_extent, field):
         wilson.continuum_convergence(_constant_noncommuting, eps_list, box_extent=box_extent)
 
 
+@pytest.mark.parametrize("box_extent", [0.9, 0.3, 0.05, 0.1 + 1e-7])
+def test_continuum_refuses_a_box_the_spacings_do_not_tile(box_extent):
+    # round(box / eps) plaquettes a side covered 0.8 of a 0.9 box at eps 0.2 but
+    # 0.9 at 0.1 and 0.05, so the slope fit mixed two regions.
+    with pytest.raises(ValueError, match="^parameter 'box_extent' is invalid: need .* tiles"):
+        wilson.continuum_convergence(
+            cli._demo_potential, [0.2, 0.1, 0.05], box_extent=box_extent, base_point=_CLI_BASE
+        )
+
+
 def _continuum_per_plaquette(potential_fn, eps_list, box_extent, base, field_strength_fn):
     """The slow reference for `continuum_convergence`: every plaquette alone, one
     point per potential call and one ``eigh`` exponential per link, the field
@@ -725,14 +735,14 @@ _CLI_BASE = np.array([0.3, 0.2, 0.4, 0.1])
     "potential_fn, box_extent, base, field_strength_fn",
     [
         (cli._demo_potential, 0.4, _CLI_BASE, None),
-        # n_side 4, 9 and 18.
-        (cli._demo_potential, 0.9, _CLI_BASE, None),
+        # n_side 4, 8 and 16.
+        (cli._demo_potential, 0.8, _CLI_BASE, None),
         (_constant_noncommuting, 0.2, np.zeros(4), lambda x: -0.5 * _PAULI3),
         (_constant_noncommuting, 0.2, np.zeros(4), None),
         (_su3_pair, 0.2, np.zeros(4), lambda x: -liealg.sun_generators(3)[2]),
         (_su3_pair, 0.2, np.zeros(4), None),
     ],
-    ids=["cli-box0.4", "cli-box0.9", "su2-field", "su2-differences", "su3-field",
+    ids=["cli-box0.4", "cli-box0.8", "su2-field", "su2-differences", "su3-field",
          "su3-differences"],
 )
 def test_continuum_stacks_match_the_per_plaquette_reference(
@@ -750,7 +760,7 @@ def test_continuum_stacks_match_the_per_plaquette_reference(
     assert np.array_equal(report.predicted, predicted)
 
 
-@pytest.mark.parametrize("box_extent", [0.2, 0.4, 0.9])
+@pytest.mark.parametrize("box_extent", [0.2, 0.4, 0.8])
 @pytest.mark.parametrize("with_field_strength", [True, False])
 def test_continuum_calls_the_potential_once_per_leg_stack(box_extent, with_field_strength):
     # Four legs, and six more calls for the finite differences, per spacing, each
@@ -781,6 +791,32 @@ def test_finite_difference_field_strength_refuses_bad_planes(plane):
     # called the potential with mu = -1, and the others raised a bare IndexError.
     with pytest.raises(ValueError, match="^parameter 'plane' is invalid: need "):
         wilson.finite_difference_field_strength(cli._demo_potential, _CLI_BASE, plane)
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (np.array([0.3, np.nan, 0.4, 0.1]), "^x must be finite$"),
+        (np.array([[0.3, 0.2, 0.4, 0.1], [0.0, 0.0, np.inf, 0.0]]), "^x must be finite$"),
+        (np.array([0.3, 0.2, 0.4]), r"^x must have shape \(4,\), got \(3,\)$"),
+        (np.zeros((5, 3)), r"^x must have shape \(5, 4\), got \(5, 3\)$"),
+        ("abcd", "^x must be numeric$"),
+    ],
+    ids=["nan", "inf-in-stack", "three-coordinates", "stack-of-three", "string"],
+)
+def test_finite_difference_field_strength_refuses_bad_points(x, message):
+    # A NaN coordinate gave an all-NaN field strength without a word, and a (3,)
+    # point raised numpy's bare broadcast error.
+    with pytest.raises(ValueError, match=message):
+        wilson.finite_difference_field_strength(cli._demo_potential, x, (0, 1))
+
+
+def test_finite_difference_field_strength_takes_any_leading_shape():
+    x = np.random.default_rng(2).normal(size=(2, 3, 4))
+    f = wilson.finite_difference_field_strength(cli._demo_potential, x, (0, 1))
+    assert f.shape == (2, 3, 2, 2)
+    assert np.array_equal(f[1, 2], wilson.finite_difference_field_strength(
+        cli._demo_potential, x[1, 2], (0, 1)))
 
 
 def test_finite_difference_field_strength_linear_abelian():
