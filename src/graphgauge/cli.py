@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 import numpy as np
 
 from . import baseline, liealg, potential, sampler, wilson
-from .graphlat import _choice, _enforce, _number, _several, build_hypercubic
+from .graphlat import _DIMS, _choice, _enforce, _number, _several, build_hypercubic
 
 
 class SpecError(ValueError):
@@ -335,7 +335,7 @@ _SPACINGS = ("eps_list", _several(potential._EPS[1], 1, distinct=True),
 # mc-run has no rules here: `sampler.ChainConfig.validate` holds its table.
 _EXPERIMENTS = {
     "covariance-sweep": (_run_covariance_sweep, True, (
-        sampler._DIMS, sampler._N_COLORS,
+        _DIMS, wilson._N_COLORS,
         ("n_transforms", _number(int, ge=1), "a positive integer"), ("tol", *_NUMBER),
     ), {"dims": [2, 2, 2, 2], "n_colors": 2, "n_transforms": 30, "tol": 1e-12}),
     "oned-demo": (_run_oned_demo, False, (
@@ -357,7 +357,7 @@ _EXPERIMENTS = {
         "step_scale": 0.5, "measure_every": 1, "hot_start": False, "order": "checkerboard",
     }),
     "flatness-check": (_run_flatness_check, True, (
-        sampler._DIMS, potential._EPS, ("amplitude", _number(gt=0), "a finite value > 0"),
+        _DIMS, potential._EPS, ("amplitude", _number(gt=0), "a finite value > 0"),
         ("flat_tol", *_NUMBER), ("min_ratio", *_NUMBER),
     ), {"dims": [4, 4, 4, 4], "eps": 0.05, "amplitude": 0.5, "flat_tol": 5e-3, "min_ratio": 10.0}),
 }

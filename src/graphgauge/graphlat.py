@@ -129,6 +129,10 @@ def _several(item, least: int, most=None, distinct: bool = False, increasing: bo
     return accept
 
 
+# The `_enforce` rule (field, accept, requirement) of a graph's extents.
+_DIMS = ("dims", _several(_number(int, ge=2), 4, 4), "four integer extents >= 2")
+
+
 def _check_graph(field, graph: "LatticeGraph") -> None:
     """Refuse a link or potential field built on a graph of other extents."""
     if field.graph is not graph and not field.graph.compatible(graph):
@@ -145,12 +149,7 @@ class LatticeGraph:
     """Periodic four dimensional hypercubic graph, adjacency only."""
 
     def __init__(self, dims):
-        dims = tuple(dims)
-        if len(dims) != 4 or not all(_integer(d) for d in dims):
-            raise GraphError(f"dims must be four integers, got {dims}")
-        if min(dims) < 2:
-            raise GraphError(f"periodic graph needs every extent >= 2, got dims={dims}")
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(_enforce((_DIMS,), {"dims": dims}, GraphError)["dims"])
         self._build()
         # Per sweep order, the read-only groups `sampler.update_groups` builds on first use.
         self.sweep_groups = {}
@@ -211,9 +210,6 @@ class LatticeGraph:
         if bad.any():
             raise GraphError(f"vertex {v[bad].flat[0]} {message}")
         return role
-
-    def role(self, v: int) -> Role:
-        return Role(int(self._vertices(v, tuple(Role), "")))
 
     def neighbor(self, v, label: int):
         """Labeled neighbor of an event or transition vertex.

@@ -139,7 +139,7 @@ def edge_transport(field: PotentialField, v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# coordinate stepping and relabeling
+# coordinate stepping
 # ---------------------------------------------------------------------------
 
 
@@ -171,30 +171,6 @@ def step_coordinates(
     if mode == "desitter":
         w[4] = y[4] - eps * float(g_v[axis] @ y[:4])
     return w
-
-
-@dataclass(frozen=True, eq=False)
-class RelabelMap:
-    """Affine relabeling of the four coordinate components: y -> chi y + omega."""
-
-    chi: np.ndarray
-    omega: np.ndarray
-
-
-def relabel_coordinates(labels: np.ndarray, rmap: RelabelMap) -> np.ndarray:
-    """Apply an affine relabel to every row of a label table.
-
-    The auxiliary fifth component is untouched.  Field values never change
-    under relabeling; labels are names, not data.
-    """
-    chi = liealg._as_blocks(rmap.chi, float, ((4, 4),), "chi", ValueError)
-    omega = liealg._as_blocks(rmap.omega, float, ((4,),), "omega", ValueError)
-    if abs(np.linalg.det(chi)) < 1e-12:
-        raise ValueError("relabel map chi is singular")
-    labels = np.asarray(liealg._numeric(labels, "labels", ValueError), dtype=float)
-    out = labels.copy()
-    out[..., :4] = labels[..., :4] @ chi.T + omega
-    return out
 
 
 # ---------------------------------------------------------------------------

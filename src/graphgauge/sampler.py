@@ -39,7 +39,7 @@ import numpy as np
 
 from . import liealg, wilson
 from .graphlat import (
-    GraphError, LatticeGraph, _check_graph, _choice, _enforce, _integer, _number, _several,
+    _DIMS, GraphError, LatticeGraph, _check_graph, _choice, _enforce, _integer, _number,
     build_hypercubic,
 )
 
@@ -57,13 +57,11 @@ _PROPOSAL_PASS = 256
 # steps and orders to the same rules.
 _BETA = ("beta", _number(ge=0), "a finite value >= 0")
 _STEP = ("step_scale", _number(gt=0, le=1), "a value in (0, 1]")
-_DIMS = ("dims", _several(_number(int, ge=2), 4, 4), "four integer extents >= 2")
-_N_COLORS = wilson._N_COLORS
 _SEED = ("seed", _number(int, ge=0), "an integer >= 0")
 _SWEEP_RULES = (_BETA, _STEP)
 _ORDER_RULES = (("order", _choice(SWEEP_ORDERS), f"one of {SWEEP_ORDERS}"),)
 _CHAIN_RULES = (
-    _BETA, _N_COLORS, _DIMS,
+    _BETA, wilson._N_COLORS, _DIMS,
     ("sweeps", _number(int, ge=1), "a positive integer"),
     ("burn_in", _number(int, ge=0, le=lambda v: v["sweeps"] - 1), "an integer in [0, sweeps)"),
     _STEP,

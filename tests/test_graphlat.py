@@ -21,13 +21,26 @@ def test_counts_on_mixed_extents():
     assert g.n_actions == 6 * sites
 
 
+def _roles(g, v):
+    """Role of a vertex, or of each in an array, by the documented id ranges:
+    events first, then transitions, then actions."""
+    return np.searchsorted([g.n_events, g.n_events + g.n_transitions], v, side="right")
+
+
 def test_role_assignment_by_id_range(small_graph):
+    # Each query accepts the first vertex of its role and refuses the last of
+    # the role before it.
     g = small_graph
-    assert g.role(0) == Role.EVENT
-    assert g.role(g.n_events) == Role.TRANSITION
-    assert g.role(g.n_events + g.n_transitions) == Role.ACTION
-    with pytest.raises(GraphError):
-        g.role(g.n_vertices)
+    t0, a0 = g.n_events, g.n_events + g.n_transitions
+    assert g.neighbor(0, 1) == t0
+    assert g.transition_offset(t0) == 0
+    assert g.action_transitions(a0) == tuple(t0 + g.plaquette_table[0])
+    with pytest.raises(GraphError, match=f"vertex {t0 - 1} is not a transition"):
+        g.transition_offset(t0 - 1)
+    with pytest.raises(GraphError, match=f"vertex {a0 - 1} is not an action"):
+        g.action_transitions(a0 - 1)
+    with pytest.raises(GraphError, match=f"vertex {g.n_vertices} out of range"):
+        g.action_transitions(g.n_vertices)
 
 
 def test_vertex_degrees(small_graph):
@@ -38,17 +51,17 @@ def test_vertex_degrees(small_graph):
     for v in range(g.n_events):
         nbrs = [g.neighbor(v, label) for label in labels]
         assert len(set(nbrs)) == 8
-        assert all(g.role(w) == Role.TRANSITION for w in nbrs)
+        assert (_roles(g, nbrs) == Role.TRANSITION).all()
     for v in range(g.n_events, g.n_events + g.n_transitions):
         nbrs = [g.neighbor(v, label) for label in labels]
         assert len(set(nbrs)) == 8
-        roles = [g.role(w) for w in nbrs]
+        roles = _roles(g, nbrs).tolist()
         assert roles.count(Role.EVENT) == 2
         assert roles.count(Role.ACTION) == 6
     for v in range(g.n_events + g.n_transitions, g.n_vertices):
         nbrs = g.action_transitions(v)
         assert len(set(nbrs)) == 4
-        assert all(g.role(w) == Role.TRANSITION for w in nbrs)
+        assert (_roles(g, nbrs) == Role.TRANSITION).all()
 
 
 def _walk(g, action):
@@ -97,7 +110,7 @@ def test_event_neighbor_is_two_half_steps(small_graph):
     for e in range(g.n_events):
         for d in (1, -2, 3, -4):
             t = g.neighbor(e, d)
-            assert g.role(t) == Role.TRANSITION
+            assert _roles(g, t) == Role.TRANSITION
             assert g.event_neighbor(e, d) == g.neighbor(t, d)
 
 
@@ -188,8 +201,7 @@ def test_automorphism_shift_refuses_non_integer_offsets(small_graph, offset):
 def test_automorphism_preserves_roles(small_graph):
     g = small_graph
     perm = g.automorphism_shift((0, 1, 0, 1))
-    for v in range(g.n_vertices):
-        assert g.role(int(perm[v])) == g.role(v)
+    assert np.array_equal(_roles(g, perm), _roles(g, np.arange(g.n_vertices)))
 
 
 def test_compatible(small_graph):
@@ -213,13 +225,20 @@ def test_constructor_validation():
     for dims in [(2.7, 2, 2, 2), (2, 2, 2, True), ("3", 2, 2, 2)]:
         with pytest.raises(GraphError, match="dims"):
             LatticeGraph(dims)
+    # A scalar or None failed iterating, with a bare TypeError.
+    for dims in (5, None):
+        with pytest.raises(GraphError) as err:
+            LatticeGraph(dims)
+        assert str(err.value) == (
+            f"parameter 'dims' is invalid: need four integer extents >= 2, got {dims}"
+        )
     assert LatticeGraph(np.array([2, 3, 2, 2])).dims == (2, 3, 2, 2)
 
 
 def test_vertex_queries_check_ints_and_arrays_alike(small_graph):
     g = small_graph
     event, trans, action = 0, g.n_events, g.n_events + g.n_transitions
-    queries = [g.role, g.transition_offset, g.transition_direction, g.action_transitions,
+    queries = [g.transition_offset, g.transition_direction, g.action_transitions,
                lambda v: g.neighbor(v, 1)]
     for query in queries:
         for v in (g.n_vertices, np.array([0, -1]), 1.0, True, np.array([0.0])):

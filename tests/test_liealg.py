@@ -521,20 +521,6 @@ _ARRAY_SITES = {
         lambda g, gens: _H_V,
         lambda g, gens, x: potential.step_coordinates(_LABEL, 1, _G_V, x, 0.1), "h_v",
     ),
-    "relabel_coordinates-chi": (
-        lambda g, gens: 2.0 * np.eye(4),
-        lambda g, gens, x: potential.relabel_coordinates(
-            np.zeros((3, 5)), potential.RelabelMap(x, np.zeros(4))
-        ),
-        "chi",
-    ),
-    "relabel_coordinates-omega": (
-        lambda g, gens: np.ones(4),
-        lambda g, gens, x: potential.relabel_coordinates(
-            np.zeros((3, 5)), potential.RelabelMap(np.eye(4), x)
-        ),
-        "omega",
-    ),
     "lorentz_transform_field": (
         lambda g, gens: np.eye(4),
         lambda g, gens, x: potential.lorentz_transform_field(potential.flat_field(g, 0.1), x),

@@ -79,7 +79,6 @@ def test_potential_field_is_frozen(small_graph, name):
 _ARRAY_RECORDS = {
     "PotentialField": lambda g: potential.flat_field(g, 0.1),
     "FlatnessReport": lambda g: potential.flatness_residual(potential.flat_field(g, 0.1), g),
-    "RelabelMap": lambda g: potential.RelabelMap(np.eye(4), np.zeros(4)),
     "GeneratorSet": lambda g: liealg.make_generators(),
     "ConvergenceReport": lambda g: wilson.ConvergenceReport(*np.ones((4, 3)), 4.0, 6.0),
     "ObservableSeries": lambda g: sampler.ObservableSeries(np.arange(3), np.ones(3), np.ones(3)),
@@ -302,48 +301,6 @@ def test_step_input_validation(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_relabel_applies_affine_map(rng):
-    labels = rng.normal(size=(12, 5))
-    chi = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
-    omega = rng.normal(size=4)
-    out = potential.relabel_coordinates(labels, potential.RelabelMap(chi, omega))
-    np.testing.assert_allclose(out[:, :4], labels[:, :4] @ chi.T + omega, atol=1e-14)
-    np.testing.assert_array_equal(out[:, 4], labels[:, 4])
-
-
-def test_relabel_round_trip(rng):
-    labels = rng.normal(size=(30, 5))
-    chi = rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
-    omega = rng.normal(size=4)
-    fwd = potential.relabel_coordinates(labels, potential.RelabelMap(chi, omega))
-    inv = np.linalg.inv(chi)
-    back = potential.relabel_coordinates(
-        fwd, potential.RelabelMap(inv, -inv @ omega)
-    )
-    np.testing.assert_allclose(back, labels, atol=1e-12)
-
-
-def test_relabel_rejects_bad_maps(rng):
-    labels = rng.normal(size=(3, 5))
-    sing = np.zeros((4, 4))
-    with pytest.raises(ValueError, match="singular"):
-        potential.relabel_coordinates(labels, potential.RelabelMap(sing, np.zeros(4)))
-    with pytest.raises(ValueError, match="chi"):
-        potential.relabel_coordinates(
-            labels, potential.RelabelMap(np.eye(3), np.zeros(4))
-        )
-    # A NaN chi used to come back as NaN labels after a RuntimeWarning from det.
-    for name in ("chi", "omega"):
-        for bad in (np.nan, np.inf):
-            parts = {"chi": np.eye(4), "omega": np.zeros(4)}
-            parts[name][-1] = bad
-            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-                potential.relabel_coordinates(labels, potential.RelabelMap(**parts))
-    # Ragged labels reached numpy's "inhomogeneous shape" error, naming nothing.
-    with pytest.raises(ValueError, match="^labels must be numeric$"):
-        potential.relabel_coordinates([[1, 2], [3]], potential.RelabelMap(np.eye(4), np.zeros(4)))
-
-
 def test_relabel_commutes_with_stepping(rng):
     # Stepping then relabeling equals relabeling then stepping with the
     # transformed potential tables.  For orthogonal chi the transformed
@@ -354,7 +311,11 @@ def test_relabel_commutes_with_stepping(rng):
         h_v = raw - np.swapaxes(raw, 1, 2)
         chi, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         omega = rng.normal(size=4)
-        rmap = potential.RelabelMap(chi, omega)
+
+        def relabel(y):
+            out = y.copy()
+            out[:4] = y[:4] @ chi.T + omega
+            return out
 
         h_new = np.einsum("bi,aij,cj->abc", chi, h_v, chi)
         g_new = (chi @ g_v.T).T - 0.5 * np.einsum("abc,c->ab", h_new, omega)
@@ -364,9 +325,8 @@ def test_relabel_commutes_with_stepping(rng):
         eps = 0.08
         for axis in range(4):
             first = potential.step_coordinates(y, axis, g_v, h_v, eps)
-            path_a = potential.relabel_coordinates(first[None, :], rmap)[0]
-            y_prime = potential.relabel_coordinates(y[None, :], rmap)[0]
-            path_b = potential.step_coordinates(y_prime, axis, g_new, h_new, eps)
+            path_a = relabel(first)
+            path_b = potential.step_coordinates(relabel(y), axis, g_new, h_new, eps)
             np.testing.assert_allclose(path_a, path_b, atol=1e-12)
 
 
