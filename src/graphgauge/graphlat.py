@@ -129,8 +129,10 @@ def _several(item, least: int, most=None, distinct: bool = False, increasing: bo
     return accept
 
 
-# The `_enforce` rule (field, accept, requirement) of a graph's extents.
+# The `_enforce` rules (field, accept, requirement) of a graph's extents and of a
+# translation's offset.
 _DIMS = ("dims", _several(_number(int, ge=2), 4, 4), "four integer extents >= 2")
+_OFFSET = ("offset", _several(_number(int), 4, 4), "four integers")
 
 
 def _check_graph(field, graph: "LatticeGraph") -> None:
@@ -151,7 +153,8 @@ class LatticeGraph:
     def __init__(self, dims):
         self.dims = tuple(_enforce((_DIMS,), {"dims": dims}, GraphError)["dims"])
         self._build()
-        # Per sweep order, the read-only groups `sampler.update_groups` builds on first use.
+        # Per sweep order, the read-only groups `sampler.update_groups` builds on first
+        # use, with the link ids of each group and their concatenation.
         self.sweep_groups = {}
 
     # -- construction -------------------------------------------------------
@@ -403,9 +406,7 @@ class LatticeGraph:
         neighbor(perm[v], l) for every vertex and label.  Every event moves
         ``offset[a] % dims[a]`` steps along `forward_sites` column a.
         """
-        offset = tuple(offset)
-        if len(offset) != 4 or not all(_integer(o) for o in offset):
-            raise GraphError(f"offset must have four integer components, got {offset}")
+        offset = _enforce((_OFFSET,), {"offset": offset}, GraphError)["offset"]
         s_new = np.arange(self.n_events)
         for a, o in enumerate(offset):
             for _ in range(o % self.dims[a]):

@@ -27,10 +27,14 @@ paths avoid numpy's stacked ``@``, which pays about one dispatch per 2x2 or
   Cayley-Hamilton exponential of Morningstar and Peardon for SU(3).  The
   ``eigh`` route, `_exp_i_hermitian`, stays for general Hermitian matrices:
   `wilson.continuum_convergence` calls it once per leg stack of a spacing.
+* `_scratch` keeps these kernels' temporaries per owner and thread, so glibc
+  does not trim them off the heap between calls only for them to fault in again.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +55,12 @@ _STACK = _number(int, ge=0)
 _COUNT = ("count", lambda x, accepted: None if x is None else _STACK(x, accepted),
           "None or an integer >= 0")
 
-# Matrices per pass of the batched kernels (`unitarity_defect`, and `wilson`'s
-# traces, `validate_links` and gauge rotation); no bit depends on it.  Passes keep
-# temporaries under glibc's heap-trim edge (4096 SU(3) blocks faulted 1,120 pages
-# per 8^4 gauge rotation plus actions, 2048 0-1), and halve `validate_links` at
-# 8^4 SU(3) against one pass.  Smaller passes pay in dispatch.
+# Matrices per pass of the batched kernels (`unitarity_defect`, the SU(3)
+# exponential, and `wilson`'s traces, `validate_links` and gauge rotation); no bit
+# depends on it.  Passes keep temporaries under glibc's heap-trim edge (4096 SU(3)
+# blocks faulted 1,120 pages per 8^4 gauge rotation plus actions, 2048 0-1), and
+# halve `validate_links` at 8^4 SU(3) against one pass.  Smaller passes pay in
+# dispatch.
 _CHUNK = 2048
 
 # Basis index order for the six independent planes among the first four axes.
@@ -293,6 +298,29 @@ def random_sun_near_identity(
     return _exp_i_angles(theta)
 
 
+# Per thread, ``owners``: each owner's kept buffers, in a WeakKeyDictionary.
+_SCRATCH = threading.local()
+
+
+def _scratch(owner, kernel: str, n: int, shapes: tuple) -> list:
+    """C-contiguous complex arrays of ``shapes`` for a call of ``kernel`` with N = ``n``
+    in this thread, which fills them afresh.  ``owner`` is the graph whose tables the
+    call reads, or the kernel's own function where it reads none; the buffers go with
+    it.  They are cut from one buffer kept at the largest total size asked for, and
+    cut again only when the shapes change.  Their contents never reach a caller."""
+    owners = getattr(_SCRATCH, "owners", None)
+    if owners is None:
+        owners = _SCRATCH.owners = weakref.WeakKeyDictionary()
+    kept = owners.get(owner) or owners.setdefault(owner, {})
+    last = kept.get((kernel, n))
+    if last is None or last[0] != shapes:
+        ends = np.cumsum([np.prod(shape) for shape in shapes])
+        buf = last[1] if last and last[1].size >= ends[-1] else np.empty(ends[-1], dtype=complex)
+        cuts = [buf[end - np.prod(s):end].reshape(s) for end, s in zip(ends, shapes)]
+        last = kept[kernel, n] = (shapes, buf, cuts)
+    return last[2]
+
+
 def _cm_product(a: np.ndarray, b: np.ndarray, dagger: str = "", out=None, tmp=None) -> np.ndarray:
     """Matrix product on component-major stacks of shape (N, N, ...).
 
@@ -370,7 +398,11 @@ def _exp_i_angles(theta: np.ndarray) -> np.ndarray:
 
     Every step is elementwise across the stack, and the only sums over more
     than two terms run along a contiguous last axis, so a stack gives the
-    same matrices as one call each, bit for bit.
+    same matrices as one call each, bit for bit.  SU(3) forms Q, Q^2, the
+    coefficient rows and its result component-major, in passes of `_CHUNK`
+    matrices whose temporaries are cut from buffers kept per thread
+    (`_scratch`); no bit depends on the pass size.  It returns fresh
+    (3, 3, ...) memory as a transposed view.
     """
     theta = np.asarray(theta, dtype=float)
     lead, k = theta.shape[:-1], theta.shape[-1]
@@ -394,61 +426,97 @@ def _exp_su2(t: np.ndarray) -> np.ndarray:
 
 
 def _exp_su3(t: np.ndarray) -> np.ndarray:
-    """(P, 3, 3) exponentials of the (P, 8) angles ``t``."""
-    n_p = t.shape[0]
-    q_pm = (t @ _SU3_EXT @ _SU3_Q).view(complex).reshape(n_p, 3, 3)
-    q = np.ascontiguousarray(q_pm.transpose(1, 2, 0))
-    q2_pm = np.ascontiguousarray(_cm_product(q, q).transpose(2, 0, 1))
-    # c1 = tr(Q^2) / 2 = |theta|^2 / 4, and 3 c0 = 3 det Q = tr(Q^3) = the sum
-    # of Q o conj(Q^2) (both Hermitian), each taken along a contiguous last axis.
-    c1_3 = np.einsum("pk,pk->p", t, t) / 12.0
-    flat = (n_p, 18)
-    c0_3 = np.einsum("pk,pk->p", q_pm.view(float).reshape(flat), q2_pm.view(float).reshape(flat))
-    # |c0| / c0_max with c0_max = 2 (c1 / 3)^(3/2), clipped against rounding.
-    root = np.sqrt(c1_3)
-    c0_max_3 = 6.0 * c1_3 * root
-    ratio = np.abs(c0_3) / np.maximum(c0_max_3, _TINY)
-    third = np.arccos(np.minimum(ratio, 1.0)) / 3.0
-    # u and w at |c0|; f_j(-c0) = (-1)^j f_j(c0)^* is the same as giving u the
-    # sign of c0, since A_j, B_j and C_j are even or odd in u as (-1)^j is.
-    ang = np.empty((3, n_p))
-    u, w = ang[1], ang[2]
-    np.copysign(root * np.cos(third), c0_3, out=u)
-    np.multiply(np.sqrt(3.0) * root, np.sin(third), out=w)
-    np.add(u, u, out=ang[0])
-    trig = np.empty((2, 3, n_p))
-    np.cos(ang, out=trig[0])
-    np.sin(ang, out=trig[1])
-    mono = np.empty((8, n_p))
-    mono[0] = 1.0
-    mono[1] = u
-    np.multiply(u, 3.0, out=mono[2])
-    np.multiply(u, u, out=mono[3])
-    np.multiply(w, w, out=mono[4])
-    np.multiply(mono[3], 3.0, out=mono[5])
-    np.multiply(mono[3], 9.0, out=mono[6])
-    np.multiply(u, mono[5] + mono[4], out=mono[7])
-    w2 = mono[4]
-    series = 1.0 - w2 * (1.0 / 6.0 - w2 / 120.0)
-    xi0 = np.where(w < _XI_SERIES_BELOW, series, trig[1, 2] / np.maximum(w, _XI_SERIES_BELOW))
-    rows = _SU3_H @ mono
-    rows[3:6] *= trig[0, 2]
-    rows[6:9] *= xi0
-    phase = np.take(trig.reshape(6, n_p), _SU3_PHASE_PICK, axis=0) * _SU3_PHASE_SIGN
-    terms = phase[:, :, None] * rows[:9].reshape(3, 3, n_p)
-    h = np.empty((3, n_p, 2))
-    hv = h.transpose(2, 0, 1)
-    np.add(terms[:, 0], terms[:, 1], out=hv)
-    hv += terms[:, 2]
-    # 9u^2 - w^2 >= 2 c1 vanishes only at theta = 0, where every h_j does;
-    # shifting h_0 and the divisor by _TINY gives f = (1, 0, 0) there, and
-    # changes no bit unless |theta| is below about 1e-140.
-    hv[0, 0] += _TINY
-    hv /= rows[9] + _TINY
-    f = h.view(complex)[..., 0]
-    out = f[1][:, None, None] * q_pm + f[2][:, None, None] * q2_pm
-    out.reshape(n_p, 9)[:, ::4] += f[0][:, None]
-    return out
+    """(P, 3, 3) exponentials of the (P, 8) angles ``t``: a transposed view of fresh
+    component-major (3, 3, P) memory."""
+    n_p = len(t)
+    out = np.empty((9, n_p), dtype=complex)
+    width = min(n_p, _CHUNK)
+    # Per matrix: Q and Q^2 p-major and component-major and h, 39 complex, and 39
+    # floats cut from the float view of 20 more.
+    kept, floats = _scratch(_exp_su3, "exp", 3, ((39 * width,), (20 * width,)))
+    for start in range(0, n_p, _CHUNK):
+        part = t[start:start + _CHUNK]
+        m = len(part)
+        pm, cm = kept[:36 * m].reshape(2, 2, m, 9)
+        q_pm, q2_pm = pm
+        q, q2 = cm.reshape(2, 3, 3, m)
+        h = kept[36 * m:39 * m].reshape(3, m)
+        rowsets = floats[:20 * m].view(float)[:39 * m].reshape(39, m)
+        c1_3, c0_3, root, c0_max_3, third, series = rowsets[:6]
+        ang, mono, rows = rowsets[6:9], rowsets[9:17], rowsets[17:27]
+        trig, phase = rowsets[27:].reshape(2, 2, 3, m)
+        # q2_pm holds the angles' extension, then the product's temporaries, until
+        # Q^2 is known, and terms once c0 is.
+        ext = q2_pm.view(float).reshape(-1)[:9 * m].reshape(m, 9)
+        terms = q2_pm.view(float).reshape(2, 3, 3, m)
+
+        np.matmul(np.matmul(part, _SU3_EXT, out=ext), _SU3_Q, out=q_pm.view(float))
+        q[...] = q_pm.reshape(m, 3, 3).transpose(1, 2, 0)
+        _cm_product(q, q, out=q2, tmp=q2_pm.reshape(3, 3, m))
+        q2_pm[...] = q2.reshape(9, m).T
+        # c1 = tr(Q^2) / 2 = |theta|^2 / 4, and 3 c0 = 3 det Q = tr(Q^3) = the sum
+        # of Q o conj(Q^2) (both Hermitian), each taken along a contiguous last axis.
+        np.einsum("pk,pk->p", part, part, out=c1_3)
+        c1_3 /= 12.0
+        np.einsum("pk,pk->p", q_pm.view(float), q2_pm.view(float), out=c0_3)
+        # |c0| / c0_max with c0_max = 2 (c1 / 3)^(3/2), clipped against rounding.
+        np.sqrt(c1_3, out=root)
+        np.multiply(c1_3, 6.0, out=c0_max_3)
+        c0_max_3 *= root
+        np.abs(c0_3, out=third)
+        third /= np.maximum(c0_max_3, _TINY, out=c0_max_3)
+        np.minimum(third, 1.0, out=third)
+        np.arccos(third, out=third)
+        third /= 3.0
+        # u and w at |c0|; f_j(-c0) = (-1)^j f_j(c0)^* is the same as giving u the
+        # sign of c0, since A_j, B_j and C_j are even or odd in u as (-1)^j is.
+        u, w = ang[1], ang[2]
+        np.cos(third, out=u)
+        u *= root
+        np.copysign(u, c0_3, out=u)
+        np.multiply(root, np.sqrt(3.0), out=w)
+        w *= np.sin(third, out=third)
+        np.add(u, u, out=ang[0])
+        np.cos(ang, out=trig[0])
+        np.sin(ang, out=trig[1])
+        mono[0] = 1.0
+        mono[1] = u
+        np.multiply(u, 3.0, out=mono[2])
+        np.multiply(u, u, out=mono[3])
+        np.multiply(w, w, out=mono[4])
+        np.multiply(mono[3], 3.0, out=mono[5])
+        np.multiply(mono[3], 9.0, out=mono[6])
+        np.add(mono[5], mono[4], out=mono[7])
+        mono[7] *= u
+        w2 = mono[4]
+        np.divide(w2, 120.0, out=series)
+        np.subtract(1.0 / 6.0, series, out=series)
+        series *= w2
+        np.subtract(1.0, series, out=series)
+        xi0 = np.maximum(w, _XI_SERIES_BELOW, out=c0_max_3)
+        np.divide(trig[1, 2], xi0, out=xi0)
+        np.copyto(xi0, series, where=w < _XI_SERIES_BELOW)
+        np.matmul(_SU3_H, mono, out=rows)
+        rows[3:6] *= trig[0, 2]
+        rows[6:9] *= xi0
+        np.take(trig.reshape(6, m), _SU3_PHASE_PICK, axis=0, out=phase)
+        phase *= _SU3_PHASE_SIGN
+        np.multiply(phase[:, :, None], rows[:9].reshape(3, 3, m), out=terms)
+        hv = h.view(float).reshape(3, m, 2).transpose(2, 0, 1)
+        np.add(terms[:, 0], terms[:, 1], out=hv)
+        hv += terms[:, 2]
+        # 9u^2 - w^2 >= 2 c1 vanishes only at theta = 0, where every h_j does;
+        # shifting h_0 and the divisor by _TINY gives f = (1, 0, 0) there, and
+        # changes no bit unless |theta| is below about 1e-140.
+        hv[0, 0] += _TINY
+        rows[9] += _TINY
+        hv /= rows[9]
+        # exp(iQ) = f0 + f1 Q + f2 Q^2 with f = h, q_pm free as the last product.
+        result = out[:, start:start + m]
+        np.multiply(h[1], q.reshape(9, m), out=result)
+        result += np.multiply(h[2], q2.reshape(9, m), out=q_pm.reshape(9, m))
+        result[::4] += h[0]
+    return out.reshape(3, 3, n_p).transpose(2, 0, 1)
 
 
 def _exp_i_hermitian(herm: np.ndarray) -> np.ndarray:

@@ -15,15 +15,17 @@ groups at all-even extents and 16 at the odd ones tried; `lexicographic`,
 one link per group, is the reference.
 
 The proposals are closed-form SU(N) exponentials
-(`liealg.random_sun_near_identity`), drawn in passes of `_PROPOSAL_PASS`
-links into a component-major buffer.  A link changes only in its own group,
-so every U' = X U and U' - U of a sweep is formed at once; each group makes
-its staple sum, dS, the accept test and the scatter.  dS is the elementwise
-sum Re tr((U' - U) S) = Re sum (U' - U) o S^T: no product is formed for it.
-The sweep calls `liealg.random_sun_near_identity` once per pass and
-`staple_sum` once per group through their modules, so a tracer that wraps
-them sees every call; the proposals, U', U' - U and `staple_sum` work in
-buffers kept per graph (`wilson._scratch`).
+(`liealg.random_sun_near_identity`), drawn in one call per sweep; SU(3)
+ones come component-major, SU(2) ones are copied so.  A link changes only
+in its own group, so every U' = X U and U' - U of a sweep is formed at
+once; each group makes its staple sum, dS, the accept test and the
+scatter.  dS is the elementwise sum Re tr((U' - U) S) = Re sum (U' - U) o
+S^T: no product is formed for it.  The groups' link ids and their
+concatenation are built once per graph and order, with the groups.  The
+sweep calls `liealg.random_sun_near_identity` once and `staple_sum` once
+per group through their modules, so a tracer that wraps them sees every
+call; U', U' - U and `staple_sum` work in buffers kept per graph and
+thread (`liealg._scratch`).
 
 The one-plaquette SU(2) model has an exact reference, `single_plaquette_exact`:
 a class-function average on the circle, summed by the trapezoid rule, which
@@ -44,13 +46,6 @@ from .graphlat import (
 )
 
 SWEEP_ORDERS = ("lexicographic", "checkerboard")
-
-# Proposals per `liealg.random_sun_near_identity` call of a sweep; no bit depends
-# on it, since a stack is drawn on the stream of its single draws.  Passes keep
-# the exponentials' temporaries under glibc's heap-trim edge: at 4^4 SU(3) one
-# call of 1024 made 336 minor faults, passes of 512 still 116-136 a sweep plus
-# plaquette, passes of 256 none.
-_PROPOSAL_PASS = 256
 
 # What a chain needs of each field, as `_enforce` rules (field, accept,
 # requirement); the sweeps and the one-plaquette references hold their couplings,
@@ -138,7 +133,7 @@ def staple_sum(lf: wilson.LinkField, g: LatticeGraph, events, direction: int) ->
     # pairs are summed by two elementwise adds in the order a reduction over them takes.
     idx = g.staple_table[direction - 1][:, :, ev.reshape(-1)]
     m = idx.shape[-1]
-    legs, inner, upper, lower, tmp = wilson._scratch(
+    legs, inner, upper, lower, tmp = liealg._scratch(
         g, "staples", n, ((n, n, 6, 3, m), (n, n, 2, 3, m), (n, n, 3, m), (n, n, 3, m),
                           (2, n, n, 3, m)))
     np.take(u, idx, axis=2, out=legs, mode="clip")
@@ -167,8 +162,14 @@ def update_groups(g: LatticeGraph, order: str) -> list:
         events = np.argsort(colors, kind="stable")
         events.flags.writeable = False
         classes = np.split(events, np.flatnonzero(np.diff(colors[events])) + 1)
-        g.sweep_groups[order] = [(ev, d) for ev in classes for d in range(1, 5)]
-    return g.sweep_groups[order]
+        groups = [(ev, d) for ev in classes for d in range(1, 5)]
+        links = [4 * ev + (d - 1) for ev, d in groups]
+        all_links = np.concatenate(links)
+        for ids in (all_links, *links):
+            ids.flags.writeable = False
+        # The sweep reads each group's link ids and their concatenation beside it.
+        g.sweep_groups[order] = (groups, links, all_links)
+    return g.sweep_groups[order][0]
 
 
 def metropolis_sweep(
@@ -187,21 +188,20 @@ def metropolis_sweep(
     """
     _enforce(_SWEEP_RULES, {"beta": beta, "step_scale": step_scale})
     _check_graph(lf, g)
-    groups = update_groups(g, order)
+    update_groups(g, order)
+    groups, links, all_links = g.sweep_groups[order]
     n, total = lf.n_colors, g.n_transitions
     out = lf.copy()
     u = out.cm
     # Every proposal of the sweep, in sweep order, then every accept threshold.
-    proposals, new_u, change = wilson._scratch(g, "proposals", n, ((n, n, total),) * 3)
-    for start in range(0, total, _PROPOSAL_PASS):
-        x = liealg.random_sun_near_identity(
-            n, 2.0 * step_scale, rng, count=min(_PROPOSAL_PASS, total - start))
-        proposals[:, :, start:start + len(x)] = x.transpose(1, 2, 0)
+    x = liealg.random_sun_near_identity(n, 2.0 * step_scale, rng, count=total)
+    # SU(3) proposals come component-major already; only SU(2) ones are copied.
+    proposals = np.ascontiguousarray(x.transpose(1, 2, 0))
+    new_u, change = liealg._scratch(g, "proposals", n, ((n, n, total),) * 2)
     thresholds = rng.uniform(size=total)
     # A link changes only in its own group, so every U' = X U and U' - U of the
     # sweep is formed from the links it starts with.
-    links = [4 * events + (d - 1) for events, d in groups]
-    old_u = u[:, :, np.concatenate(links)]
+    old_u = u[:, :, all_links]
     liealg._cm_product(proposals, old_u, out=new_u, tmp=change)
     np.subtract(new_u, old_u, out=change)
     accepted = stop = 0
@@ -288,9 +288,10 @@ def one_plaquette_chain(
     link is updated with the same proposal family as the full sampler.  Each
     step reads four consecutive uniforms (three proposal angles, then the
     accept threshold), so all of them are drawn as one block and all
-    proposals are built as one stack; only the product, its trace and the
-    accept test run per step.  beta, step_scale and seed are held to the rules
-    of `ChainConfig.validate`, and the burn-in must leave at least one sample.
+    proposals are built as one stack; only the product, into one of two kept
+    2x2 buffers that swap on accept, its trace and the accept test run per
+    step.  beta, step_scale and seed are held to the rules of
+    `ChainConfig.validate`, and the burn-in must leave at least one sample.
     """
     _enforce(_ONE_PLAQUETTE_RULES, {
         "beta": beta, "step_scale": step_scale, "n_steps": n_steps, "burn_in": burn_in, "seed": seed,
@@ -301,15 +302,15 @@ def one_plaquette_chain(
     # uniform(-angle, angle) returns -angle + (2 angle) u: the same angles bit for bit.
     proposals = liealg._exp_i_angles(-angle + (2.0 * angle) * draws[:, :3])
     thresholds = draws[:, 3]
-    u = np.eye(2, dtype=complex)
+    u, new_u = np.eye(2, dtype=complex), np.empty((2, 2), dtype=complex)
     trace = 2.0
     traces = np.empty(n_steps)
     for step in range(n_steps):
-        new_u = proposals[step] @ u
-        new_trace = np.trace(new_u).real
+        np.matmul(proposals[step], u, out=new_u)
+        new_trace = (new_u[0, 0] + new_u[1, 1]).real
         d_s = -(beta / 2.0) * (new_trace - trace)
         # d_s <= 0 always accepts, and exp(-d_s) could overflow there.
         if d_s <= 0.0 or thresholds[step] < np.exp(-d_s):
-            u, trace = new_u, new_trace
+            u, new_u, trace = new_u, u, new_trace
         traces[step] = trace
     return traces[burn_in:] / 2.0

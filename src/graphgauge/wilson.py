@@ -16,16 +16,14 @@ Per-plaquette traces are reduced in sorted order (pairwise summation on the
 sorted array), which makes the floating point result invariant under any
 relabeling or automorphism of the graph, bit for bit.
 
-The trace kernel, the gauge rotation and the sampler's proposals and staple
-sum work in buffers kept per graph and thread (`_scratch`): fresh ones, freed
-at glibc's heap-trim edge, faulted about 480 pages in again per 4^4 SU(3)
-sweep plus plaquette.  No bit moves.
+The trace kernel, the gauge rotation and the sampler's proposed links and
+staple sum work in buffers kept per graph and thread (`liealg._scratch`): fresh
+ones, freed at glibc's heap-trim edge, faulted about 480 pages in again per 4^4
+SU(3) sweep plus plaquette.  No bit moves.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -204,40 +202,18 @@ class ActionValue:
     so5_loop_trace: float
 
 
-# Per thread, ``graphs``: each graph's scratch buffers, in a WeakKeyDictionary.
-_SCRATCH = threading.local()
-
-
-def _scratch(graph: LatticeGraph, kernel: str, n: int, shapes: tuple) -> list:
-    """C-contiguous complex arrays of ``shapes`` for a call of ``kernel`` on ``graph``
-    with N = ``n`` in this thread, which fills them afresh.  They are cut from one
-    buffer kept at the largest total size asked for, and cut again only when the shapes
-    change.  Their contents never reach a caller."""
-    graphs = getattr(_SCRATCH, "graphs", None)
-    if graphs is None:
-        graphs = _SCRATCH.graphs = weakref.WeakKeyDictionary()
-    kept = graphs.get(graph) or graphs.setdefault(graph, {})
-    last = kept.get((kernel, n))
-    if last is None or last[0] != shapes:
-        ends = np.cumsum([np.prod(shape) for shape in shapes])
-        buf = last[1] if last and last[1].size >= ends[-1] else np.empty(ends[-1], dtype=complex)
-        cuts = [buf[end - np.prod(s):end].reshape(s) for end, s in zip(ends, shapes)]
-        last = kept[kernel, n] = (shapes, buf, cuts)
-    return last[2]
-
-
 def _plaquette_traces(lf: LinkField, graph: LatticeGraph) -> np.ndarray:
     """Re tr of the su block of every plaquette product, batched.
 
     tr(l0 l1 l2^dag l3^dag) is the sum of (l0 l1) o conj(l3 l2), so two
     component-major products and one elementwise sum give every trace; the
     loop itself is never formed.  Each pass of `liealg._CHUNK` plaquettes
-    gathers its legs and forms its products in `_scratch` buffers.
+    gathers its legs and forms its products in `liealg._scratch` buffers.
     """
     n, u, chunk = lf.n_colors, lf.cm, liealg._CHUNK
     table = graph.plaquette_table
     traces = np.empty(len(table))
-    (buf,) = _scratch(graph, "traces", n, ((5 * n * n * min(chunk, len(table)),),))
+    (buf,) = liealg._scratch(graph, "traces", n, ((5 * n * n * min(chunk, len(table)),),))
     for start in range(0, len(table), chunk):
         l0, l1, l2, l3 = table[start:start + chunk].T
         width = len(l0)
@@ -312,7 +288,7 @@ def local_gauge_links(lf: LinkField, omegas: np.ndarray) -> LinkField:
     sites = max(liealg._CHUNK // 4, 1)
     # Each pass's W(x), copied along the direction axis: a stride-0 W would run
     # numpy's inner loops 4 elements at a time.
-    (w_x,) = _scratch(lf.graph, "gauge", n, ((n, n, min(sites, len(fwd)), 4),))
+    (w_x,) = liealg._scratch(lf.graph, "gauge", n, ((n, n, min(sites, len(fwd)), 4),))
     for start in range(0, len(fwd), sites):
         part = slice(start, start + sites)
         w_part = w_x[:, :, :len(fwd[part])]

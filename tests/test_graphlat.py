@@ -189,12 +189,12 @@ def test_automorphism_shift_matches_coordinate_translation(offset):
 @pytest.mark.parametrize(
     "offset",
     [(1.5, 0, 0, 0), (True, 0, 0, 0), (np.nan, 0, 0, 0), (0, 0, np.float64(1.0), 0), (1, 0, 0),
-     np.array([1.0, 0.0, 0.0, 0.0])],
+     np.array([1.0, 0.0, 0.0, 0.0]), 5, None],
 )
 def test_automorphism_shift_refuses_non_integer_offsets(small_graph, offset):
     # int() used to truncate 1.5 to a shift by 1, count True as 1 and fail
-    # on NaN with a bare ValueError.
-    with pytest.raises(GraphError, match="^offset must have four integer components"):
+    # on NaN with a bare ValueError; 5 and None failed with a bare TypeError.
+    with pytest.raises(GraphError, match="^parameter 'offset' is invalid: need four integers, got "):
         small_graph.automorphism_shift(offset)
 
 

@@ -309,6 +309,17 @@ def test_near_identity_stack_matches_single_draws(count):
         assert stack_rng.uniform() == rng.uniform()
 
 
+def test_near_identity_stack_does_not_depend_on_the_pass_size(monkeypatch):
+    # Passes of 7 split a stack of 20 SU(3) proposals into 7, 7 and 6.
+    monkeypatch.setattr(liealg, "_CHUNK", 7)
+    rng = np.random.default_rng(3)
+    singles = np.stack([liealg.random_sun_near_identity(3, 0.7, rng) for _ in range(20)])
+    stack_rng = np.random.default_rng(3)
+    stack = liealg.random_sun_near_identity(3, 0.7, stack_rng, count=20)
+    assert stack.tobytes() == singles.tobytes()
+    assert stack_rng.bit_generator.state == rng.bit_generator.state
+
+
 def test_random_so5_is_special_orthogonal(rng):
     for _ in range(20):
         o = liealg.random_so5(rng)

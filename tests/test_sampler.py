@@ -4,11 +4,14 @@ import ast
 import gc
 import inspect
 import itertools
+import os
+import subprocess
 import sys
 import textwrap
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,15 +400,12 @@ def test_sweep_matches_reference_sweep(n, order):
 
 def _per_group_sweep(lf, g, beta, step_scale, rng, order):
     """The sweep with each group gathering its own links and forming its own U' = X U
-    and U' - U: the same proposal passes and thresholds, read group by group."""
+    and U' - U: the same proposals and thresholds, read group by group."""
     n, total = lf.n_colors, g.n_transitions
     out = lf.copy()
     u = out.cm
-    proposals = np.empty((n, n, total), dtype=complex)
-    for start in range(0, total, sampler._PROPOSAL_PASS):
-        x = liealg.random_sun_near_identity(
-            n, 2.0 * step_scale, rng, count=min(sampler._PROPOSAL_PASS, total - start))
-        proposals[:, :, start:start + len(x)] = x.transpose(1, 2, 0)
+    x = liealg.random_sun_near_identity(n, 2.0 * step_scale, rng, count=total)
+    proposals = np.ascontiguousarray(x.transpose(1, 2, 0))
     thresholds = rng.uniform(size=total)
     accepted = stop = 0
     for events, d in sampler.update_groups(g, order):
@@ -523,8 +523,8 @@ def test_sweep_calls_the_traced_kernels_once_per_group(small_graph, monkeypatch)
     # The benchmark's traced coverage sees a sweep only through the module
     # attributes sampler.staple_sum and liealg.random_sun_near_identity: a sweep
     # that stopped calling them would pass here only if this test changed.
-    # staple_sum runs once per group and the proposals once per pass; the 64
-    # links of 2^4 are one pass.
+    # staple_sum runs once per group and the proposals once per sweep, also when
+    # the exponential takes several passes of liealg._CHUNK.
     lf = wilson.random_links(small_graph, 2, np.random.default_rng(5))
     want, want_acc = sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(6))
     calls = {"staple_sum": 0, "random_sun_near_identity": 0}
@@ -540,22 +540,22 @@ def test_sweep_calls_the_traced_kernels_once_per_group(small_graph, monkeypatch)
 
     counted(sampler, "staple_sum")
     counted(liealg, "random_sun_near_identity")
-    got, acc = sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(6))
     groups = len(sampler.update_groups(small_graph, "checkerboard"))
-    assert groups == 8 and small_graph.n_transitions <= sampler._PROPOSAL_PASS
-    assert calls == {"staple_sum": groups, "random_sun_near_identity": 1}
-    assert acc == want_acc and np.array_equal(got.cm, want.cm)
-    monkeypatch.setattr(sampler, "_PROPOSAL_PASS", 10)
-    calls.update(staple_sum=0, random_sun_near_identity=0)
-    sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(6))
-    assert calls == {"staple_sum": groups, "random_sun_near_identity": 7}
+    assert groups == 8
+    for chunk in (liealg._CHUNK, 10):
+        monkeypatch.setattr(liealg, "_CHUNK", chunk)
+        calls.update(staple_sum=0, random_sun_near_identity=0)
+        got, acc = sampler.metropolis_sweep(lf, small_graph, 2.0, 0.5, np.random.default_rng(6))
+        assert calls == {"staple_sum": groups, "random_sun_near_identity": 1}, chunk
+        assert acc == want_acc and np.array_equal(got.cm, want.cm)
 
 
 @pytest.mark.parametrize("n", liealg.SUPPORTED_N)
 def test_sweep_bits_do_not_depend_on_the_proposal_pass(n, monkeypatch):
-    # A stack of proposals is drawn on the stream of its single draws, so passes
-    # of one link, of 7 (which straddle every group boundary of 2x3x2x2) and one
-    # pass of the whole sweep give the same chain and leave the same generator.
+    # A stack of proposals is drawn on the stream of its single draws, and no bit
+    # of the exponential depends on its pass size, so passes of one link, of 7
+    # (which straddle every group boundary of 2x3x2x2) and one pass of the whole
+    # sweep give the same chain and leave the same generator.
     g = graphlat.build_hypercubic((2, 3, 2, 2))
 
     def chains():
@@ -572,12 +572,12 @@ def test_sweep_bits_do_not_depend_on_the_proposal_pass(n, monkeypatch):
 
     want = chains()
     for size in (1, 7, g.n_transitions + 1):
-        monkeypatch.setattr(sampler, "_PROPOSAL_PASS", size)
+        monkeypatch.setattr(liealg, "_CHUNK", size)
         assert chains() == want, size
 
 
 # ---------------------------------------------------------------------------
-# the kernels' scratch buffers (wilson._scratch) cannot be seen from outside
+# the kernels' scratch buffers (liealg._scratch) cannot be seen from outside
 # ---------------------------------------------------------------------------
 
 
@@ -633,10 +633,15 @@ def test_kernel_results_share_no_memory(rng):
     assert np.array_equal(first, kept)
     assert not np.array_equal(traces[0], traces[1])
     assert np.array_equal(traces[0], wilson._plaquette_traces(fields[0], g))
-    results = [first, second, *traces]
-    # Each (kernel, N) keeps (shapes, buffer, arrays cut from it).
-    scratch = [buf for _, buf, _ in wilson._SCRATCH.graphs[g].values()]
+    draws = [liealg.random_sun_near_identity(3, 0.5, rng, count=count) for count in (8, 5)]
+    draw = draws[0].copy()
+    assert np.array_equal(draws[0], draw)
+    results = [first, second, *traces, *draws]
+    # Each (kernel, N) keeps (shapes, buffer, arrays cut from it); the graph owns
+    # the buffers of the kernels that read its tables, the SU(3) exponential its own.
+    scratch = [buf for _, buf, _ in liealg._SCRATCH.owners[g].values()]
     assert len(scratch) == 2
+    scratch += [buf for _, buf, _ in liealg._SCRATCH.owners[liealg._exp_su3].values()]
     for i, mine in enumerate(results):
         for theirs in results[i + 1:] + scratch:
             assert not np.shares_memory(mine, theirs)
@@ -647,7 +652,7 @@ def test_scratch_does_not_keep_a_graph_alive():
     lf = wilson.random_links(g, 2, np.random.default_rng(0))
     sampler.metropolis_sweep(lf, g, 2.0, 0.5, np.random.default_rng(1))
     sampler.average_plaquette(lf, g)
-    assert g in wilson._SCRATCH.graphs
+    assert g in liealg._SCRATCH.owners
     ref = weakref.ref(g)
     del g, lf
     gc.collect()
@@ -712,6 +717,43 @@ def test_threads_reproduce_serial_chains():
     assert threaded == serial
 
 
+# A 4^4 SU(3) sweep plus plaquette, 20 times to warm up and 50 times counted: the
+# minor page faults per op.
+_HEAP_EDGE_SCRIPT = """
+import resource
+import numpy as np
+from graphgauge import graphlat, sampler, wilson
+g = graphlat.build_hypercubic((4, 4, 4, 4))
+rng = np.random.default_rng(0)
+lf = wilson.random_links(g, 3, rng)
+for op in range(70):
+    if op == 20:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    lf, _ = sampler.metropolis_sweep(lf, g, 5.7, 0.5, rng)
+    sampler.average_plaquette(lf, g)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc's page faults")
+def test_sweep_stays_under_the_heap_trim_edge():
+    # Temporaries freed at glibc's heap-trim edge are faulted in again on the next
+    # op: an SU(3) exponential of a 4^4 sweep's 1024 proposals in one call with
+    # fresh temporaries made 120-330 minor faults a sweep plus plaquette, its kept
+    # buffers none.  It runs in a fresh interpreter, at glibc's initial trim
+    # threshold, which the suite's large arrays would have raised.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _HEAP_EDGE_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 20
+
+
 def test_scratch_stays_bounded_over_call_sizes():
     # 50 staple sums of distinct sizes, in shuffled order: one buffer, kept at the
     # largest size asked for.
@@ -719,7 +761,7 @@ def test_scratch_stays_bounded_over_call_sizes():
     lf = wilson.random_links(g, 2, np.random.default_rng(0))
     for count in np.random.default_rng(1).permutation(np.arange(1, 51)):
         sampler.staple_sum(lf, g, np.arange(count), 1)
-    kept = wilson._SCRATCH.graphs[g]
+    kept = liealg._SCRATCH.owners[g]
     assert list(kept) == [("staples", 2)]
     # Per event: 6 slots of 3 legs; the inner products of both halves of each
     # pair and their temporary, 2 legs a pair each; the upper and the lower
